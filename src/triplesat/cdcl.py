@@ -139,6 +139,17 @@ class Solver:
             return
         self._attach(list(clause))
 
+    def add_refuted(self, assumptions):
+        """Add the clause negating `assumptions` after solve(assumptions) found
+        them UNSAT: emitted to the proof, then attached.  A no-op once the
+        solver is unsatisfiable outright.
+        """
+        if not self.ok:
+            return
+        negation = [-l for l in assumptions]
+        self._emit(negation)
+        self._attach(negation)
+
     def _attach(self, clause):
         if not clause:
             self.ok = False
@@ -381,10 +392,8 @@ def solve_incremental(formula, cube_list, proof=None, conflict_budget=None,
     results = []
     for cube in cube_list:
         result = solver.solve(assumptions=cube)
-        if result.verdict == UNSAT and solver.ok:
-            negation = tuple(-l for l in cube)
-            solver._emit(negation)
-            solver._attach(list(negation))
+        if result.verdict == UNSAT:
+            solver.add_refuted(cube)
         results.append(result)
     return results
 
@@ -413,7 +422,7 @@ def backbone(formula, **kwargs):
         result = solver.solve(assumptions=[-lit])
         if result.verdict == UNSAT:
             confirmed.add(lit)
-            solver._attach([lit])
+            solver.add_refuted([-lit])
         elif result.verdict == SAT:
             candidates = {l for l in candidates
                           if lit_value(result.model, l) is True}

@@ -15,8 +15,7 @@ from . import cdcl, cubecodec, drat, pipeline
 from .cnf import parse_dimacs, write_dimacs
 from .encoder import encode
 from .lookahead import (cubes, parse_cutoff, parse_inccnf, split,
-                        write_inccnf, HeuristicParams, params_for_mode,
-                        MODE_PTN, MODE_RND, MODE_BIN, MODE_VAR)
+                        write_inccnf, MODE_PTN, MODE_RND, MODE_BIN, MODE_VAR)
 from .transform import bce, emit_transform_proof, symmetry_break, write_stack
 
 EXIT_SAT = 0
@@ -66,23 +65,25 @@ def _print_verdict(verdict, model=None):
 
 
 def _heuristic_args(parser):
-    parser.add_argument("--mode", choices=_MODES, default=MODE_PTN)
-    parser.add_argument("--cutoff", default="bin:3000",
+    parser.add_argument("--mode", choices=_MODES)
+    parser.add_argument("--cutoff",
                         help="comma-separated bin:N / vars:N / depth:N")
-    parser.add_argument("--preselect", type=float, default=1.0)
+    parser.add_argument("--preselect", type=float)
     parser.add_argument("--alpha", type=float)
     parser.add_argument("--beta", type=float)
     parser.add_argument("--gamma", type=float)
     parser.add_argument("--iterations", type=int)
 
 
-def _heuristic_params(args):
-    base = params_for_mode(args.mode)
-    return HeuristicParams(
-        alpha=base.alpha if args.alpha is None else args.alpha,
-        beta=base.beta if args.beta is None else args.beta,
-        gamma=base.gamma if args.gamma is None else args.gamma,
-        iterations=base.iterations if args.iterations is None else args.iterations)
+def _settings(args, keys):
+    """defaults.cfg, then the --config file if one is given, then every
+    flag among `keys` that is given; unset flags are None."""
+    values = pipeline.default_config()
+    if getattr(args, "config", None):
+        values.update(pipeline.load_config(args.config))
+    values.update((key, getattr(args, key)) for key in keys
+                  if getattr(args, key) is not None)
+    return values
 
 
 # ------------------------------------------------------------------ commands
@@ -113,8 +114,10 @@ def cmd_transform(args):
 
 def cmd_split(args):
     formula = _load_formula(getattr(args, "in"))
-    tree = split(formula, parse_cutoff(args.cutoff), args.mode,
-                 _heuristic_params(args), args.preselect)
+    values = _settings(args, ("mode", "cutoff", "preselect", "alpha", "beta",
+                              "gamma", "iterations"))
+    tree = split(formula, parse_cutoff(values["cutoff"]), values["mode"],
+                 pipeline.config_params(values), float(values["preselect"]))
     cube_list = cubes(tree)
     _emit(args.out, write_inccnf(formula, cube_list))
     if args.tree:
@@ -178,24 +181,20 @@ def cmd_unpack_cubes(args):
 
 
 def cmd_pipeline(args):
-    values = pipeline.default_config()
-    if args.config:
-        values.update(pipeline.load_config(args.config))
+    values = _settings(args, ("mode", "cutoff", "second_cutoff", "workers"))
     config = pipeline.PipelineConfig(
         n=args.n,
         formula_path=getattr(args, "in"),
-        mode=args.mode or values.get("mode", MODE_PTN),
-        cutoff=args.cutoff or values.get("cutoff", "bin:3000"),
-        second_cutoff=args.second_cutoff or values.get("second_cutoff",
-                                                       "vars:3450"),
+        mode=values["mode"],
+        cutoff=values["cutoff"],
+        second_cutoff=values["second_cutoff"],
         two_level=args.two_level,
         apply_bce=True if args.bce else None,
-        workers=args.workers if args.workers else int(values.get("workers", 1)),
+        workers=int(values["workers"]),
         conflict_budget=args.conflict_budget,
         params=pipeline.config_params(values),
-        preselect=float(values.get("preselect", 1.0)),
-        var_decay=float(values.get("var_decay", 0.95)),
-        output_dir=args.output_dir)
+        preselect=float(values["preselect"]),
+        var_decay=float(values["var_decay"]))
     result = pipeline.run(config)
     for phase, seconds in result.report.phase_times.items():
         print("c %-10s %8.3fs" % (phase, seconds))

@@ -239,6 +239,21 @@ def parse_dimacs(text):
     return Formula(clauses, num_vars)
 
 
+def parse_clause_line(text, lineno):
+    """Literals of one `... 0` line; 0 may only appear as the terminator."""
+    lits = []
+    for token in text.split():
+        try:
+            lits.append(int(token))
+        except ValueError:
+            raise DimacsError("non-integer token %r" % token, lineno) from None
+    if not lits or lits[-1] != 0:
+        raise DimacsError("missing 0 terminator", lineno)
+    if 0 in lits[:-1]:
+        raise DimacsError("literal 0 before the end of the line", lineno)
+    return tuple(lits[:-1])
+
+
 def write_dimacs(formula):
     """Render a Formula as DIMACS text; inverse of parse_dimacs."""
     lines = ["p cnf %d %d" % (formula.num_vars, len(formula.clauses))]

@@ -116,28 +116,50 @@ def write_tree_text(tree):
     return "\n".join(lines) + "\n"
 
 
+def _read_preorder(read_node):
+    """Assemble a tree from a preorder stream, yes-branch first.
+
+    `read_node` returns the next Leaf, or a Node whose children are still
+    None; an explicit stack of nodes waiting for a child replaces
+    recursion, so tree depth is bounded only by memory.
+    """
+    root = read_node()
+    waiting = [root] if isinstance(root, Node) else []
+    while waiting:
+        node = read_node()
+        parent = waiting[-1]
+        if parent.yes is None:
+            parent.yes = node
+        else:
+            parent.no = node
+            waiting.pop()
+        if isinstance(node, Node):
+            waiting.append(node)
+    return root
+
+
 def parse_tree_text(text):
-    tokens = text.split()
-    pos = [0]
+    """Inverse of write_tree_text."""
+    tokens = iter(text.split())
 
     def read_node():
-        if pos[0] >= len(tokens):
+        token = next(tokens, None)
+        if token is None:
             raise CodecError("truncated tree listing")
-        token = tokens[pos[0]]
-        pos[0] += 1
         if token in (CUTOFF, REFUTED):
             return Leaf(token)
         try:
             literal = int(token)
         except ValueError:
-            raise CodecError("bad tree token %r" % token)
+            raise CodecError("bad tree token %r" % token) from None
         if literal == 0:
             raise CodecError("zero decision literal")
-        return Node(literal, read_node(), read_node())
+        return Node(literal, None, None)
 
-    tree = read_node()
-    if pos[0] != len(tokens):
-        raise CodecError("%d trailing tokens" % (len(tokens) - pos[0]))
+    tree = _read_preorder(read_node)
+    trailing = sum(1 for _ in tokens)
+    if trailing:
+        raise CodecError("%d trailing tokens" % trailing)
     return tree
 
 
@@ -163,11 +185,9 @@ def decode_tree(data):
         if literal == 0:
             raise CodecError("zero decision literal")
         seen[0] += 1
-        yes = read_node()
-        no = read_node()
-        return Node(literal, yes, no)
+        return Node(literal, None, None)
 
-    tree = read_node()
+    tree = _read_preorder(read_node)
     if (seen[0], seen[1]) != (internal, leaves):
         raise CodecError("node counts %s do not match header (%d, %d)"
                          % (tuple(seen), internal, leaves))

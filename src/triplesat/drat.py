@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .cnf import Formula, is_flip_symmetric, lit_value, make_clause, propagate_clauses
+from .cnf import (Formula, is_flip_symmetric, lit_value, make_clause,
+                  parse_clause_line)
 
 
 @dataclass
@@ -27,7 +28,10 @@ class CheckResult:
 
 
 def parse_drat(text):
-    """Parse ASCII DRAT: 0-terminated integer clauses, `d` prefix for deletions."""
+    """Parse ASCII DRAT: 0-terminated integer clauses, `d` prefix for deletions.
+
+    Malformed lines raise cnf.DimacsError carrying the line number.
+    """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("ascii")
     proof = []
@@ -39,10 +43,7 @@ def parse_drat(text):
         if stripped.startswith("d"):
             kind = "d"
             stripped = stripped[1:]
-        nums = [int(t) for t in stripped.split()]
-        if not nums or nums[-1] != 0:
-            raise ValueError("line %d: missing 0 terminator" % lineno)
-        proof.append((kind, tuple(nums[:-1])))
+        proof.append((kind, parse_clause_line(stripped, lineno)))
     return proof
 
 
@@ -56,8 +57,7 @@ def write_drat(proof):
 
 def check_rup(formula, clause):
     """True iff propagating the negated literals of `clause` in F conflicts."""
-    _, conflict = propagate_clauses(formula.clauses, [-l for l in clause])
-    return conflict
+    return _Checker(formula).is_rup(clause)
 
 
 def check_rat(formula, clause, pivot):
@@ -69,17 +69,7 @@ def check_rat(formula, clause, pivot):
     """
     if pivot not in clause:
         raise ValueError("pivot %d not in clause %s" % (pivot, (clause,)))
-    if check_rup(formula, clause):
-        return True
-    base = [-l for l in clause]
-    for partner in formula.clauses:
-        if -pivot not in partner:
-            continue
-        units = base + [-m for m in partner if m != -pivot]
-        _, conflict = propagate_clauses(formula.clauses, units)
-        if not conflict:
-            return False
-    return True
+    return _Checker(formula).is_rat(clause, pivot)
 
 
 class _Checker:

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cnf import Formula, lit_value, propagate_clauses
+from .cnf import (DimacsError, Formula, lit_value, parse_clause_line,
+                  propagate_clauses)
 
 CUTOFF = "cutoff"
 REFUTED = "refuted"
@@ -41,7 +42,7 @@ class HeuristicParams:
 
 
 # Tuned for Pythagorean-triple style formulas vs. plain random 3-SAT.
-PTN_PARAMS = HeuristicParams(alpha=8.0, beta=550.0, gamma=25.0, iterations=4)
+PTN_PARAMS = HeuristicParams()
 RND_PARAMS = HeuristicParams(alpha=0.1, beta=25.0, gamma=3.3, iterations=4)
 
 
@@ -327,15 +328,14 @@ def split(formula, cutoff, mode=MODE_PTN, params=None, preselect=1.0):
 def leaf_cubes(tree):
     """Depth-first list of (cube, leaf status); yes-branch first."""
     out = []
-
-    def walk(node, prefix):
+    stack = [(tree, ())]
+    while stack:
+        node, prefix = stack.pop()
         if isinstance(node, Leaf):
-            out.append((tuple(prefix), node.status))
-            return
-        walk(node.yes, prefix + [node.literal])
-        walk(node.no, prefix + [-node.literal])
-
-    walk(tree, [])
+            out.append((prefix, node.status))
+            continue
+        stack.append((node.no, prefix + (-node.literal,)))
+        stack.append((node.yes, prefix + (node.literal,)))
     return out
 
 
@@ -362,7 +362,10 @@ def write_inccnf(formula, cube_list):
 
 
 def parse_inccnf(text):
-    """Inverse of write_inccnf; returns (Formula, list of cubes)."""
+    """Inverse of write_inccnf; returns (Formula, list of cubes).
+
+    Malformed lines raise cnf.DimacsError carrying the line number.
+    """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("ascii")
     clauses = []
@@ -374,19 +377,16 @@ def parse_inccnf(text):
             continue
         if stripped.startswith("p"):
             if stripped.split() != ["p", "inccnf"]:
-                raise ValueError("line %d: malformed inccnf header %r" % (lineno, stripped))
+                raise DimacsError("malformed inccnf header %r" % stripped, lineno)
             saw_header = True
             continue
         is_cube = stripped.startswith("a ") or stripped == "a"
         body = stripped[1:] if is_cube else stripped
-        nums = [int(t) for t in body.split()]
-        if not nums or nums[-1] != 0:
-            raise ValueError("line %d: missing 0 terminator" % lineno)
-        lits = tuple(nums[:-1])
+        lits = parse_clause_line(body, lineno)
         if is_cube:
             cube_list.append(lits)
         else:
             clauses.append(lits)
     if not saw_header:
-        raise ValueError("missing `p inccnf` header")
+        raise DimacsError("missing `p inccnf` header")
     return Formula(clauses), cube_list

@@ -1,15 +1,18 @@
 """End-to-end orchestration: encode, transform, split, solve, validate.
 
 UNSAT runs produce a merged proof (transformation proof, cube proofs in
-index order, tautology proof) that is checked against the original
+index order, tautology proof) that is checked once, against the original
 formula; SAT runs produce a repaired model validated against the
-original problem.  Solving fans out over share-nothing workers, one
-solver per cube, or runs a two-level scheme where each top-level cube is
-re-split and handed to one incremental solver.
+original problem.  Every cube goes through one primitive,
+`solve_one_cube`, either in this process or over share-nothing worker
+processes.  In two-level mode the primitive re-splits its cube and hands
+the sub-cubes to one incremental solver.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import importlib.resources
 import time
 from collections import Counter
@@ -18,11 +21,59 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import cdcl, drat
-from .cnf import Formula, evaluate, parse_dimacs, propagate_clauses, SATISFIED
+from .cnf import Formula, evaluate, parse_dimacs, SATISFIED
 from .encoder import check_partition, encode
 from .lookahead import (CutoffPolicy, HeuristicParams, cubes, negate_cubes,
-                        params_for_mode, parse_cutoff, split, MODE_PTN)
+                        params_for_mode, parse_cutoff, split)
 from .transform import bce, emit_transform_proof, reconstruct, symmetry_break
+
+
+def _parse_config(lines):
+    values = {}
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        key, sep, value = stripped.partition("=")
+        if not sep:
+            raise ValueError("line %d: expected key=value, got %r"
+                             % (lineno, stripped))
+        values[key.strip()] = value.strip()
+    return values
+
+
+def load_config(path):
+    """Parse a simple `key=value` config file into a dict of strings."""
+    with open(path) as handle:
+        return _parse_config(handle)
+
+
+@functools.cache
+def _shipped_defaults():
+    text = importlib.resources.files("triplesat").joinpath("defaults.cfg").read_text()
+    return _parse_config(text.splitlines())
+
+
+def default_config():
+    """The shipped `defaults.cfg`, the one source of every default setting."""
+    return dict(_shipped_defaults())
+
+
+def _default(key, cast=str):
+    """A PipelineConfig field defaulting to `key` of defaults.cfg, read on
+    first use rather than at import."""
+    return field(default_factory=lambda: cast(_shipped_defaults()[key]))
+
+
+_HEURISTIC_KEYS = {"alpha": float, "beta": float, "gamma": float, "iterations": int}
+
+
+def config_params(values):
+    """The heuristic parameters of values["mode"]; any of alpha, beta,
+    gamma and iterations present in `values` overrides its own field."""
+    overrides = {key: cast(values[key]) for key, cast in _HEURISTIC_KEYS.items()
+                 if key in values}
+    return dataclasses.replace(params_for_mode(values["mode"]), **overrides)
 
 
 @dataclass
@@ -30,17 +81,16 @@ class PipelineConfig:
     n: Optional[int] = None
     formula_path: Optional[str] = None
     formula: Optional[Formula] = None
-    mode: str = MODE_PTN
-    cutoff: str = "bin:3000"
-    second_cutoff: str = "vars:3450"
+    mode: str = _default("mode")
+    cutoff: str = _default("cutoff")
+    second_cutoff: str = _default("second_cutoff")
     two_level: bool = False
-    workers: int = 1
+    workers: int = _default("workers", int)
     conflict_budget: Optional[int] = None
     apply_bce: Optional[bool] = None  # None: on for encode(n), off for DIMACS
-    params: Optional[HeuristicParams] = None
-    preselect: float = 1.0
-    var_decay: float = 0.95
-    output_dir: Optional[str] = None
+    params: Optional[HeuristicParams] = None  # None: the mode's parameters
+    preselect: float = _default("preselect", float)
+    var_decay: float = _default("var_decay", float)
 
     def __post_init__(self):
         sources = [s is not None for s in (self.n, self.formula_path, self.formula)]
@@ -71,135 +121,61 @@ class PipelineResult:
     pivot: Optional[int] = None
 
 
-def load_config(path):
-    """Parse a simple `key=value` config file into a dict of strings."""
-    values = {}
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            key, sep, value = stripped.partition("=")
-            if not sep:
-                raise ValueError("line %d: expected key=value, got %r"
-                                 % (lineno, stripped))
-            values[key.strip()] = value.strip()
-    return values
-
-
-def default_config():
-    """The shipped defaults (reference full-scale parameters)."""
-    text = importlib.resources.files("triplesat").joinpath("defaults.cfg").read_text()
-    values = {}
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped and not stripped.startswith("#"):
-            key, _, value = stripped.partition("=")
-            values[key.strip()] = value.strip()
-    return values
-
-
-def config_params(values):
-    return HeuristicParams(
-        alpha=float(values.get("alpha", 8)),
-        beta=float(values.get("beta", 550)),
-        gamma=float(values.get("gamma", 25)),
-        iterations=int(values.get("iterations", 4)))
+def _policy(cutoff):
+    return cutoff if isinstance(cutoff, CutoffPolicy) else parse_cutoff(cutoff)
 
 
 # ----------------------------------------------------------------- solve phase
 
-_WORKER_STATE = {}
 
-
-def _init_worker(clauses, num_vars, budget, decay):
-    _WORKER_STATE["formula"] = Formula(list(clauses), num_vars)
-    _WORKER_STATE["budget"] = budget
-    _WORKER_STATE["decay"] = decay
-
-
-def _run_worker(cube):
-    state = _WORKER_STATE
-    return solve_one_cube(state["formula"], cube, state["budget"], state["decay"])
-
-
-def solve_one_cube(formula, cube, conflict_budget=None, var_decay=0.95):
-    """Solve formula AND cube with a fresh solver; cube literals become units.
+def solve_one_cube(formula, cube, config):
+    """Solve formula AND cube in one fresh solver; cube literals become units.
 
     Emitted lemmas are extended with the cube's negation so the proof
     stands against the formula alone; an UNSAT run ends with the negated
-    cube itself.  Returns (verdict, model, proof, seconds).
+    cube itself.  In two-level mode the cube is first re-split under
+    `config.second_cutoff`, and the solver refutes the sub-cubes in turn,
+    keeping what it learns, before a last call without assumptions closes
+    the cube.  Solving stops at the first sub-cube that is not refuted.
+    Returns (verdict, model, proof, split seconds, solve seconds).
     """
     start = time.perf_counter()
+    subcubes = []
+    if config.two_level:
+        restricted = Formula(list(formula.clauses) + [(l,) for l in cube],
+                             formula.num_vars)
+        subcubes = cubes(split(restricted, _policy(config.second_cutoff),
+                               config.mode, config.params, config.preselect))
+    split_elapsed = time.perf_counter() - start
+
+    start = time.perf_counter()
     proof = []
-    solver = cdcl.Solver(formula, proof=proof, conflict_budget=conflict_budget,
-                         var_decay=var_decay)
+    solver = cdcl.Solver(formula, proof=proof, conflict_budget=config.conflict_budget,
+                         var_decay=config.var_decay)
     negation = tuple(-l for l in cube)
     solver.proof_extension = negation
     for lit in cube:
         solver.add_clause([lit])
-    result = solver.solve()
+    for subcube in subcubes + [()]:
+        result = solver.solve(assumptions=subcube)
+        if result.verdict != cdcl.UNSAT:
+            break
+        solver.add_refuted(subcube)
     if result.verdict == cdcl.UNSAT and (not proof or proof[-1] != ("a", negation)):
         proof.append(("a", negation))
-    elapsed = time.perf_counter() - start
-    return result.verdict, result.model, proof, elapsed
+    return (result.verdict, result.model, proof, split_elapsed,
+            time.perf_counter() - start)
 
 
-def solve_cube_incremental(formula, cube, second_policy, mode, params,
-                           conflict_budget=None, var_decay=0.95, preselect=1.0):
-    """Two-level conquer step: re-split one cube, feed the sub-cubes to a
-    single incremental solver, close with the sub-tautology proof.
+_WORKER = {}
 
-    Returns (verdict, model, proof, split_seconds, solve_seconds).
-    """
-    split_start = time.perf_counter()
-    restricted = Formula(list(formula.clauses) + [(l,) for l in cube],
-                         formula.num_vars)
-    _, conflict = propagate_clauses(restricted.clauses)
-    if conflict:
-        negation = tuple(-l for l in cube)
-        return (cdcl.UNSAT, None, [("a", negation)],
-                time.perf_counter() - split_start, 0.0)
-    subtree = split(restricted, second_policy, mode, params, preselect)
-    subcubes = cubes(subtree)
-    split_elapsed = time.perf_counter() - split_start
 
-    solve_start = time.perf_counter()
-    proof = []
-    negation = tuple(-l for l in cube)
-    solver = cdcl.Solver(formula, proof=proof, conflict_budget=conflict_budget,
-                         var_decay=var_decay)
-    indeterminate = False
-    for subcube in subcubes:
-        assumptions = list(cube) + [l for l in subcube if l not in cube]
-        result = solver.solve(assumptions=assumptions)
-        if result.verdict == cdcl.SAT:
-            return (cdcl.SAT, result.model, proof, split_elapsed,
-                    time.perf_counter() - solve_start)
-        if result.verdict == cdcl.INDETERMINATE:
-            indeterminate = True
-            continue
-        if solver.ok:
-            refuted = tuple(-l for l in assumptions)
-            solver._emit(refuted)
-            solver._attach(list(refuted))
-    if indeterminate:
-        return (cdcl.INDETERMINATE, None, proof, split_elapsed,
-                time.perf_counter() - solve_start)
-    # close the cube: refute the negated sub-cube disjunction, with every
-    # line extended by the cube's negation; the final conflict line is the
-    # negated cube itself
-    taut_proof = []
-    taut_solver = cdcl.Solver(negate_cubes(subcubes), proof=taut_proof)
-    taut_solver.proof_extension = negation
-    taut_result = taut_solver.solve()
-    if taut_result.verdict != cdcl.UNSAT:
-        raise RuntimeError("sub-cube partition is not a tautology")
-    proof.extend(taut_proof)
-    if not proof or proof[-1] != ("a", negation):
-        proof.append(("a", negation))
-    return (cdcl.UNSAT, None, proof, split_elapsed,
-            time.perf_counter() - solve_start)
+def _init_worker(solve):
+    _WORKER["solve"] = solve
+
+
+def _run_worker(cube):
+    return _WORKER["solve"](cube)
 
 
 # ------------------------------------------------------------------- pipeline
@@ -233,42 +209,25 @@ def run(config):
     report.phase_times["transform"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    params = config.params or params_for_mode(config.mode)
-    policy = (config.cutoff if isinstance(config.cutoff, CutoffPolicy)
-              else parse_cutoff(config.cutoff))
-    tree = split(work, policy, config.mode, params, config.preselect)
+    tree = split(work, _policy(config.cutoff), config.mode, config.params,
+                 config.preselect)
     cube_list = cubes(tree)
     report.phase_times["split"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    if config.two_level:
-        second = (config.second_cutoff if isinstance(config.second_cutoff, CutoffPolicy)
-                  else parse_cutoff(config.second_cutoff))
-        outcomes = []
-        for cube in cube_list:
-            verdict, model, proof, split_s, solve_s = solve_cube_incremental(
-                work, cube, second, config.mode, params,
-                config.conflict_budget, config.var_decay, config.preselect)
-            outcomes.append((verdict, model, proof, split_s, solve_s))
-    elif config.workers > 1:
-        with ProcessPoolExecutor(
-                max_workers=config.workers, initializer=_init_worker,
-                initargs=(work.clauses, work.num_vars, config.conflict_budget,
-                          config.var_decay)) as pool:
-            outcomes = [(v, m, p, 0.0, s)
-                        for v, m, p, s in pool.map(_run_worker, cube_list)]
+    solve = functools.partial(solve_one_cube, work, config=config)
+    if config.workers == 1:
+        outcomes = list(map(solve, cube_list))
     else:
-        outcomes = []
-        for cube in cube_list:
-            verdict, model, proof, solve_s = solve_one_cube(
-                work, cube, config.conflict_budget, config.var_decay)
-            outcomes.append((verdict, model, proof, 0.0, solve_s))
+        with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker,
+                                 initargs=(solve,)) as pool:
+            outcomes = list(pool.map(_run_worker, cube_list))
     report.phase_times["solve"] = time.perf_counter() - start
 
     for index, (cube, outcome) in enumerate(zip(cube_list, outcomes)):
         report.cube_stats.append({
             "index": index, "size": len(cube), "split_time": outcome[3],
-            "solve_time": outcome[4], "validate_time": 0.0})
+            "solve_time": outcome[4]})
 
     verdicts = [o[0] for o in outcomes]
     result = PipelineResult("", report=report, cube_results=verdicts, pivot=pivot)
@@ -295,16 +254,11 @@ def run(config):
         taut_result = cdcl.solve(negate_cubes(cube_list), proof=taut_proof)
         if taut_result.verdict != cdcl.UNSAT:
             raise RuntimeError("cube partition is not a tautology")
-        cube_proofs = [o[2] for o in outcomes]
-        for index, cube_proof in enumerate(cube_proofs):
-            t0 = time.perf_counter()
-            partial = drat.check_proof(work, cube_proof)
-            report.cube_stats[index]["validate_time"] = time.perf_counter() - t0
-            if not partial:
-                raise RuntimeError("cube proof %d rejected: %s"
-                                   % (index, partial.reason))
-        merged = drat.merge_proofs(transform_proof, cube_proofs, taut_proof)
+        merged = drat.merge_proofs(transform_proof, [o[2] for o in outcomes],
+                                   taut_proof)
         pivots = (pivot,) if pivot is not None else ()
+        # the one gate for UNSAT: it checks every cube lemma, and a RUP
+        # lemma stays RUP when earlier cubes' lemmas precede it
         check = drat.check_proof(original, merged, refutation=True,
                                  symmetry_pivots=pivots)
         if not check:
@@ -321,11 +275,10 @@ def run(config):
 
 
 def per_cube_csv(report):
-    lines = ["index,size,split_time,solve_time,validate_time"]
+    lines = ["index,size,split_time,solve_time"]
     for row in report.cube_stats:
-        lines.append("%d,%d,%.6f,%.6f,%.6f" % (
-            row["index"], row["size"], row["split_time"], row["solve_time"],
-            row["validate_time"]))
+        lines.append("%d,%d,%.6f,%.6f" % (
+            row["index"], row["size"], row["split_time"], row["solve_time"]))
     return "\n".join(lines) + "\n"
 
 

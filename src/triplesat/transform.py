@@ -14,7 +14,8 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .cnf import Formula, clause_status, evaluate, is_flip_symmetric, SATISFIED
+from .cnf import (DimacsError, Formula, clause_status, evaluate, is_flip_symmetric,
+                  parse_clause_line, SATISFIED)
 from .encoder import occurrence_stats
 
 
@@ -143,13 +144,13 @@ def write_stack(stack):
 
 
 def parse_stack(text):
+    """Inverse of write_stack; malformed lines raise cnf.DimacsError."""
     stack = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
             continue
-        nums = [int(t) for t in line.split()]
-        if nums[-1] != 0 or len(nums) < 2:
-            raise ValueError("malformed stack line %r" % line)
-        stack.append(EliminationRecord(tuple(nums[1:-1]), nums[0], len(stack)))
+        lits = parse_clause_line(line, lineno)
+        if not lits:
+            raise DimacsError("stack line has no blocking literal", lineno)
+        stack.append(EliminationRecord(lits[1:], lits[0], len(stack)))
     return stack

@@ -1,5 +1,11 @@
+import dataclasses
+
+import pytest
+
+from triplesat import pipeline
 from triplesat.cli import main
 from triplesat.cnf import parse_dimacs, write_dimacs
+from triplesat.lookahead import PTN_PARAMS, RND_PARAMS
 
 from conftest import ap3_formula
 
@@ -127,6 +133,39 @@ def test_pipeline_cli_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("cutoff = depth:2\nmode = count_bin\n")
     assert main(["pipeline", "--n", "30", "--config", str(cfg)]) == 0
+
+
+@pytest.fixture
+def captured_config(monkeypatch):
+    """Run `triplesat pipeline` up to the PipelineConfig it builds."""
+    seen = []
+
+    def fake_run(config):
+        seen.append(config)
+        raise RuntimeError("stopped before running")
+
+    monkeypatch.setattr(pipeline, "run", fake_run)
+    return seen
+
+
+def test_pipeline_cli_mode_picks_its_parameters(captured_config, capsys):
+    assert main(["pipeline", "--n", "30", "--mode", "rnd3sat"]) == 1
+    assert captured_config[0].params == RND_PARAMS
+    assert captured_config[0].cutoff == "bin:3000"
+
+
+def test_pipeline_cli_config_overrides_one_parameter(tmp_path, captured_config,
+                                                     capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha = 2.5\n")
+    assert main(["pipeline", "--n", "30", "--config", str(cfg)]) == 1
+    assert captured_config[0].params == dataclasses.replace(PTN_PARAMS, alpha=2.5)
+
+
+def test_pipeline_cli_rejects_zero_workers(captured_config, capsys):
+    assert main(["pipeline", "--n", "30", "--workers", "0"]) == 1
+    assert not captured_config
+    assert "worker count" in capsys.readouterr().err
 
 
 def test_backbone_cli(tmp_path, capsys):

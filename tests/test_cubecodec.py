@@ -3,7 +3,7 @@ import pytest
 from triplesat.cubecodec import (CodecError, MAGIC, VERSION, decode_tree,
                                  encode_tree, parse_tree_text,
                                  write_tree_text)
-from triplesat.lookahead import CUTOFF, Leaf, Node, cubes, leaf_cubes
+from triplesat.lookahead import CUTOFF, REFUTED, Leaf, Node, cubes, leaf_cubes
 
 from conftest import FIG3_CUBES, random_tree
 
@@ -115,3 +115,21 @@ def test_text_rejects_garbage():
         parse_tree_text("cutoff cutoff")  # trailing tokens
     with pytest.raises(CodecError):
         parse_tree_text("banana")
+
+
+def test_deep_chain_round_trips():
+    # deeper than the interpreter's recursion limit
+    depth = 5000
+    tree = Leaf(CUTOFF)
+    for var in range(depth, 0, -1):
+        tree = Node(var if var % 2 else -var, tree, Leaf(REFUTED))
+    expected = leaf_cubes(tree)
+    assert len(expected) == depth + 1
+    assert len(expected[0][0]) == depth
+    packed = decode_tree(encode_tree(tree))
+    assert cubes(packed) == [cube for cube, _ in expected]
+    assert leaf_cubes(packed) == expected
+    text = write_tree_text(tree)
+    listed = parse_tree_text(text)
+    assert leaf_cubes(listed) == expected
+    assert write_tree_text(listed) == text

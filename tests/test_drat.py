@@ -3,7 +3,7 @@ import time
 import pytest
 
 from triplesat import cdcl
-from triplesat.cnf import Formula
+from triplesat.cnf import DimacsError, Formula
 from triplesat.drat import (check_proof, check_rat, check_rup,
                             extension_clauses, merge_proofs, parse_drat,
                             write_drat)
@@ -19,6 +19,14 @@ def test_parse_drat():
     assert parse_drat(b"1 2 0\n") == [("a", (1, 2))]
     with pytest.raises(ValueError):
         parse_drat("1 2\n")
+
+
+@pytest.mark.parametrize("text, line", [("1 0 2 0\n", 1), ("-1 0\nd 1 x 0\n", 2)],
+                         ids=["interior-zero", "non-integer"])
+def test_parse_drat_reports_bad_lines(text, line):
+    with pytest.raises(DimacsError) as info:
+        parse_drat(text)
+    assert info.value.line == line
 
 
 def test_write_drat_round_trip():

@@ -1,6 +1,6 @@
 import pytest
 
-from triplesat.cnf import Formula, propagate_clauses
+from triplesat.cnf import DimacsError, Formula, propagate_clauses
 from triplesat.encoder import encode
 from triplesat.lookahead import (CUTOFF, CutoffPolicy, HeuristicParams, Leaf,
                                  LookaheadError, MODE_BIN, MODE_PTN, MODE_RND,
@@ -231,3 +231,12 @@ def test_inccnf_round_trip(rng):
 def test_inccnf_requires_header():
     with pytest.raises(ValueError):
         parse_inccnf("1 2 0\na 1 0\n")
+
+
+@pytest.mark.parametrize("text, line", [("p inccnf\n1 0 2 0\n", 2),
+                                        ("p inccnf\n1 2 0\na 1 y 0\n", 3)],
+                         ids=["interior-zero", "non-integer"])
+def test_inccnf_reports_bad_lines(text, line):
+    with pytest.raises(DimacsError) as info:
+        parse_inccnf(text)
+    assert info.value.line == line

@@ -107,13 +107,17 @@ def test_two_level_mode():
     assert sat.verdict == cdcl.SAT
 
 
-def test_workers_do_not_change_outcome():
-    base = pipeline.run(pipeline.PipelineConfig(formula=ap3_formula(9),
-                                                cutoff="depth:3"))
-    par = pipeline.run(pipeline.PipelineConfig(formula=ap3_formula(9),
-                                               cutoff="depth:3", workers=3))
-    assert par.verdict == base.verdict == cdcl.UNSAT
-    assert par.proof == base.proof  # deterministic per-cube solvers
+@pytest.mark.parametrize("two_level", [False, True])
+def test_workers_do_not_change_outcome(two_level):
+    for formula, verdict in ((ap3_formula(9), cdcl.UNSAT),
+                             (ap3_formula(8), cdcl.SAT)):
+        runs = [pipeline.run(pipeline.PipelineConfig(
+            formula=formula, cutoff="depth:3", second_cutoff="depth:2",
+            two_level=two_level, workers=workers)) for workers in (1, 2)]
+        assert [r.verdict for r in runs] == [verdict, verdict]
+        assert runs[0].cube_results == runs[1].cube_results
+        assert runs[0].proof == runs[1].proof  # deterministic per-cube solvers
+        assert runs[0].model == runs[1].model
 
 
 def test_deterministic_repeat_runs():
@@ -138,7 +142,7 @@ def test_stats_csv():
                                                   cutoff="depth:3"))
     csv = pipeline.per_cube_csv(result.report)
     lines = csv.strip().splitlines()
-    assert lines[0] == "index,size,split_time,solve_time,validate_time"
+    assert lines[0] == "index,size,split_time,solve_time"
     assert len(lines) == len(result.report.cube_stats) + 1
     hist = pipeline.histogram_csv(result.report)
     assert hist.splitlines()[0] == "size,count"
@@ -148,7 +152,6 @@ def test_histogram_of_fig3_sizes():
     report = pipeline.PhaseReport()
     for index, cube in enumerate(FIG3_CUBES):
         report.cube_stats.append({"index": index, "size": len(cube),
-                                  "split_time": 0.0, "solve_time": 0.0,
-                                  "validate_time": 0.0})
+                                  "split_time": 0.0, "solve_time": 0.0})
     assert report.histogram() == {2: 2, 3: 3, 4: 2}
     assert sum(report.histogram().values()) == len(FIG3_CUBES)

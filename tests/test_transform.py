@@ -1,6 +1,6 @@
 import pytest
 
-from triplesat.cnf import Formula, SATISFIED, evaluate
+from triplesat.cnf import DimacsError, Formula, SATISFIED, evaluate
 from triplesat.transform import (bce, emit_transform_proof, parse_stack,
                                  reconstruct, symmetry_break, write_stack)
 from triplesat.encoder import encode, occurrence_stats
@@ -143,3 +143,12 @@ def test_stack_round_trip():
     again = parse_stack(write_stack(stack))
     assert [(r.clause, r.blocking_literal) for r in again] == \
            [(r.clause, r.blocking_literal) for r in stack]
+
+
+@pytest.mark.parametrize("text, line", [("1 1 2 0\n-3 -3 0 4 0\n", 2),
+                                        ("1 z 0\n", 1), ("\n0\n", 2)],
+                         ids=["interior-zero", "non-integer", "no-blocking-literal"])
+def test_stack_reports_bad_lines(text, line):
+    with pytest.raises(DimacsError) as info:
+        parse_stack(text)
+    assert info.value.line == line
