@@ -14,8 +14,8 @@ import sys
 from . import cdcl, cubecodec, drat, pipeline
 from .cnf import parse_dimacs, write_dimacs
 from .encoder import encode
-from .lookahead import (cubes, parse_cutoff, parse_inccnf, split,
-                        write_inccnf, MODE_PTN, MODE_RND, MODE_BIN, MODE_VAR)
+from .lookahead import (MODES, cubes, parse_cutoff, parse_inccnf, split,
+                        write_inccnf)
 from .transform import bce, emit_transform_proof, symmetry_break, write_stack
 
 EXIT_SAT = 0
@@ -26,7 +26,8 @@ EXIT_ERROR = 1
 _VERDICT_CODES = {cdcl.SAT: EXIT_SAT, cdcl.UNSAT: EXIT_UNSAT,
                   cdcl.INDETERMINATE: EXIT_INDETERMINATE}
 
-_MODES = (MODE_PTN, MODE_RND, MODE_BIN, MODE_VAR)
+# checked by the library (lookahead.check_mode), like a mode from --config
+_MODE_HELP = "one of " + ", ".join(MODES)
 
 
 def _read(path):
@@ -65,7 +66,7 @@ def _print_verdict(verdict, model=None):
 
 
 def _heuristic_args(parser):
-    parser.add_argument("--mode", choices=_MODES)
+    parser.add_argument("--mode", help=_MODE_HELP)
     parser.add_argument("--cutoff",
                         help="comma-separated bin:N / vars:N / depth:N")
     parser.add_argument("--preselect", type=float)
@@ -281,7 +282,7 @@ def build_parser():
     p.add_argument("--n", type=int)
     p.add_argument("--in")
     p.add_argument("--config")
-    p.add_argument("--mode", choices=_MODES)
+    p.add_argument("--mode", help=_MODE_HELP)
     p.add_argument("--cutoff")
     p.add_argument("--second-cutoff")
     p.add_argument("--two-level", action="store_true")

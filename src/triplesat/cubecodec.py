@@ -10,7 +10,7 @@ t - 1; children follow in yes-then-no order.
 
 from __future__ import annotations
 
-from .lookahead import CUTOFF, REFUTED, Leaf, Node
+from .lookahead import CUTOFF, REFUTED, Leaf, Node, build_preorder
 
 MAGIC = b"PTCT"
 VERSION = 1
@@ -116,28 +116,6 @@ def write_tree_text(tree):
     return "\n".join(lines) + "\n"
 
 
-def _read_preorder(read_node):
-    """Assemble a tree from a preorder stream, yes-branch first.
-
-    `read_node` returns the next Leaf, or a Node whose children are still
-    None; an explicit stack of nodes waiting for a child replaces
-    recursion, so tree depth is bounded only by memory.
-    """
-    root = read_node()
-    waiting = [root] if isinstance(root, Node) else []
-    while waiting:
-        node = read_node()
-        parent = waiting[-1]
-        if parent.yes is None:
-            parent.yes = node
-        else:
-            parent.no = node
-            waiting.pop()
-        if isinstance(node, Node):
-            waiting.append(node)
-    return root
-
-
 def parse_tree_text(text):
     """Inverse of write_tree_text."""
     tokens = iter(text.split())
@@ -156,7 +134,7 @@ def parse_tree_text(text):
             raise CodecError("zero decision literal")
         return Node(literal, None, None)
 
-    tree = _read_preorder(read_node)
+    tree = build_preorder(read_node)
     trailing = sum(1 for _ in tokens)
     if trailing:
         raise CodecError("%d trailing tokens" % trailing)
@@ -187,7 +165,7 @@ def decode_tree(data):
         seen[0] += 1
         return Node(literal, None, None)
 
-    tree = _read_preorder(read_node)
+    tree = build_preorder(read_node)
     if (seen[0], seen[1]) != (internal, leaves):
         raise CodecError("node counts %s do not match header (%d, %d)"
                          % (tuple(seen), internal, leaves))

@@ -6,6 +6,13 @@ A look-ahead assigns a literal, propagates, and weighs the freshly
 created binary clauses.  Literal weights h(l) are refined over a few
 rounds: each round scales by the current mean and clamps into
 [alpha, beta], with gamma weighting binary-clause contributions.
+
+All look-aheads of one split node go through one `LookaheadEngine`,
+built once from the node's residual: it holds the literal -> clause
+occurrence lists, propagates each literal on a trail of its own, and
+weighs only the ternary clauses that contain the negation of a trail
+literal, in clause order, so weights, scores and trees are exactly those
+of propagating and rescanning the whole residual per look-ahead.
 """
 
 from __future__ import annotations
@@ -172,31 +179,86 @@ def compute_h(formula, assignment, params):
     return _compute_h(residual_clauses(formula.clauses, assignment), params)
 
 
-def _look_ahead(residual, lit, table):
-    assign, conflict = propagate_clauses(residual, [lit])
-    if conflict:
-        return 0.0, len(assign), 0, True
-    weight = 0.0
-    new_binaries = 0
-    h = table.values
-    for clause in residual:
-        if len(clause) != 3:
-            continue
-        unassigned = []
-        satisfied = False
-        for other in clause:
-            val = lit_value(assign, other)
-            if val is True:
-                satisfied = True
-                break
-            if val is None:
-                unassigned.append(other)
-        if satisfied or len(unassigned) != 2:
-            continue
-        y, z = unassigned
-        weight += h.get(-y, 0.0) * h.get(-z, 0.0)
-        new_binaries += 1
-    return weight, len(assign), new_binaries, False
+class LookaheadEngine:
+    """The look-aheads of one split node, over the node's residual.
+
+    Built once per node: literal -> clause-index occurrence lists over the
+    residual, plus its unit clauses, which a non-fixpoint assignment can
+    leave and every look-ahead must assert too.  Each look-ahead
+    propagates on a trail of its own, so nothing is undone or rebuilt
+    between look-aheads.
+    """
+
+    def __init__(self, residual, table):
+        self.clauses = residual
+        self.h = table.values
+        self.units = [clause[0] for clause in residual if len(clause) == 1]
+        self.has_empty = any(not clause for clause in residual)
+        occ = {}
+        for idx, clause in enumerate(residual):
+            for lit in set(clause):
+                occ.setdefault(lit, []).append(idx)
+        self.occ = occ
+
+    def look_ahead(self, lit):
+        """(weight, assigned count, new binary count, refuted) of `lit`.
+
+        A ternary clause turns binary only through a false literal, and
+        propagation visits every clause with one, so only those clauses
+        are weighed, in ascending index: the weight is the same float sum
+        a scan of the whole residual in clause order would give.  On a
+        conflict the assigned count depends on the queue order.
+        """
+        if self.has_empty:
+            return 0.0, 1, 0, True
+        true = {lit}
+        trail = [lit]
+        for unit in self.units:
+            if -unit in true:
+                return 0.0, len(trail), 0, True
+            if unit not in true:
+                true.add(unit)
+                trail.append(unit)
+        clauses, occ = self.clauses, self.occ
+        touched = set()     # every clause with a false literal
+        head = 0
+        while head < len(trail):
+            occurrences = occ.get(-trail[head], ())
+            head += 1
+            touched.update(occurrences)
+            for idx in occurrences:
+                unit = None
+                for other in clauses[idx]:
+                    if other in true:
+                        break
+                    if -other not in true:
+                        if unit is not None:
+                            break  # two unassigned: not a unit
+                        unit = other
+                else:
+                    if unit is None:
+                        return 0.0, len(trail), 0, True
+                    true.add(unit)
+                    trail.append(unit)
+        h = self.h
+        weight = 0.0
+        new_binaries = 0
+        for idx in sorted(touched):
+            clause = clauses[idx]
+            if len(clause) != 3:
+                continue
+            unassigned = []
+            for other in clause:
+                if other in true:
+                    break
+                if -other not in true:
+                    unassigned.append(other)
+            else:
+                if len(unassigned) == 2:
+                    y, z = unassigned
+                    weight += h.get(-y, 0.0) * h.get(-z, 0.0)
+                    new_binaries += 1
+        return weight, len(trail), new_binaries, False
 
 
 def look_ahead(formula, assignment, lit, table):
@@ -208,7 +270,8 @@ def look_ahead(formula, assignment, lit, table):
     """
     if lit_value(assignment, lit) is not None:
         raise ValueError("literal %d already assigned" % lit)
-    return _look_ahead(residual_clauses(formula.clauses, assignment), lit, table)
+    residual = residual_clauses(formula.clauses, assignment)
+    return LookaheadEngine(residual, table).look_ahead(lit)
 
 
 def _score(mode, pos, neg):
@@ -238,13 +301,14 @@ def _measure(residual, table, mode, preselect=1.0):
     special value None in `failed` handling by the caller: here we return
     best=None and failed containing both polarities.
     """
+    engine = LookaheadEngine(residual, table)
     best_var = None
     best_score = -1.0
     failed = []
     scores = {}
     for var in _candidates(residual, table, preselect):
-        pos = _look_ahead(residual, var, table)
-        neg = _look_ahead(residual, -var, table)
+        pos = engine.look_ahead(var)
+        neg = engine.look_ahead(-var)
         if pos[3]:
             failed.append(var)
         if neg[3]:
@@ -282,17 +346,29 @@ def branch_scores(formula, assignment, mode, params=None):
     return scores
 
 
+def check_mode(mode):
+    """Raise ValueError unless `mode` is one of MODES."""
+    if mode not in MODES:
+        raise ValueError("unknown mode %r; expected one of %s"
+                         % (mode, ", ".join(MODES)))
+
+
 def split(formula, cutoff, mode=MODE_PTN, params=None, preselect=1.0):
     """Build a branching tree over `formula` by depth-first expansion.
 
     Decisions propagate fully between levels; failed literals force their
     complement at the same node; a node whose variable fails in both
     polarities (or whose residual is conflicting) becomes a refuted leaf.
+    Nodes are settled in preorder, yes-branch first, from an explicit
+    stack, so the tree depth is bounded by the cutoff, not by the
+    interpreter's recursion limit.
     """
+    check_mode(mode)
     params = params or params_for_mode(mode)
     clauses = formula.clauses
 
-    def expand(assumed, depth):
+    def settle(assumed, depth):
+        """A Leaf, or (branch variable, assumptions after failed literals)."""
         assign, conflict = propagate_clauses(clauses, assumed)
         if conflict:
             return Leaf(REFUTED)
@@ -308,21 +384,49 @@ def split(formula, cutoff, mode=MODE_PTN, params=None, preselect=1.0):
             best, failed, _ = _measure(residual, table, mode, preselect)
             if any(-lit in failed for lit in failed):
                 return Leaf(REFUTED)
-            if failed:
-                assumed = list(assumed) + [-lit for lit in failed]
-                assign, conflict = propagate_clauses(clauses, assumed)
-                if conflict:
-                    return Leaf(REFUTED)
-                residual = residual_clauses(clauses, assign)
-                continue
-            if best is None:
-                return Leaf(CUTOFF)
-            break
-        yes = expand(list(assumed) + [best], depth + 1)
-        no = expand(list(assumed) + [-best], depth + 1)
-        return Node(best, yes, no)
+            if not failed:
+                return Leaf(CUTOFF) if best is None else (best, assumed)
+            assumed = assumed + [-lit for lit in failed]
+            assign, conflict = propagate_clauses(clauses, assumed)
+            if conflict:
+                return Leaf(REFUTED)
+            residual = residual_clauses(clauses, assign)
 
-    return expand([], 0)
+    pending = [([], 0)]   # (assumptions, depth) of nodes still to settle
+
+    def next_node():
+        assumed, depth = pending.pop()
+        settled = settle(assumed, depth)
+        if isinstance(settled, Leaf):
+            return settled
+        best, assumed = settled
+        pending.append((assumed + [-best], depth + 1))
+        pending.append((assumed + [best], depth + 1))
+        return Node(best, None, None)
+
+    return build_preorder(next_node)
+
+
+def build_preorder(read_node):
+    """Assemble a tree from a preorder stream, yes-branch first.
+
+    `read_node` returns the next Leaf, or a Node whose children are still
+    None; an explicit stack of nodes waiting for a child replaces
+    recursion, so tree depth is bounded only by memory.
+    """
+    root = read_node()
+    waiting = [root] if isinstance(root, Node) else []
+    while waiting:
+        node = read_node()
+        parent = waiting[-1]
+        if parent.yes is None:
+            parent.yes = node
+        else:
+            parent.no = node
+            waiting.pop()
+        if isinstance(node, Node):
+            waiting.append(node)
+    return root
 
 
 def leaf_cubes(tree):

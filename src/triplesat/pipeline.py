@@ -23,8 +23,8 @@ from typing import Optional
 from . import cdcl, drat
 from .cnf import Formula, evaluate, parse_dimacs, SATISFIED
 from .encoder import check_partition, encode
-from .lookahead import (CutoffPolicy, HeuristicParams, cubes, negate_cubes,
-                        params_for_mode, parse_cutoff, split)
+from .lookahead import (CutoffPolicy, HeuristicParams, check_mode, cubes,
+                        negate_cubes, params_for_mode, parse_cutoff, split)
 from .transform import bce, emit_transform_proof, reconstruct, symmetry_break
 
 
@@ -98,6 +98,7 @@ class PipelineConfig:
             raise ValueError("exactly one of n / formula_path / formula must be set")
         if self.workers < 1:
             raise ValueError("worker count must be >= 1")
+        check_mode(self.mode)
 
 
 @dataclass
@@ -137,7 +138,8 @@ def solve_one_cube(formula, cube, config):
     `config.second_cutoff`, and the solver refutes the sub-cubes in turn,
     keeping what it learns, before a last call without assumptions closes
     the cube.  Solving stops at the first sub-cube that is not refuted.
-    Returns (verdict, model, proof, split seconds, solve seconds).
+    Returns (SolveResult of the last call, proof, split seconds, solve
+    seconds); the result's counters cover every call on the cube's solver.
     """
     start = time.perf_counter()
     subcubes = []
@@ -163,8 +165,7 @@ def solve_one_cube(formula, cube, config):
         solver.add_refuted(subcube)
     if result.verdict == cdcl.UNSAT and (not proof or proof[-1] != ("a", negation)):
         proof.append(("a", negation))
-    return (result.verdict, result.model, proof, split_elapsed,
-            time.perf_counter() - start)
+    return result, proof, split_elapsed, time.perf_counter() - start
 
 
 _WORKER = {}
@@ -224,18 +225,20 @@ def run(config):
             outcomes = list(pool.map(_run_worker, cube_list))
     report.phase_times["solve"] = time.perf_counter() - start
 
-    for index, (cube, outcome) in enumerate(zip(cube_list, outcomes)):
+    for index, (cube, (solved, _, split_s, solve_s)) in enumerate(
+            zip(cube_list, outcomes)):
         report.cube_stats.append({
-            "index": index, "size": len(cube), "split_time": outcome[3],
-            "solve_time": outcome[4]})
+            "index": index, "size": len(cube), "split_time": split_s,
+            "solve_time": solve_s, "conflicts": solved.conflicts,
+            "decisions": solved.decisions, "propagations": solved.propagations})
 
-    verdicts = [o[0] for o in outcomes]
+    verdicts = [o[0].verdict for o in outcomes]
     result = PipelineResult("", report=report, cube_results=verdicts, pivot=pivot)
 
     start = time.perf_counter()
     if cdcl.SAT in verdicts:
         index = verdicts.index(cdcl.SAT)
-        model = reconstruct(outcomes[index][1], stack, formula=work)
+        model = reconstruct(outcomes[index][0].model, stack, formula=work)
         result.verdict = cdcl.SAT
         result.model = model
         if is_ptn:
@@ -254,7 +257,7 @@ def run(config):
         taut_result = cdcl.solve(negate_cubes(cube_list), proof=taut_proof)
         if taut_result.verdict != cdcl.UNSAT:
             raise RuntimeError("cube partition is not a tautology")
-        merged = drat.merge_proofs(transform_proof, [o[2] for o in outcomes],
+        merged = drat.merge_proofs(transform_proof, [o[1] for o in outcomes],
                                    taut_proof)
         pivots = (pivot,) if pivot is not None else ()
         # the one gate for UNSAT: it checks every cube lemma, and a RUP
@@ -275,10 +278,11 @@ def run(config):
 
 
 def per_cube_csv(report):
-    lines = ["index,size,split_time,solve_time"]
+    lines = ["index,size,split_time,solve_time,conflicts,decisions,propagations"]
     for row in report.cube_stats:
-        lines.append("%d,%d,%.6f,%.6f" % (
-            row["index"], row["size"], row["split_time"], row["solve_time"]))
+        lines.append("%d,%d,%.6f,%.6f,%d,%d,%d" % (
+            row["index"], row["size"], row["split_time"], row["solve_time"],
+            row["conflicts"], row["decisions"], row["propagations"]))
     return "\n".join(lines) + "\n"
 
 

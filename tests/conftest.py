@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from triplesat.cnf import Formula
+from triplesat.cnf import Formula, lit_value, propagate_clauses
 from triplesat.lookahead import CUTOFF, Leaf, Node
 
 
@@ -87,6 +87,35 @@ def ap3_formula(n):
             clauses.append(progression)
             clauses.append(tuple(-x for x in progression))
     return Formula(clauses, n)
+
+
+def reference_look_ahead(residual, lit, table):
+    """The look-ahead before the per-node engine: full propagation over the
+    residual, then a rescan of every ternary clause in clause order."""
+    assign, conflict = propagate_clauses(residual, [lit])
+    if conflict:
+        return 0.0, len(assign), 0, True
+    weight = 0.0
+    new_binaries = 0
+    h = table.values
+    for clause in residual:
+        if len(clause) != 3:
+            continue
+        unassigned = []
+        satisfied = False
+        for other in clause:
+            val = lit_value(assign, other)
+            if val is True:
+                satisfied = True
+                break
+            if val is None:
+                unassigned.append(other)
+        if satisfied or len(unassigned) != 2:
+            continue
+        y, z = unassigned
+        weight += h.get(-y, 0.0) * h.get(-z, 0.0)
+        new_binaries += 1
+    return weight, len(assign), new_binaries, False
 
 
 # ------------------------------------------------------------------ fixtures

@@ -135,6 +135,26 @@ def test_pipeline_cli_config(tmp_path, capsys):
     assert main(["pipeline", "--n", "30", "--config", str(cfg)]) == 0
 
 
+def test_pipeline_cli_rejects_unknown_mode(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = nosuchmode\ncutoff = depth:2\n")
+    assert main(["pipeline", "--n", "30", "--config", str(cfg)]) == 1
+    assert main(["pipeline", "--n", "30", "--mode", "nosuchmode"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.count("unknown mode 'nosuchmode'") == 2
+    assert "SATISFIABLE" not in captured.out
+
+
+def test_split_cli_rejects_unknown_mode(tmp_path, capsys):
+    cnf = tmp_path / "w.cnf"
+    cnf.write_text(write_dimacs(ap3_formula(9)))
+    out = tmp_path / "w.icnf"
+    assert main(["split", "--in", str(cnf), "--mode", "nosuchmode",
+                 "--cutoff", "depth:0", "--out", str(out)]) == 1
+    assert "unknown mode 'nosuchmode'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture
 def captured_config(monkeypatch):
     """Run `triplesat pipeline` up to the PipelineConfig it builds."""

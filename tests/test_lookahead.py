@@ -1,16 +1,21 @@
+import inspect
+import sys
+
 import pytest
 
 from triplesat.cnf import DimacsError, Formula, propagate_clauses
 from triplesat.encoder import encode
-from triplesat.lookahead import (CUTOFF, CutoffPolicy, HeuristicParams, Leaf,
-                                 LookaheadError, MODE_BIN, MODE_PTN, MODE_RND,
-                                 MODE_VAR, Node, REFUTED, compute_h, cubes,
+from triplesat.lookahead import (CUTOFF, CutoffPolicy, HeuristicParams, HTable,
+                                 Leaf, LookaheadEngine, LookaheadError, MODE_BIN,
+                                 MODE_PTN, MODE_RND, MODE_VAR, Node, PTN_PARAMS,
+                                 REFUTED, RND_PARAMS, compute_h, cubes,
                                  leaf_cubes, look_ahead, negate_cubes,
                                  params_for_mode, parse_cutoff, parse_inccnf,
                                  residual_clauses, select_branch, split,
                                  write_inccnf)
 
-from conftest import FIG3_CUBES, brute_sat, random_formula
+from conftest import (FIG3_CUBES, brute_sat, random_formula,
+                      reference_look_ahead)
 
 
 def test_params_validation():
@@ -108,6 +113,64 @@ def test_look_ahead_rejects_assigned_literal():
         look_ahead(formula, {1: True}, 1, table)
 
 
+def test_look_ahead_asserts_residual_units_and_empty_clauses():
+    # under {1: False} the residual holds the unit (2,), which every
+    # look-ahead asserts after its own literal
+    table = compute_h(Formula([(2, 3, 4)]), {}, HeuristicParams())
+    h = table.values
+    formula = Formula([(1, 2), (-2, 3, 4), (3, 5)])
+    assert look_ahead(formula, {1: False}, 5, table) == (h[-3] * h[-4], 2, 1, False)
+    assert look_ahead(formula, {1: False, 3: False}, -4, table)[3] is True
+    # an empty residual clause refutes every look-ahead
+    with_empty = Formula([(1,), (2, 3, 4)])
+    assert look_ahead(with_empty, {1: False}, 2, table)[3] is True
+
+
+def _with_tautologies(rng, formula):
+    clauses = list(formula.clauses)
+    for _ in range(rng.randint(0, 2)):
+        var, other = rng.sample(range(1, formula.num_vars + 1), 2)
+        clauses.insert(rng.randint(0, len(clauses)),
+                       (var, -var, other if rng.random() < 0.5 else -other))
+    return Formula(clauses, formula.num_vars)
+
+
+def test_engine_matches_reference_look_ahead(rng):
+    """Differential check of the per-node engine against the full-rescan
+    look-ahead, under partial assignments that need not be fixpoints, so
+    residuals keep unit and empty clauses."""
+    seen_units = seen_empty = seen_weights = 0
+    for case in range(400):
+        formula = _with_tautologies(rng, random_formula(
+            rng, max_vars=12, allow_units=case % 4 == 0))
+        assignment = {var: rng.random() < 0.5
+                      for var in range(1, formula.num_vars + 1)
+                      if rng.random() < 0.25}
+        residual = residual_clauses(formula.clauses, assignment)
+        seen_units += any(len(c) == 1 for c in residual)
+        seen_empty += any(not c for c in residual)
+        if rng.random() < 0.5:
+            table = compute_h(formula, assignment,
+                              rng.choice([PTN_PARAMS, RND_PARAMS]))
+        else:
+            # magnitudes far apart make the float sum depend on its order
+            table = HTable({lit: rng.random() * 10.0 ** rng.randint(-8, 8)
+                            for v in range(1, formula.num_vars + 1)
+                            for lit in (v, -v)}, [])
+        engine = LookaheadEngine(residual, table)
+        free = [v for v in range(1, formula.num_vars + 1) if v not in assignment]
+        for lit in [l for v in free for l in (v, -v)]:
+            got = engine.look_ahead(lit)
+            want = reference_look_ahead(residual, lit, table)
+            assert got[0] == want[0]
+            assert got[2:] == want[2:]
+            if not want[3]:
+                assert got[1] == want[1]
+            assert look_ahead(formula, assignment, lit, table) == got
+            seen_weights += got[0] > 0
+    assert seen_units and seen_empty and seen_weights
+
+
 def test_select_branch_count_bin():
     formula = Formula([(1, 2, 3), (-1, 2, 3)])
     table = compute_h(formula, {}, HeuristicParams())
@@ -169,6 +232,33 @@ def test_split_deterministic():
     one = split(encode(60), parse_cutoff("depth:4"))
     two = split(encode(60), parse_cutoff("depth:4"))
     assert one == two
+
+
+def test_split_rejects_unknown_mode():
+    # depth:0 measures no node, so only a check on entry can catch it
+    for cutoff in ("depth:0", "depth:2"):
+        with pytest.raises(ValueError, match="unknown mode 'nosuchmode'"):
+            split(encode(60), parse_cutoff(cutoff), "nosuchmode")
+
+
+def test_split_deeper_than_recursion_limit():
+    # every variable of (3i+1 | 3i+2 | 3i+3) is pure, so each node branches
+    # on its smallest variable: the yes-branch satisfies one clause and
+    # goes on, the no-branch leaves a binary clause, a leaf under bin:1
+    chain = 150
+    formula = Formula([(3 * i + 1, 3 * i + 2, 3 * i + 3) for i in range(chain)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 50)
+    try:
+        tree = split(formula, parse_cutoff("bin:1,depth:%d" % (2 * chain)))
+    finally:
+        sys.setrecursionlimit(limit)
+    cube_list = cubes(tree)
+    decisions = tuple(3 * i + 1 for i in range(chain))
+    assert len(cube_list) == chain + 1
+    assert cube_list[0] == decisions
+    assert cube_list[1] == decisions[:-1] + (-decisions[-1],)
+    assert cube_list[-1] == (-1,)
 
 
 def test_split_tautology_small(rng):

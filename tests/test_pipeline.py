@@ -3,6 +3,7 @@ import pytest
 from triplesat import cdcl, drat, pipeline
 from triplesat.cnf import Formula, SATISFIED, evaluate
 from triplesat.encoder import check_partition
+from triplesat.lookahead import cubes, parse_cutoff, split
 
 from conftest import (FIG1_CLAUSES, FIG3_CUBES, ap3_formula, brute_sat,
                       random_formula)
@@ -15,6 +16,11 @@ def test_config_requires_one_source():
         pipeline.PipelineConfig(n=5, formula_path="x.cnf")
     with pytest.raises(ValueError):
         pipeline.PipelineConfig(n=5, workers=0)
+
+
+def test_config_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'nosuchmode'"):
+        pipeline.PipelineConfig(n=30, mode="nosuchmode")
 
 
 def test_load_config(tmp_path):
@@ -142,8 +148,12 @@ def test_stats_csv():
                                                   cutoff="depth:3"))
     csv = pipeline.per_cube_csv(result.report)
     lines = csv.strip().splitlines()
-    assert lines[0] == "index,size,split_time,solve_time"
+    assert lines[0] == ("index,size,split_time,solve_time,"
+                        "conflicts,decisions,propagations")
     assert len(lines) == len(result.report.cube_stats) + 1
+    row = result.report.cube_stats[0]
+    assert lines[1].split(",")[4:] == [str(row["conflicts"]), str(row["decisions"]),
+                                       str(row["propagations"])]
     hist = pipeline.histogram_csv(result.report)
     assert hist.splitlines()[0] == "size,count"
 
@@ -152,6 +162,21 @@ def test_histogram_of_fig3_sizes():
     report = pipeline.PhaseReport()
     for index, cube in enumerate(FIG3_CUBES):
         report.cube_stats.append({"index": index, "size": len(cube),
-                                  "split_time": 0.0, "solve_time": 0.0})
+                                  "split_time": 0.0, "solve_time": 0.0,
+                                  "conflicts": 0, "decisions": 0,
+                                  "propagations": 0})
     assert report.histogram() == {2: 2, 3: 3, 4: 2}
     assert sum(report.histogram().values()) == len(FIG3_CUBES)
+
+
+def test_per_cube_solver_counters():
+    formula = ap3_formula(9)
+    config = pipeline.PipelineConfig(formula=formula, cutoff="depth:3")
+    result = pipeline.run(config)
+    cube_list = cubes(split(formula, parse_cutoff("depth:3")))
+    assert len(cube_list) == len(result.report.cube_stats)
+    for cube, row in zip(cube_list, result.report.cube_stats):
+        alone = pipeline.solve_one_cube(formula, cube, config)[0]
+        assert (row["conflicts"], row["decisions"], row["propagations"]) == \
+            (alone.conflicts, alone.decisions, alone.propagations)
+    assert sum(row["propagations"] for row in result.report.cube_stats) > 0
