@@ -161,6 +161,8 @@ def cmd_check(args):
                               symmetry_pivots=pivots, any_pivot=args.any_pivot)
     for index, message in result.warnings:
         print("c warning line %d: %s" % (index, message))
+    for name, count in result.stats.items():
+        print("c %s %d" % (name, count))
     if result:
         print("s VERIFIED")
         return 0

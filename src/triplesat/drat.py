@@ -5,6 +5,16 @@ deletions.  Forward checking maintains the current formula: every
 addition must be a RAT clause with the first written literal as pivot
 (the empty clause instead needs a plain propagation conflict), deletions
 are unrestricted and match clauses by literal-set equality.
+
+The checker is the forward core of DRAT-trim (Wetzler, Heule, Hunt, SAT
+2014).  Clauses are deduplicated and watched on two literals, and the
+unit-propagation fixpoint of the current formula is kept as a level-0
+trail that additions extend.  A RUP query pushes the negated clause on
+top of that trail, propagates through the watches, and truncates back.
+A deletion rebuilds level 0 only when the clause is the reason of a
+level-0 literal or level 0 is in conflict.  `check_proof` returns
+counters in `CheckResult.stats`: lemmas checked, RUP calls, RAT partner
+checks, level-0 rebuilds and propagations (literals put on the trail).
 """
 
 from __future__ import annotations
@@ -12,8 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .cnf import (Formula, is_flip_symmetric, lit_value, make_clause,
-                  parse_clause_line)
+from .cnf import Formula, is_flip_symmetric, make_clause, parse_clause_line
 
 
 @dataclass
@@ -22,6 +31,7 @@ class CheckResult:
     line: int | None = None
     reason: str | None = None
     warnings: list = field(default_factory=list)
+    stats: dict = field(default_factory=dict)
 
     def __bool__(self):
         return self.accepted
@@ -73,104 +83,190 @@ def check_rat(formula, clause, pivot):
 
 
 class _Checker:
-    """Incremental current-formula state for forward proof checking."""
+    """Incremental current-formula state for forward proof checking.
+
+    Clauses are stored deduplicated and, from two literals up, watched on
+    their first two positions.  Level 0 is the unit-propagation fixpoint
+    of the live clauses: `trail` in assignment order, `value` mapping each
+    assigned literal to True and its complement to False, and `reason`
+    the clause that assigned a literal.  `conflict` is set once level 0
+    propagates to a conflict (or holds an empty clause) and stays set
+    until a deletion rebuilds level 0.  A query pushes its literals on top
+    of the trail, propagates, and truncates back; deleted clauses leave
+    the watch lists lazily.
+    """
 
     def __init__(self, formula):
         self.clauses = []
         self.alive = []
-        self.occ = defaultdict(set)
-        self.units = set()
-        self.empty = set()
+        self.occ = defaultdict(list)      # literal -> clause ids, append-only
         self.by_key = defaultdict(list)
+        self.stats = dict.fromkeys(("lemmas", "rup_calls", "rat_partner_checks",
+                                    "rebuilds", "propagations"), 0)
         for clause in formula.clauses:
-            self.add(clause)
+            self._store(clause)
+        self._rebuild()
+
+    def _store(self, clause):
+        idx = len(self.clauses)
+        lits = list(dict.fromkeys(clause))
+        self.clauses.append(lits)
+        self.alive.append(True)
+        for lit in lits:
+            self.occ[lit].append(idx)
+        self.by_key[frozenset(lits)].append(idx)
+        return idx
+
+    def _rebuild(self):
+        """Level 0 from scratch: watch every live clause, assert the units."""
+        self.watches = defaultdict(list)
+        self.value = {}
+        self.reason = {}
+        self.trail = []
+        self.conflict = False
+        for idx, lits in enumerate(self.clauses):
+            if not self.alive[idx]:
+                continue
+            if len(lits) > 1:
+                self.watches[lits[0]].append(idx)
+                self.watches[lits[1]].append(idx)
+            elif not lits or not self._assign(lits[0], idx):
+                self.conflict = True
+        if not self.conflict:
+            self.conflict = self._propagate(0)
+        self.stats["propagations"] += len(self.trail)
+
+    def _assign(self, lit, idx):
+        """Make `lit` true at level 0 with reason `idx`; False on a clash."""
+        val = self.value.get(lit)
+        if val is None:
+            self.value[lit] = True
+            self.value[-lit] = False
+            self.reason[lit] = idx
+            self.trail.append(lit)
+        return val is not False
 
     def add(self, clause):
-        idx = len(self.clauses)
-        self.clauses.append(clause)
-        self.alive.append(True)
-        for lit in set(clause):
-            self.occ[lit].add(idx)
-        if len(clause) == 1:
-            self.units.add(idx)
-        elif not clause:
-            self.empty.add(idx)
-        self.by_key[frozenset(clause)].append(idx)
+        idx = self._store(clause)
+        if self.conflict:
+            return  # every query refutes; a rebuild watches the clause
+        lits = self.clauses[idx]
+        value = self.value
+        # non-false literals first: the clause watches two of them where it
+        # has two, and a clause unit at level 0 its free literal and a false one
+        lits.sort(key=lambda lit: value.get(lit) is False)
+        if len(lits) > 1:
+            self.watches[lits[0]].append(idx)
+            self.watches[lits[1]].append(idx)
+        if not lits or value.get(lits[0]) is False:
+            self.conflict = True
+        elif len(lits) == 1 or value.get(lits[1]) is False:
+            head = len(self.trail)
+            self._assign(lits[0], idx)
+            self.conflict = self._propagate(head)
+            self.stats["propagations"] += len(self.trail) - head
 
     def delete(self, clause):
         """Remove one clause matching by literal-set; False if absent."""
-        ids = self.by_key.get(frozenset(clause), [])
-        while ids and not self.alive[ids[-1]]:
-            ids.pop()
+        ids = self.by_key.get(frozenset(clause))
         if not ids:
             return False
         idx = ids.pop()
         self.alive[idx] = False
-        for lit in set(self.clauses[idx]):
-            self.occ[lit].discard(idx)
-        self.units.discard(idx)
-        self.empty.discard(idx)
+        value, reason = self.value, self.reason
+        # queries leave stale reasons behind, but only on unassigned literals
+        if self.conflict or any(value.get(lit) is True and reason.get(lit) == idx
+                                for lit in self.clauses[idx]):
+            self.stats["rebuilds"] += 1
+            self._rebuild()
         return True
 
     def current_formula(self):
         return Formula([c for i, c in enumerate(self.clauses) if self.alive[i]])
 
-    def propagates_to_conflict(self, extra_units):
-        if self.empty:
-            return True
-        assign = {}
-        queue = []
-
-        def enqueue(lit):
-            var, val = abs(lit), lit > 0
-            if var in assign:
-                return assign[var] == val
-            assign[var] = val
-            queue.append(lit)
-            return True
-
-        for lit in extra_units:
-            if not enqueue(lit):
-                return True
-        for idx in self.units:
-            if not enqueue(self.clauses[idx][0]):
-                return True
-        head = 0
-        while head < len(queue):
-            lit = queue[head]
+    def _propagate(self, head):
+        """Propagate the trail from `head` through the watches; True on conflict."""
+        trail, value, reason = self.trail, self.value, self.reason
+        watches, clauses, alive = self.watches, self.clauses, self.alive
+        while head < len(trail):
+            false_lit = -trail[head]
             head += 1
-            for idx in list(self.occ[-lit]):
-                clause = self.clauses[idx]
-                unit = None
-                satisfied = False
-                for other in clause:
-                    val = lit_value(assign, other)
-                    if val is True:
-                        satisfied = True
-                        break
-                    if val is None:
-                        if unit is not None:
-                            unit = False
-                            break
-                        unit = other
-                if satisfied or unit is False:
+            watching = watches.get(false_lit)
+            if not watching:
+                continue
+            kept = []
+            for pos, idx in enumerate(watching):
+                if not alive[idx]:
                     continue
-                if unit is None:
-                    return True
-                if not enqueue(unit):
-                    return True
+                lits = clauses[idx]
+                if lits[0] == false_lit:
+                    lits[0] = lits[1]
+                    lits[1] = false_lit
+                first = lits[0]
+                val = value.get(first)
+                if val is True:
+                    kept.append(idx)
+                    continue
+                for k in range(2, len(lits)):
+                    lit = lits[k]
+                    if value.get(lit) is not False:
+                        lits[1] = lit
+                        lits[k] = false_lit
+                        watches[lit].append(idx)
+                        break
+                else:
+                    if val is False:
+                        kept.extend(watching[pos:])
+                        watches[false_lit] = kept
+                        return True
+                    kept.append(idx)
+                    value[first] = True
+                    value[-first] = False
+                    reason[first] = idx
+                    trail.append(first)
+            watches[false_lit] = kept
         return False
 
+    def propagates_to_conflict(self, extra_units):
+        """True iff the current formula plus `extra_units` propagates to a
+        conflict; level 0 is left as it was."""
+        if self.conflict:
+            return True
+        trail, value = self.trail, self.value
+        mark = len(trail)
+        conflict = False
+        for lit in extra_units:
+            val = value.get(lit)
+            if val is None:
+                value[lit] = True
+                value[-lit] = False
+                trail.append(lit)
+            elif val is False:
+                conflict = True
+                break
+        if not conflict:
+            conflict = self._propagate(mark)
+        self.stats["propagations"] += len(trail) - mark
+        for lit in trail[mark:]:
+            del value[lit]
+            del value[-lit]
+        del trail[mark:]
+        return conflict
+
     def is_rup(self, clause):
+        self.stats["rup_calls"] += 1
         return self.propagates_to_conflict([-l for l in clause])
 
     def is_rat(self, clause, pivot):
         if self.is_rup(clause):
             return True
         base = [-l for l in clause]
-        for idx in list(self.occ[-pivot]):
-            partner = self.clauses[idx]
-            units = base + [-m for m in partner if m != -pivot]
+        alive, clauses = self.alive, self.clauses
+        for idx in self.occ.get(-pivot, ()):
+            if not alive[idx]:
+                continue
+            self.stats["rat_partner_checks"] += 1
+            units = base + [-m for m in clauses[idx] if m != -pivot]
             if not self.propagates_to_conflict(units):
                 return False
         return True
@@ -188,20 +284,23 @@ def check_proof(formula, proof, refutation=False, symmetry_pivots=(),
     With refutation=True the proof must add the empty clause.
     """
     state = _Checker(formula)
+    stats = state.stats
     warnings = []
-    empty_added = bool(state.empty)
+    empty_added = any(not clause for clause in formula.clauses)
     for index, (kind, clause) in enumerate(proof):
         if kind == "d":
             if not state.delete(clause):
                 warnings.append((index, "deleted clause %s not present" % (clause,)))
             continue
         if kind != "a":
-            return CheckResult(False, index, "unknown line kind %r" % kind, warnings)
+            return CheckResult(False, index, "unknown line kind %r" % kind, warnings,
+                               stats)
+        stats["lemmas"] += 1
         if not clause:
-            if not state.propagates_to_conflict(()):
+            if not state.is_rup(()):
                 return CheckResult(False, index,
                                    "empty clause is not a propagation conflict",
-                                   warnings)
+                                   warnings, stats)
             empty_added = True
         else:
             pivots = clause if any_pivot else clause[:1]
@@ -214,12 +313,12 @@ def check_proof(formula, proof, refutation=False, symmetry_pivots=(),
             if not ok:
                 return CheckResult(False, index,
                                    "clause %s is not RAT on pivot %d"
-                                   % (clause, clause[0]), warnings)
+                                   % (clause, clause[0]), warnings, stats)
         state.add(clause)
     if refutation and not empty_added:
         return CheckResult(False, None, "refutation does not add the empty clause",
-                           warnings)
-    return CheckResult(True, warnings=warnings)
+                           warnings, stats)
+    return CheckResult(True, warnings=warnings, stats=stats)
 
 
 def extension_clauses(x, a, b, formula=None):

@@ -6,10 +6,13 @@ no machinery with the solver under test.
 """
 
 import random
+from collections import defaultdict
 
 import pytest
 
-from triplesat.cnf import Formula, lit_value, propagate_clauses
+from triplesat.cnf import (Formula, is_flip_symmetric, lit_value,
+                           propagate_clauses)
+from triplesat.drat import CheckResult
 from triplesat.lookahead import CUTOFF, Leaf, Node
 
 
@@ -51,6 +54,32 @@ def brute_force(formula):
 
 def brute_sat(formula):
     return brute_force(formula) is not None
+
+
+def cubes_cover_all(cube_list):
+    """True iff every assignment of the cubes' variables extends some cube,
+    i.e. iff negate_cubes(cube_list) is UNSAT.
+
+    Each assignment is a bitmask over the sorted variables; a cube without
+    a complementary pair marks every assignment that agrees with it.
+    """
+    variables = sorted({abs(l) for cube in cube_list for l in cube})
+    bit = {var: 1 << i for i, var in enumerate(variables)}
+    covered = bytearray(1 << len(variables))
+    everything = len(covered) - 1
+    for cube in cube_list:
+        lits = set(cube)
+        if any(-l in lits for l in lits):
+            continue
+        ones = sum(bit[l] for l in lits if l > 0)
+        free = everything & ~sum(bit[abs(l)] for l in lits)
+        sub = free
+        while True:
+            covered[ones | sub] = 1
+            if not sub:
+                break
+            sub = (sub - 1) & free
+    return all(covered)
 
 
 def random_formula(rng, max_vars=8, max_clauses=None, allow_units=True):
@@ -116,6 +145,160 @@ def reference_look_ahead(residual, lit, table):
         weight += h.get(-y, 0.0) * h.get(-z, 0.0)
         new_binaries += 1
     return weight, len(assign), new_binaries, False
+
+
+class ReferenceChecker:
+    """The checker before the watched-literal rewrite: every query re-enqueues
+    every unit clause and walks full literal -> clause occurrence sets."""
+
+    def __init__(self, formula):
+        self.clauses = []
+        self.alive = []
+        self.occ = defaultdict(set)
+        self.units = set()
+        self.empty = set()
+        self.by_key = defaultdict(list)
+        for clause in formula.clauses:
+            self.add(clause)
+
+    def add(self, clause):
+        idx = len(self.clauses)
+        self.clauses.append(clause)
+        self.alive.append(True)
+        for lit in set(clause):
+            self.occ[lit].add(idx)
+        if len(clause) == 1:
+            self.units.add(idx)
+        elif not clause:
+            self.empty.add(idx)
+        self.by_key[frozenset(clause)].append(idx)
+
+    def delete(self, clause):
+        """Remove one clause matching by literal-set; False if absent."""
+        ids = self.by_key.get(frozenset(clause), [])
+        while ids and not self.alive[ids[-1]]:
+            ids.pop()
+        if not ids:
+            return False
+        idx = ids.pop()
+        self.alive[idx] = False
+        for lit in set(self.clauses[idx]):
+            self.occ[lit].discard(idx)
+        self.units.discard(idx)
+        self.empty.discard(idx)
+        return True
+
+    def current_formula(self):
+        return Formula([c for i, c in enumerate(self.clauses) if self.alive[i]])
+
+    def propagates_to_conflict(self, extra_units):
+        if self.empty:
+            return True
+        assign = {}
+        queue = []
+
+        def enqueue(lit):
+            var, val = abs(lit), lit > 0
+            if var in assign:
+                return assign[var] == val
+            assign[var] = val
+            queue.append(lit)
+            return True
+
+        for lit in extra_units:
+            if not enqueue(lit):
+                return True
+        for idx in self.units:
+            if not enqueue(self.clauses[idx][0]):
+                return True
+        head = 0
+        while head < len(queue):
+            lit = queue[head]
+            head += 1
+            for idx in list(self.occ[-lit]):
+                clause = self.clauses[idx]
+                unit = None
+                satisfied = False
+                for other in clause:
+                    val = lit_value(assign, other)
+                    if val is True:
+                        satisfied = True
+                        break
+                    if val is None:
+                        if unit is not None:
+                            unit = False
+                            break
+                        unit = other
+                if satisfied or unit is False:
+                    continue
+                if unit is None:
+                    return True
+                if not enqueue(unit):
+                    return True
+        return False
+
+    def is_rup(self, clause):
+        return self.propagates_to_conflict([-l for l in clause])
+
+    def is_rat(self, clause, pivot):
+        if self.is_rup(clause):
+            return True
+        base = [-l for l in clause]
+        for idx in list(self.occ[-pivot]):
+            partner = self.clauses[idx]
+            units = base + [-m for m in partner if m != -pivot]
+            if not self.propagates_to_conflict(units):
+                return False
+        return True
+
+
+def reference_check_proof(formula, proof, refutation=False, symmetry_pivots=(),
+                          any_pivot=False):
+    """`drat.check_proof` over `ReferenceChecker`: the oracle of the
+    differential checker tests.
+
+    Forward-check a DRAT proof against a formula.
+
+    Additions must have RAT on the first literal (all pivots are tried
+    when any_pivot is set); the empty clause needs a propagation
+    conflict.  Deleting an absent clause is a warning, not a rejection.
+    A unit on a literal in `symmetry_pivots` that fails the RAT check is
+    accepted iff the current formula is flip-symmetric at that point.
+    With refutation=True the proof must add the empty clause.
+    """
+    state = ReferenceChecker(formula)
+    warnings = []
+    empty_added = bool(state.empty)
+    for index, (kind, clause) in enumerate(proof):
+        if kind == "d":
+            if not state.delete(clause):
+                warnings.append((index, "deleted clause %s not present" % (clause,)))
+            continue
+        if kind != "a":
+            return CheckResult(False, index, "unknown line kind %r" % kind, warnings)
+        if not clause:
+            if not state.propagates_to_conflict(()):
+                return CheckResult(False, index,
+                                   "empty clause is not a propagation conflict",
+                                   warnings)
+            empty_added = True
+        else:
+            pivots = clause if any_pivot else clause[:1]
+            ok = any(state.is_rat(clause, pivot) for pivot in pivots)
+            if not ok and len(clause) == 1 and clause[0] in symmetry_pivots:
+                if is_flip_symmetric(state.current_formula()):
+                    warnings.append(
+                        (index, "unit %d accepted by flip-symmetry" % clause[0]))
+                    ok = True
+            if not ok:
+                return CheckResult(False, index,
+                                   "clause %s is not RAT on pivot %d"
+                                   % (clause, clause[0]), warnings)
+        state.add(clause)
+    if refutation and not empty_added:
+        return CheckResult(False, None, "refutation does not add the empty clause",
+                           warnings)
+    return CheckResult(True, warnings=warnings)
 
 
 # ------------------------------------------------------------------ fixtures

@@ -20,8 +20,8 @@ from triplesat.lookahead import (cubes, leaf_cubes, negate_cubes,
 from triplesat.transform import bce
 
 from conftest import (FIG1_CLAUSES, FIG1_PROOF, FIG3_CUBES, ap3_formula,
-                      brute_force, brute_sat, build_fig3_tree, random_formula,
-                      random_tree)
+                      brute_force, brute_sat, build_fig3_tree, cubes_cover_all,
+                      random_formula, random_tree)
 
 
 def test_criterion_01_encoder_counts():
@@ -117,12 +117,14 @@ def test_criterion_08_split_tautology():
     for formula in corpus:
         for spec in ("depth:3", "depth:5", "bin:20"):
             tree = split(formula, parse_cutoff(spec))
-            negated = negate_cubes(cubes(tree))
-            decision_vars = {abs(l) for c in cubes(tree) for l in c}
+            cube_list = cubes(tree)
+            decision_vars = {abs(l) for c in cube_list for l in c}
             if len(decision_vars) <= 20:
-                if brute_sat(negated):
+                # exactly "negate_cubes(cube_list) is UNSAT"
+                if not cubes_cover_all(cube_list):
                     failures += 1
             else:
+                negated = negate_cubes(cube_list)
                 proof = []
                 verdict = cdcl.solve(negated, proof=proof).verdict
                 if verdict != cdcl.UNSAT or \

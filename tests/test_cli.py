@@ -92,6 +92,22 @@ def test_check_fig1(tmp_path, capsys):
     assert main(["check", "--formula", str(cnf), "--proof", str(bare)]) == 1
 
 
+def test_check_prints_counters(tmp_path, capsys):
+    cnf = tmp_path / "fig1.cnf"
+    cnf.write_text(FIG1_TEXT)
+    proof = tmp_path / "fig1.drat"
+    proof.write_text("-1 0\nd -1 2 4 0\n2 0\n0\n")
+    assert main(["check", "--formula", str(cnf), "--proof", str(proof),
+                 "--refutation"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    counters = dict(line.split()[1:] for line in lines[:-1])
+    assert set(counters) == {"lemmas", "rup_calls", "rat_partner_checks",
+                             "rebuilds", "propagations"}
+    assert counters["lemmas"] == "3"
+    assert int(counters["propagations"]) > 0
+    assert lines[-1] == "s VERIFIED"
+
+
 def test_pack_unpack_round_trip(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     main(["encode", "--n", "60", "--out", str(cnf)])

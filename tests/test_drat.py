@@ -2,13 +2,14 @@ import time
 
 import pytest
 
-from triplesat import cdcl
+from triplesat import cdcl, pipeline
 from triplesat.cnf import DimacsError, Formula
 from triplesat.drat import (check_proof, check_rat, check_rup,
                             extension_clauses, merge_proofs, parse_drat,
                             write_drat)
 
-from conftest import FIG1_PROOF, brute_sat, random_formula
+from conftest import (FIG1_PROOF, ap3_formula, brute_sat, random_formula,
+                      reference_check_proof)
 
 
 FIG1_PROOF_TEXT = "-1 0\nd -1 2 4 0\n2 0\n0\n"
@@ -259,3 +260,199 @@ def test_checker_scales_politely():
         timings.append(time.perf_counter() - start)
     floor = max(timings[0], 1e-3)
     assert timings[2] <= 64 * floor
+
+
+# ------------------------------------------- watched checker vs reference
+
+
+def _outcome(result):
+    return result.accepted, result.line, result.reason, result.warnings
+
+
+def assert_same_as_reference(formula, proof, **kwargs):
+    result = check_proof(formula, proof, **kwargs)
+    assert _outcome(result) == _outcome(reference_check_proof(formula, proof, **kwargs))
+    return result
+
+
+def _flip_one_literal(rng, proof):
+    additions = [i for i, (kind, cl) in enumerate(proof) if kind == "a" and cl]
+    index = rng.choice(additions)
+    clause = list(proof[index][1])
+    pos = rng.randrange(len(clause))
+    clause[pos] = -clause[pos]
+    mutated = list(proof)
+    mutated[index] = ("a", tuple(clause))
+    return mutated
+
+
+def test_checker_matches_reference_on_solver_proofs(rng):
+    """CDCL refutations of random small CNFs and of random 3-CNFs dense
+    enough to need lemmas, each also with one lemma literal flipped."""
+    refutations = rejected = 0
+    while refutations < 300:
+        if refutations % 2:
+            formula = random_formula(rng, max_vars=9)
+        else:
+            formula = Formula([tuple(v if rng.random() < 0.5 else -v
+                                     for v in rng.sample(range(1, 11), 3))
+                               for _ in range(rng.randint(42, 50))])
+        proof = []
+        if cdcl.solve(formula, proof=proof).verdict != cdcl.UNSAT:
+            continue
+        refutations += 1
+        assert assert_same_as_reference(formula, proof, refutation=True)
+        if any(kind == "a" and cl for kind, cl in proof):
+            mutated = _flip_one_literal(rng, proof)
+            rejected += not assert_same_as_reference(formula, mutated,
+                                                     refutation=True)
+    assert rejected > 20
+
+
+def test_checker_matches_reference_on_random_proofs(rng):
+    """Additions, deletions of present and of absent clauses, and empty
+    clauses, in random order; every pivot policy."""
+    seen = set()
+    for _ in range(600):
+        formula = random_formula(rng, max_vars=7)
+        top = formula.num_vars + 1
+        present = list(formula.clauses)
+        proof = []
+        for _ in range(rng.randint(1, 16)):
+            roll = rng.random()
+            width = rng.randint(1, 3)
+            clause = tuple(v if rng.random() < 0.5 else -v
+                           for v in rng.sample(range(1, top + 1), width))
+            if roll < 0.25 and present:
+                clause = present.pop(rng.randrange(len(present)))
+                proof.append(("d", tuple(rng.sample(clause, len(clause)))))
+            elif roll < 0.35:
+                proof.append(("d", clause))
+            elif roll < 0.4:
+                proof.append(("a", ()))
+            else:
+                proof.append(("a", clause))
+                present.append(clause)
+        for kwargs in ({}, {"any_pivot": True}, {"refutation": True}):
+            result = assert_same_as_reference(formula, proof, **kwargs)
+            seen.add((result.accepted, bool(result.warnings)))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_checker_matches_reference_on_merged_pipeline_proof(rng):
+    formula = ap3_formula(9)
+    result = pipeline.run(pipeline.PipelineConfig(formula=formula,
+                                                  cutoff="depth:3"))
+    pivots = (result.pivot,) if result.pivot is not None else ()
+    assert assert_same_as_reference(formula, result.proof, refutation=True,
+                                    symmetry_pivots=pivots)
+    for _ in range(30):
+        assert_same_as_reference(formula, _flip_one_literal(rng, result.proof),
+                                 refutation=True, symmetry_pivots=pivots)
+
+
+@pytest.mark.parametrize("clauses, proof, kwargs", [
+    ([(1, 2), (-1, -2)], [("a", (1,))], {}),
+    ([(1, 2), (-1, -2)], [("a", (1,))], {"symmetry_pivots": (1,)}),
+    ([(1, 2), (-1, -2), (2, 3)], [("a", (1,))], {"symmetry_pivots": (1,)}),
+    ([(1, 2), (-1, -2)], [("a", (2,)), ("a", (1,))], {"symmetry_pivots": (1,)}),
+    ([(1, 3), (-1, 3), (-2, -3)], [("a", (2, 1))], {}),
+    ([(1, 3), (-1, 3), (-2, -3)], [("a", (2, 1))], {"any_pivot": True}),
+    ([(1, 3), (-1, 3), (-2, -3)], [("a", (2, -1))], {"any_pivot": True}),
+], ids=["sym-no-policy", "sym-pivot", "sym-asymmetric", "sym-after-lemma",
+        "first-pivot", "any-pivot", "any-pivot-fails"])
+def test_checker_matches_reference_on_pivot_policies(clauses, proof, kwargs):
+    assert_same_as_reference(Formula(clauses), proof, **kwargs)
+
+
+# ------------------------------------------------- persistent level 0
+
+
+def test_deleting_a_reason_underives_its_unit():
+    # 1 -> 2 -> 3 at level 0; (3) is RUP only through the reason (-1 2)
+    formula = Formula([(1,), (-1, 2), (-2, 3), (-3, 4, 5)])
+    assert assert_same_as_reference(formula, [("a", (3,))])
+    result = assert_same_as_reference(formula, [("d", (-1, 2)), ("a", (3,))])
+    assert not result and result.line == 1
+    assert result.stats["rebuilds"] == 1
+    # deleting a clause that is no reason leaves level 0 alone
+    result = assert_same_as_reference(formula, [("d", (-3, 4, 5)), ("a", (3,))])
+    assert result and result.stats["rebuilds"] == 0
+
+
+def test_lemma_with_false_literal_watches_free_ones():
+    # 1 is false at level 0 when (1 2 3) is added; (3) is RUP only if the
+    # lemma then propagates 2 once 3 is false
+    formula = Formula([(-1,), (-2, 4), (-2, -4), (1, 2, 3, 5), (-5, 2), (-3, 6)])
+    assert assert_same_as_reference(formula, [("a", (1, 2, 3)), ("a", (3,))])
+    assert not assert_same_as_reference(formula, [("a", (3,))])
+
+
+def test_readded_clause_is_live_again():
+    # (-1 3) is implied through (-1 2), (-2 3); once (-1 2) is gone, (3) is
+    # RUP only through the re-added copy
+    formula = Formula([(1,), (-1, 2), (-2, 3), (-1, 3), (-3, 4, 5)])
+    readd = [("d", (-1, 3)), ("a", (-1, 3)), ("d", (-1, 2)), ("a", (3,))]
+    assert assert_same_as_reference(formula, readd)
+    without = [("d", (-1, 3)), ("d", (-1, 2)), ("a", (3,))]
+    assert not assert_same_as_reference(formula, without)
+    deleted_again = readd[:2] + [("d", (3, -1))] + readd[2:]
+    result = assert_same_as_reference(formula, deleted_again)
+    assert not result and result.line == 4 and not result.warnings
+
+
+def test_repeated_literals_are_collapsed():
+    formula = Formula([(1, 2, 3), (-3,)])
+    result = assert_same_as_reference(formula, [("a", (2, 2, 1)), ("d", (1, 2))])
+    assert result and not result.warnings
+    # a repeated literal counts once, so (2 2 1) propagates 2 once 1 is
+    # false; the reference counted both copies as free and missed it
+    formula = Formula([(2, 2, 1), (-1,), (-2, 3), (-2, -3)])
+    assert check_proof(formula, [("a", ())], refutation=True)
+    assert not reference_check_proof(formula, [("a", ())], refutation=True)
+
+
+def test_tautological_lemma():
+    formula = Formula([(1, 2), (-1, 2), (1, -2), (-1, -2), (3, -3, 1)])
+    proof = [("a", (4, -4)), ("a", (2, -2, 1)), ("a", (2,)), ("a", ())]
+    assert assert_same_as_reference(formula, proof, refutation=True)
+
+
+@pytest.mark.parametrize("clauses", [[(1, 2), ()], [(1,), (2, 3), (-1,)]],
+                         ids=["empty-clause", "contradictory-units"])
+def test_formula_already_in_conflict(clauses):
+    formula = Formula(clauses)
+    assert assert_same_as_reference(formula, [("a", ())], refutation=True)
+    assert assert_same_as_reference(formula, [("a", (-2,))])
+    # dropping the culprit takes level 0 out of conflict
+    culprit = [("d", clauses[-1])]
+    assert assert_same_as_reference(formula, culprit)
+    result = assert_same_as_reference(formula, culprit + [("a", ())])
+    assert not result and result.line == 1
+
+
+def test_clause_added_while_level_zero_in_conflict():
+    # (2 3) is added under a level-0 conflict; after (1) goes, (4) is RAT
+    # only through it
+    formula = Formula([(1,), (-1,), (-2, 4), (-3, 4), (-4, 5)])
+    result = assert_same_as_reference(formula, [("a", (2, 3)), ("d", (1,)),
+                                                 ("a", (4,))])
+    assert result and result.stats["rebuilds"] == 1
+    assert not assert_same_as_reference(formula, [("d", (1,)), ("a", (4,))])
+
+
+def test_check_counters_on_ap3():
+    formula = ap3_formula(9)
+    merged = pipeline.run(pipeline.PipelineConfig(formula=formula,
+                                                  cutoff="depth:3")).proof
+    # extension clauses need RAT partner checks; a deletion after the
+    # empty clause rebuilds level 0
+    extension = [("a", c) for c in extension_clauses(10, 1, 2, formula=formula)]
+    proof = extension + merged + [("d", (1, 2, 3))]
+    result = check_proof(formula, proof, refutation=True)
+    assert result
+    assert set(result.stats) == {"lemmas", "rup_calls", "rat_partner_checks",
+                                 "rebuilds", "propagations"}
+    assert all(count > 0 for count in result.stats.values()), result.stats
+    assert result.stats["lemmas"] == sum(kind == "a" for kind, _ in proof)
+    assert result.stats["rup_calls"] >= result.stats["lemmas"]

@@ -14,8 +14,8 @@ from triplesat.lookahead import (CUTOFF, CutoffPolicy, HeuristicParams, HTable,
                                  residual_clauses, select_branch, split,
                                  write_inccnf)
 
-from conftest import (FIG3_CUBES, brute_sat, random_formula,
-                      reference_look_ahead)
+from conftest import (FIG3_CUBES, brute_sat, cubes_cover_all, random_formula,
+                      random_tree, reference_look_ahead)
 
 
 def test_params_validation():
@@ -288,6 +288,27 @@ def test_negate_cubes():
     assert negate_cubes([()]).clauses == ((),)
     with pytest.raises(ValueError):
         negate_cubes([])
+
+
+def test_cubes_cover_all_matches_brute_force(rng):
+    """The bitmask coverage oracle equals "the negated cube list is UNSAT"
+    on cube lists that overlap, miss assignments, repeat a literal or hold
+    a complementary pair; tree cubes, some with one cube dropped, cover."""
+    outcomes = []
+    for trial in range(600):
+        if trial % 2:
+            cube_list = cubes(random_tree(rng, max_depth=4, max_var=6))
+            if len(cube_list) > 1 and rng.random() < 0.5:
+                del cube_list[rng.randrange(len(cube_list))]
+        else:
+            num_vars = rng.randint(1, 6)
+            cube_list = [tuple(rng.choice((1, -1)) * rng.randint(1, num_vars)
+                               for _ in range(rng.randint(0, num_vars)))
+                         for _ in range(rng.randint(1, 12))]
+        covers = not brute_sat(negate_cubes(cube_list))
+        assert cubes_cover_all(cube_list) == covers, cube_list
+        outcomes.append(covers)
+    assert 100 < sum(outcomes) < 500
 
 
 def test_write_inccnf_fig3(fig3_tree):
