@@ -18,6 +18,8 @@ SAT = "SAT"
 UNSAT = "UNSAT"
 INDETERMINATE = "indeterminate"
 
+LUBY_UNIT = 100   # conflicts per unit of the Luby restart sequence
+
 
 @dataclass
 class SolveResult:
@@ -46,7 +48,7 @@ class Solver:
     """One instance is strictly single-threaded; share nothing across threads."""
 
     def __init__(self, formula=None, proof=None, conflict_budget=None,
-                 var_decay=0.95, luby_unit=100, self_check=False):
+                 var_decay=0.95):
         self.clauses = []          # list of lists; watched at positions 0 and 1
         self.watches = {}          # literal -> clause indices watching it
         self.assign = {}           # var -> bool
@@ -63,11 +65,8 @@ class Solver:
         self.ok = True
         self.proof = proof         # list sink of ("a"|"d", clause) lines
         self.proof_extension = ()  # literals appended to every emitted lemma
-        self.emit_empty_on_conflict = True
         self._empty_emitted = False
         self.conflict_budget = conflict_budget
-        self.luby_unit = luby_unit
-        self.self_check = self_check
         self.taut_vars = set()
         self.conflicts = 0
         self.decisions = 0
@@ -258,7 +257,7 @@ class Solver:
             bt_level = max(self.level[abs(q)] for q in learnt[1:])
         return learnt, bt_level
 
-    def _emit(self, lits, kind="a"):
+    def _emit(self, lits):
         if self.proof is None:
             return
         clause = list(lits)
@@ -267,14 +266,10 @@ class Solver:
             if lit not in present:
                 clause.append(lit)
                 present.add(lit)
-        self.proof.append((kind, tuple(clause)))
-        if self.self_check and kind == "a":
-            db = [tuple(c) for c in self.clauses]
-            _, conflict = propagate_clauses(db, [-l for l in clause])
-            assert conflict, "emitted lemma %r is not RUP" % (clause,)
+        self.proof.append(("a", tuple(clause)))
 
     def _emit_empty(self):
-        if self.emit_empty_on_conflict and not self._empty_emitted:
+        if not self._empty_emitted:
             self._empty_emitted = True
             self._emit(())
 
@@ -330,7 +325,7 @@ class Solver:
         conflicts_here = 0
         budget = self.conflict_budget
         restart_idx = 1
-        next_restart = luby(restart_idx) * self.luby_unit
+        next_restart = luby(restart_idx) * LUBY_UNIT
         while True:
             confl = self._propagate()
             if confl is not None:
@@ -347,7 +342,7 @@ class Solver:
                     return self._result(INDETERMINATE)
                 if conflicts_here >= next_restart:
                     restart_idx += 1
-                    next_restart = conflicts_here + luby(restart_idx) * self.luby_unit
+                    next_restart = conflicts_here + luby(restart_idx) * LUBY_UNIT
                     self._backtrack(0)
                 continue
             lit = None

@@ -5,6 +5,12 @@ literal of variable v, -v its negation.  A clause is a duplicate-free
 tuple of literals; a formula is an ordered list of clauses plus a
 declared variable bound (clauses may repeat).  Partial assignments are
 dicts mapping a variable to True/False.
+
+`Propagator` is the package's one occurrence-list unit propagator: the
+fixpoint of every split node and every look-ahead run through it.  The
+CDCL solver and the DRAT checker each keep a watched-literal propagator
+of their own, so the checker shares no propagation code with the solver
+whose proofs it checks.
 """
 
 from __future__ import annotations
@@ -57,9 +63,6 @@ class Formula:
         if self.num_vars < top:
             self.num_vars = top
 
-    def copy(self):
-        return Formula(list(self.clauses), self.num_vars)
-
 
 def variables(clauses):
     """Set of variables occurring in an iterable of clauses."""
@@ -101,6 +104,67 @@ def evaluate(formula, assignment):
     return verdict
 
 
+class Propagator:
+    """Unit propagation over a fixed clause list.
+
+    Built once per clause list: literal -> clause-index occurrence lists,
+    plus the unit clauses, which every fixpoint asserts after its seeds.
+    Each `fixpoint` call propagates on a trail of its own, so nothing is
+    undone or rebuilt between calls.
+    """
+
+    def __init__(self, clauses):
+        self.clauses = clauses
+        self.units = []
+        self.has_empty = False
+        occ = defaultdict(list)
+        for idx, clause in enumerate(clauses):
+            if len(clause) < 2:
+                if clause:
+                    self.units.append(clause[0])
+                else:
+                    self.has_empty = True
+            for lit in set(clause):
+                occ[lit].append(idx)
+        self.occ = occ
+
+    def fixpoint(self, seeds):
+        """(true literals, conflict) after asserting `seeds` and the unit
+        clauses, then propagating to fixpoint.  On a conflict the literal
+        set is whatever was derived before it, which depends on the queue
+        order."""
+        true = set()
+        if self.has_empty:
+            return true, True
+        trail = []
+        for lit in seeds + self.units:
+            if -lit in true:
+                return true, True
+            if lit not in true:
+                true.add(lit)
+                trail.append(lit)
+        clauses, occ = self.clauses, self.occ
+        head = 0
+        while head < len(trail):
+            occurrences = occ.get(-trail[head], ())
+            head += 1
+            for idx in occurrences:
+                unit = None
+                for other in clauses[idx]:
+                    if other in true:
+                        break
+                    if -other not in true:
+                        if unit is not None:
+                            break  # two unassigned: not a unit
+                        unit = other
+                else:
+                    if unit is None:
+                        return true, True
+                    true.add(unit)
+                    trail.append(unit)
+        return true, False
+
+
 def propagate_clauses(clauses, assumptions=()):
     """Unit propagation to fixpoint over a clause list.
 
@@ -108,60 +172,11 @@ def propagate_clauses(clauses, assumptions=()):
     empty assignment with conflict=True.  The fixpoint is unique, so the
     queue order used here is an implementation detail.
     """
-    assign = {}
-    queue = []
-
-    def enqueue(lit):
-        var, val = abs(lit), lit > 0
-        if var in assign:
-            return assign[var] == val
-        assign[var] = val
-        queue.append(lit)
-        return True
-
-    for lit in assumptions:
-        if not enqueue(lit):
-            return {}, True
-
-    occ = defaultdict(list)
-    for idx, clause in enumerate(clauses):
-        if not clause:
-            return assign, True
-        for lit in set(clause):
-            occ[lit].append(idx)
-        if len(clause) == 1 and not enqueue(clause[0]):
-            return assign, True
-
-    head = 0
-    while head < len(queue):
-        lit = queue[head]
-        head += 1
-        for idx in occ[-lit]:
-            clause = clauses[idx]
-            unit = None
-            satisfied = False
-            for other in clause:
-                val = lit_value(assign, other)
-                if val is True:
-                    satisfied = True
-                    break
-                if val is None:
-                    if unit is not None:
-                        unit = False  # two unassigned: not a unit
-                        break
-                    unit = other
-            if satisfied or unit is False:
-                continue
-            if unit is None:
-                return assign, True
-            if not enqueue(unit):
-                return assign, True
-    return assign, False
-
-
-def unit_propagate(formula, assumptions=()):
-    """Unit propagation over a Formula; see propagate_clauses."""
-    return propagate_clauses(formula.clauses, assumptions)
+    assumed = set(assumptions)
+    if any(-lit in assumed for lit in assumed):
+        return {}, True
+    true, conflict = Propagator(clauses).fixpoint(list(assumptions))
+    return {abs(lit): lit > 0 for lit in true}, conflict
 
 
 def resolve(c1, c2, var):

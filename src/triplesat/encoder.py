@@ -11,27 +11,29 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-import numpy as np
-
 from .cnf import Formula
 
 
 def enumerate_triples(n):
-    """All Pythagorean triples (a, b, c) with a < b < c <= n, sorted by (c, b, a)."""
+    """All Pythagorean triples (a, b, c) with a < b < c <= n, sorted by (c, b, a).
+
+    Euclid's formula gives every primitive triple exactly once, as
+    (m^2 - k^2, 2mk, m^2 + k^2) for coprime m > k of opposite parity;
+    every other triple is a multiple of one of them.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     triples = []
-    limit = n * n
-    for a in range(1, n):
-        b_hi = math.isqrt(limit - a * a)
-        if b_hi <= a:
-            break
-        b = np.arange(a + 1, b_hi + 1, dtype=np.int64)
-        s = a * a + b * b
-        c = np.rint(np.sqrt(s.astype(np.float64))).astype(np.int64)
-        mask = c * c == s
-        for bb, cc in zip(b[mask].tolist(), c[mask].tolist()):
-            triples.append((a, bb, cc))
+    for m in range(2, math.isqrt(n - 1) + 1):
+        for k in range(1 + m % 2, m, 2):
+            c = m * m + k * k
+            if c > n:
+                break
+            if math.gcd(m, k) != 1:
+                continue
+            a, b = sorted((m * m - k * k, 2 * m * k))
+            for t in range(1, n // c + 1):
+                triples.append((t * a, t * b, t * c))
     triples.sort(key=lambda t: (t[2], t[1], t[0]))
     return triples
 

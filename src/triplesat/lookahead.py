@@ -8,11 +8,12 @@ rounds: each round scales by the current mean and clamps into
 [alpha, beta], with gamma weighting binary-clause contributions.
 
 All look-aheads of one split node go through one `LookaheadEngine`,
-built once from the node's residual: it holds the literal -> clause
-occurrence lists, propagates each literal on a trail of its own, and
-weighs only the ternary clauses that contain the negation of a trail
-literal, in clause order, so weights, scores and trees are exactly those
-of propagating and rescanning the whole residual per look-ahead.
+built once from the node's residual on `cnf.Propagator`, the same
+unit-propagation loop that computes each node's fixpoint.  It
+propagates each literal on a trail of its own and weighs only the
+ternary clauses that contain the negation of a trail literal, in clause
+order, so weights, scores and trees are exactly those of propagating and
+rescanning the whole residual per look-ahead.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cnf import (DimacsError, Formula, lit_value, parse_clause_line,
-                  propagate_clauses)
+from .cnf import (DimacsError, Formula, Propagator, lit_value,
+                  parse_clause_line, propagate_clauses)
 
 CUTOFF = "cutoff"
 REFUTED = "refuted"
@@ -105,7 +106,11 @@ def parse_cutoff(spec):
         kind, _, value = part.partition(":")
         if not value:
             raise ValueError("malformed cutoff %r" % part)
-        value = int(value)
+        try:
+            value = int(value)
+        except ValueError:
+            raise ValueError("cutoff %r: %r is not an integer"
+                             % (part, value)) from None
         if kind == "bin":
             policy.min_binaries = value
         elif kind == "vars":
@@ -174,73 +179,36 @@ def _compute_h(residual, params):
     return HTable(h, means)
 
 
-def compute_h(formula, assignment, params):
-    """Heuristic table for the formula simplified under `assignment`."""
-    return _compute_h(residual_clauses(formula.clauses, assignment), params)
-
-
-class LookaheadEngine:
+class LookaheadEngine(Propagator):
     """The look-aheads of one split node, over the node's residual.
 
-    Built once per node: literal -> clause-index occurrence lists over the
-    residual, plus its unit clauses, which a non-fixpoint assignment can
-    leave and every look-ahead must assert too.  Each look-ahead
-    propagates on a trail of its own, so nothing is undone or rebuilt
-    between look-aheads.
+    Built once per node, so the occurrence lists and the residual's unit
+    clauses (which a non-fixpoint assignment can leave, and every
+    look-ahead must assert too) are shared by all of its look-aheads.
     """
 
     def __init__(self, residual, table):
-        self.clauses = residual
+        super().__init__(residual)
         self.h = table.values
-        self.units = [clause[0] for clause in residual if len(clause) == 1]
-        self.has_empty = any(not clause for clause in residual)
-        occ = {}
-        for idx, clause in enumerate(residual):
-            for lit in set(clause):
-                occ.setdefault(lit, []).append(idx)
-        self.occ = occ
 
     def look_ahead(self, lit):
         """(weight, assigned count, new binary count, refuted) of `lit`.
 
-        A ternary clause turns binary only through a false literal, and
-        propagation visits every clause with one, so only those clauses
-        are weighed, in ascending index: the weight is the same float sum
-        a scan of the whole residual in clause order would give.  On a
-        conflict the assigned count depends on the queue order.
+        The weight sums h(~y) * h(~z) over the newly created binaries
+        (y | z); refuted means propagation conflicts, forcing the
+        complement.  A ternary clause turns binary only through a false
+        literal, so only the clauses in the occurrence lists of the
+        negated true literals are weighed, in ascending index: the weight
+        is the same float sum a scan of the whole residual in clause order
+        would give.
         """
-        if self.has_empty:
-            return 0.0, 1, 0, True
-        true = {lit}
-        trail = [lit]
-        for unit in self.units:
-            if -unit in true:
-                return 0.0, len(trail), 0, True
-            if unit not in true:
-                true.add(unit)
-                trail.append(unit)
-        clauses, occ = self.clauses, self.occ
-        touched = set()     # every clause with a false literal
-        head = 0
-        while head < len(trail):
-            occurrences = occ.get(-trail[head], ())
-            head += 1
-            touched.update(occurrences)
-            for idx in occurrences:
-                unit = None
-                for other in clauses[idx]:
-                    if other in true:
-                        break
-                    if -other not in true:
-                        if unit is not None:
-                            break  # two unassigned: not a unit
-                        unit = other
-                else:
-                    if unit is None:
-                        return 0.0, len(trail), 0, True
-                    true.add(unit)
-                    trail.append(unit)
-        h = self.h
+        true, conflict = self.fixpoint([lit])
+        if conflict:
+            return 0.0, len(true), 0, True
+        clauses, occ, h = self.clauses, self.occ, self.h
+        touched = set()
+        for assigned in true:
+            touched.update(occ.get(-assigned, ()))
         weight = 0.0
         new_binaries = 0
         for idx in sorted(touched):
@@ -258,20 +226,7 @@ class LookaheadEngine:
                     y, z = unassigned
                     weight += h.get(-y, 0.0) * h.get(-z, 0.0)
                     new_binaries += 1
-        return weight, len(trail), new_binaries, False
-
-
-def look_ahead(formula, assignment, lit, table):
-    """Propagate `lit` under `assignment` and measure the reduction.
-
-    Returns (weight, assigned count, new binary clause count, refuted).
-    The weight sums h(~y) * h(~z) over the newly created binaries (y | z);
-    refuted means propagation conflicts, forcing the complement.
-    """
-    if lit_value(assignment, lit) is not None:
-        raise ValueError("literal %d already assigned" % lit)
-    residual = residual_clauses(formula.clauses, assignment)
-    return LookaheadEngine(residual, table).look_ahead(lit)
+        return weight, len(true), new_binaries, False
 
 
 def _score(mode, pos, neg):
@@ -321,20 +276,6 @@ def _measure(residual, table, mode, preselect=1.0):
             best_score = score
             best_var = var
     return best_var, failed, scores
-
-
-def select_branch(formula, assignment, table, mode):
-    """Best branching variable under `mode`; ties go to the smallest index."""
-    residual = residual_clauses(formula.clauses, assignment)
-    _check_3cnf(residual)
-    best, failed, _ = _measure(residual, table, mode)
-    if best is not None:
-        return best
-    # Every candidate failed in some polarity; the caller normally handles
-    # failed literals first, so just fall back to the smallest one.
-    if failed:
-        return min(abs(l) for l in failed)
-    raise ValueError("no candidate variable to branch on")
 
 
 def branch_scores(formula, assignment, mode, params=None):

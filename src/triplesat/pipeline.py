@@ -28,8 +28,8 @@ from .lookahead import (CutoffPolicy, HeuristicParams, check_mode, cubes,
 from .transform import bce, emit_transform_proof, reconstruct, symmetry_break
 
 
-def _parse_config(lines):
-    values = {}
+def _config_lines(lines):
+    """(line number, key, value) of every `key = value` line."""
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -38,20 +38,30 @@ def _parse_config(lines):
         if not sep:
             raise ValueError("line %d: expected key=value, got %r"
                              % (lineno, stripped))
-        values[key.strip()] = value.strip()
-    return values
+        yield lineno, key.strip(), value.strip()
 
 
 def load_config(path):
-    """Parse a simple `key=value` config file into a dict of strings."""
+    """Parse a simple `key=value` config file into a dict of strings.
+
+    A key must be one of defaults.cfg or a heuristic parameter, so a
+    misspelt key is an error instead of a silently kept default.
+    """
+    known = _shipped_defaults().keys() | _HEURISTIC_KEYS.keys()
+    values = {}
     with open(path) as handle:
-        return _parse_config(handle)
+        for lineno, key, value in _config_lines(handle):
+            if key not in known:
+                raise ValueError("line %d: unknown key %r; expected one of %s"
+                                 % (lineno, key, ", ".join(sorted(known))))
+            values[key] = value
+    return values
 
 
 @functools.cache
 def _shipped_defaults():
     text = importlib.resources.files("triplesat").joinpath("defaults.cfg").read_text()
-    return _parse_config(text.splitlines())
+    return {key: value for _, key, value in _config_lines(text.splitlines())}
 
 
 def default_config():
@@ -99,6 +109,11 @@ class PipelineConfig:
         if self.workers < 1:
             raise ValueError("worker count must be >= 1")
         check_mode(self.mode)
+        for name in ("cutoff", "second_cutoff"):
+            try:
+                _policy(getattr(self, name))
+            except ValueError as exc:
+                raise ValueError("%s: %s" % (name, exc)) from None
 
 
 @dataclass

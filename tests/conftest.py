@@ -5,15 +5,30 @@ recursive enumeration with clause-falsification pruning) so they share
 no machinery with the solver under test.
 """
 
+import os
 import random
+import subprocess
+import sys
 from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
-from triplesat.cnf import (Formula, is_flip_symmetric, lit_value,
-                           propagate_clauses)
+from triplesat.cnf import Formula, is_flip_symmetric, lit_value
 from triplesat.drat import CheckResult
 from triplesat.lookahead import CUTOFF, Leaf, Node
+
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+def run_python(args, cwd, timeout=120):
+    """Run this interpreter in a subprocess that imports triplesat from this
+    checkout; returns the CompletedProcess with text output."""
+    path = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=timeout)
 
 
 # ------------------------------------------------------------------- oracles
@@ -118,10 +133,38 @@ def ap3_formula(n):
     return Formula(clauses, n)
 
 
+def reference_propagate(clauses, assumptions=(), order_rng=None):
+    """Unit propagation by rescanning every clause until nothing is unit,
+    setting one pending unit per scan (a random one when `order_rng` is
+    given).  Returns (assignment, conflict) like cnf.propagate_clauses."""
+    assign = {}
+    for lit in assumptions:
+        if assign.get(abs(lit), lit > 0) != (lit > 0):
+            return {}, True
+        assign[abs(lit)] = lit > 0
+    while True:
+        pending = []
+        for clause in clauses:
+            unassigned = [l for l in clause if assign.get(abs(l)) is None]
+            satisfied = any(assign.get(abs(l)) == (l > 0) for l in clause)
+            if satisfied:
+                continue
+            if not unassigned:
+                return assign, True
+            if len(unassigned) == 1:
+                pending.append(unassigned[0])
+        if not pending:
+            return assign, False
+        if order_rng is not None:
+            order_rng.shuffle(pending)
+        lit = pending[0]
+        assign[abs(lit)] = lit > 0
+
+
 def reference_look_ahead(residual, lit, table):
     """The look-ahead before the per-node engine: full propagation over the
     residual, then a rescan of every ternary clause in clause order."""
-    assign, conflict = propagate_clauses(residual, [lit])
+    assign, conflict = reference_propagate(residual, [lit])
     if conflict:
         return 0.0, len(assign), 0, True
     weight = 0.0

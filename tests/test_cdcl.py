@@ -4,7 +4,7 @@ from triplesat import drat
 from triplesat.cdcl import (INDETERMINATE, SAT, UNSAT, Solver,
                             arithmetic_witness_check, backbone, is_pythagorean,
                             luby, solve, solve_incremental)
-from triplesat.cnf import Formula, SATISFIED, evaluate
+from triplesat.cnf import Formula, SATISFIED, evaluate, propagate_clauses
 
 from conftest import ap3_formula, brute_force, brute_sat, random_formula
 
@@ -52,12 +52,18 @@ def test_conflict_budget_indeterminate():
 
 
 def test_verdicts_match_brute_force(rng):
-    """Smaller companion of the acceptance-scale oracle run, with proof
-    self-checking switched on."""
+    """Smaller companion of the acceptance-scale oracle run, with every
+    emitted lemma checked for RUP as it stands in the proof."""
     for _ in range(150):
         formula = random_formula(rng, max_vars=9)
         proof = []
-        result = solve(formula, proof=proof, self_check=True)
+        result = solve(formula, proof=proof)
+        # every lemma is RUP against the formula and the lemmas before it
+        database = list(formula.clauses)
+        for kind, lemma in proof:
+            assert kind == "a"
+            assert propagate_clauses(database, [-l for l in lemma])[1], lemma
+            database.append(lemma)
         expected = brute_sat(formula)
         if expected:
             assert result.verdict == SAT

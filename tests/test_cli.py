@@ -7,7 +7,7 @@ from triplesat.cli import main
 from triplesat.cnf import parse_dimacs, write_dimacs
 from triplesat.lookahead import PTN_PARAMS, RND_PARAMS
 
-from conftest import ap3_formula
+from conftest import ap3_formula, run_python
 
 
 FIG1_TEXT = """p cnf 4 8
@@ -149,6 +149,39 @@ def test_pipeline_cli_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("cutoff = depth:2\nmode = count_bin\n")
     assert main(["pipeline", "--n", "30", "--config", str(cfg)]) == 0
+
+
+def test_cli_import_leaves_numpy_out(tmp_path):
+    done = run_python(["-c", "import sys, triplesat.cli; "
+                             "print('numpy' in sys.modules)"], cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_pipeline_cli_config_typo_is_an_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = ptn3sat\ncutof = depth:1\n")
+    assert main(["pipeline", "--n", "40", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "line 2: unknown key 'cutof'" in captured.err
+    assert "SATISFIABLE" not in captured.out
+
+
+def test_pipeline_cli_rejects_bad_cutoff(captured_config, capsys):
+    assert main(["pipeline", "--n", "30", "--second-cutoff", "depth:x"]) == 1
+    assert not captured_config
+    assert ("second_cutoff: cutoff 'depth:x': 'x' is not an integer"
+            in capsys.readouterr().err)
+
+
+def test_split_cli_rejects_bad_cutoff(tmp_path, capsys):
+    cnf = tmp_path / "w.cnf"
+    cnf.write_text(write_dimacs(ap3_formula(9)))
+    out = tmp_path / "w.icnf"
+    assert main(["split", "--in", str(cnf), "--cutoff", "depth:x",
+                 "--out", str(out)]) == 1
+    assert "cutoff 'depth:x': 'x' is not an integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pipeline_cli_rejects_unknown_mode(tmp_path, capsys):

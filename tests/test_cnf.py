@@ -4,10 +4,11 @@ import pytest
 
 from triplesat.cnf import (DimacsError, FALSIFIED, Formula, SATISFIED,
                            UNDETERMINED, evaluate, is_flip_symmetric,
-                           is_tautology, make_clause, parse_dimacs, resolve,
-                           unit_propagate, write_dimacs)
+                           is_tautology, make_clause, parse_dimacs,
+                           propagate_clauses, resolve, write_dimacs)
 
-from conftest import FIG1_CLAUSES, brute_sat, random_formula
+from conftest import (FIG1_CLAUSES, brute_sat, random_formula,
+                      reference_propagate)
 
 
 FIG1_TEXT = """p cnf 4 8
@@ -80,23 +81,23 @@ def test_make_clause_dedup_and_validation():
 
 
 def test_unit_propagate_fig1_conflict(fig1_formula):
-    _, conflict = unit_propagate(fig1_formula, [1, -2, 3])
+    _, conflict = propagate_clauses(fig1_formula.clauses, [1, -2, 3])
     assert conflict
 
 
 def test_unit_propagate_single_unit():
-    assignment, conflict = unit_propagate(Formula([(1,)]))
+    assignment, conflict = propagate_clauses([(1,)])
     assert not conflict
     assert assignment == {1: True}
 
 
 def test_unit_propagate_binary_conflict():
-    _, conflict = unit_propagate(Formula([(1, 2), (-1,), (-2,)]))
+    _, conflict = propagate_clauses([(1, 2), (-1,), (-2,)])
     assert conflict
 
 
 def test_unit_propagate_contradictory_assumptions():
-    assignment, conflict = unit_propagate(Formula([(1, 2)]), [1, -1])
+    assignment, conflict = propagate_clauses([(1, 2)], [1, -1])
     assert conflict
     assert assignment == {}
 
@@ -104,40 +105,16 @@ def test_unit_propagate_contradictory_assumptions():
 def test_unit_propagate_fixpoint_order_independent(rng):
     """The fixpoint must not depend on propagation order: compare against a
     naive reference that processes unit clauses in random order."""
-
-    def reference(formula, assumptions, order_rng):
-        assign = {}
-        for lit in assumptions:
-            if assign.get(abs(lit), lit > 0) != (lit > 0):
-                return {}, True
-            assign[abs(lit)] = lit > 0
-        while True:
-            pending = []
-            for clause in formula.clauses:
-                unassigned = [l for l in clause
-                              if assign.get(abs(l)) is None]
-                satisfied = any(assign.get(abs(l)) == (l > 0) for l in clause)
-                if satisfied:
-                    continue
-                if not unassigned:
-                    return assign, True
-                if len(unassigned) == 1:
-                    pending.append(unassigned[0])
-            if not pending:
-                return assign, False
-            order_rng.shuffle(pending)
-            lit = pending[0]
-            assign[abs(lit)] = lit > 0
-
     for _ in range(300):
         formula = random_formula(rng, max_vars=8)
         num_assumed = rng.randint(0, 3)
         assumed_vars = rng.sample(range(1, formula.num_vars + 1),
                                   min(num_assumed, formula.num_vars))
         assumptions = [v if rng.random() < 0.5 else -v for v in assumed_vars]
-        got_assign, got_conflict = unit_propagate(formula, assumptions)
-        ref_assign, ref_conflict = reference(formula, assumptions,
-                                             random.Random(rng.random()))
+        got_assign, got_conflict = propagate_clauses(formula.clauses,
+                                                     assumptions)
+        ref_assign, ref_conflict = reference_propagate(
+            formula.clauses, assumptions, random.Random(rng.random()))
         assert got_conflict == ref_conflict
         if not got_conflict:
             assert got_assign == ref_assign
@@ -147,7 +124,7 @@ def test_propagation_conflict_implies_unsat(rng):
     hits = 0
     for _ in range(400):
         formula = random_formula(rng, max_vars=8)
-        _, conflict = unit_propagate(formula)
+        _, conflict = propagate_clauses(formula.clauses)
         if conflict:
             hits += 1
             assert not brute_sat(formula)

@@ -8,11 +8,10 @@ from triplesat.encoder import encode
 from triplesat.lookahead import (CUTOFF, CutoffPolicy, HeuristicParams, HTable,
                                  Leaf, LookaheadEngine, LookaheadError, MODE_BIN,
                                  MODE_PTN, MODE_RND, MODE_VAR, Node, PTN_PARAMS,
-                                 REFUTED, RND_PARAMS, compute_h, cubes,
-                                 leaf_cubes, look_ahead, negate_cubes,
+                                 REFUTED, RND_PARAMS, _compute_h, _measure,
+                                 cubes, leaf_cubes, negate_cubes,
                                  params_for_mode, parse_cutoff, parse_inccnf,
-                                 residual_clauses, select_branch, split,
-                                 write_inccnf)
+                                 residual_clauses, split, write_inccnf)
 
 from conftest import (FIG3_CUBES, brute_sat, cubes_cover_all, random_formula,
                       random_tree, reference_look_ahead)
@@ -40,27 +39,31 @@ def test_parse_cutoff():
     assert policy.max_free_vars == 3450
     assert policy.depth_limit == 20
     assert parse_cutoff("bin:10").depth_limit == 64
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown cutoff kind 'bogus'"):
         parse_cutoff("bogus:1")
+    with pytest.raises(ValueError, match="malformed cutoff 'nonsense'"):
+        parse_cutoff("nonsense")
+    with pytest.raises(ValueError, match="cutoff 'depth:x': 'x' is not an integer"):
+        parse_cutoff("bin:10,depth:x")
 
 
 def test_round_zero_mean_is_one():
-    table = compute_h(Formula([(1, 2, 3), (-1, -2, 4)]), {},
-                      HeuristicParams(alpha=0.5, beta=10, iterations=1))
+    table = _compute_h([(1, 2, 3), (-1, -2, 4)],
+                       HeuristicParams(alpha=0.5, beta=10, iterations=1))
     assert table.means[0] == 1.0
 
 
 def test_h1_clamps_up_to_alpha():
-    table = compute_h(Formula([(1, 2, 3)]), {},
-                      HeuristicParams(alpha=8, beta=550, gamma=25, iterations=1))
+    table = _compute_h([(1, 2, 3)],
+                       HeuristicParams(alpha=8, beta=550, gamma=25, iterations=1))
     for lit in (1, 2, 3, -1, -2, -3):
         assert table.values[lit] == 8.0
 
 
 def test_h1_small_alpha():
-    table = compute_h(Formula([(1, 2, 3)]), {},
-                      HeuristicParams(alpha=0.1, beta=25, gamma=3.3,
-                                      iterations=1))
+    table = _compute_h([(1, 2, 3)],
+                       HeuristicParams(alpha=0.1, beta=25, gamma=3.3,
+                                       iterations=1))
     for lit in (1, 2, 3):
         assert table.values[lit] == pytest.approx(1.0)
         assert table.values[-lit] == pytest.approx(0.1)
@@ -70,60 +73,57 @@ def test_h_clamp_bounds_always_hold(rng):
     for _ in range(50):
         formula = random_formula(rng, max_vars=10, allow_units=False)
         params = HeuristicParams(alpha=0.3, beta=4.0, gamma=2.0, iterations=4)
-        table = compute_h(formula, {}, params)
+        table = _compute_h(formula.clauses, params)
         for value in table.values.values():
             assert params.alpha <= value <= params.beta
 
 
 def test_h_rejects_long_clauses():
     with pytest.raises(LookaheadError):
-        compute_h(Formula([(1, 2, 3, 4)]), {}, HeuristicParams())
+        _compute_h([(1, 2, 3, 4)], HeuristicParams())
 
 
 def test_look_ahead_counts_new_binary():
-    formula = Formula([(1, 2, 3)])
-    table = compute_h(formula, {}, HeuristicParams(alpha=0.1, beta=25,
-                                                   iterations=1))
-    weight, assigned, new_binaries, refuted = look_ahead(formula, {}, -1, table)
+    residual = [(1, 2, 3)]
+    table = _compute_h(residual, HeuristicParams(alpha=0.1, beta=25,
+                                                 iterations=1))
+    engine = LookaheadEngine(residual, table)
+    weight, assigned, new_binaries, refuted = engine.look_ahead(-1)
     assert not refuted
     assert new_binaries == 1
     assert weight == pytest.approx(table.values[-2] * table.values[-3])
 
 
 def test_look_ahead_pure_literal():
-    formula = Formula([(1, 2, 3)])
-    table = compute_h(formula, {}, HeuristicParams())
-    weight, _, new_binaries, refuted = look_ahead(formula, {}, 1, table)
+    residual = [(1, 2, 3)]
+    table = _compute_h(residual, HeuristicParams())
+    weight, _, new_binaries, refuted = LookaheadEngine(residual, table).look_ahead(1)
     assert (weight, new_binaries, refuted) == (0.0, 0, False)
 
 
 def test_look_ahead_refuted():
-    formula = Formula([(1,), (-1, 2), (-2,)])
+    residual = [(1,), (-1, 2), (-2,)]
     # propagation of 1 chains to a conflict with (-2)
-    _, conflict = propagate_clauses(formula.clauses, [1])
+    _, conflict = propagate_clauses(residual, [1])
     assert conflict
-    table = compute_h(Formula([(2, 3)]), {}, HeuristicParams())
-    assert look_ahead(formula, {}, 1, table)[3] is True
-
-
-def test_look_ahead_rejects_assigned_literal():
-    formula = Formula([(1, 2)])
-    table = compute_h(formula, {}, HeuristicParams())
-    with pytest.raises(ValueError):
-        look_ahead(formula, {1: True}, 1, table)
+    table = _compute_h([(2, 3)], HeuristicParams())
+    assert LookaheadEngine(residual, table).look_ahead(1)[3] is True
 
 
 def test_look_ahead_asserts_residual_units_and_empty_clauses():
     # under {1: False} the residual holds the unit (2,), which every
     # look-ahead asserts after its own literal
-    table = compute_h(Formula([(2, 3, 4)]), {}, HeuristicParams())
+    table = _compute_h([(2, 3, 4)], HeuristicParams())
     h = table.values
-    formula = Formula([(1, 2), (-2, 3, 4), (3, 5)])
-    assert look_ahead(formula, {1: False}, 5, table) == (h[-3] * h[-4], 2, 1, False)
-    assert look_ahead(formula, {1: False, 3: False}, -4, table)[3] is True
+    clauses = [(1, 2), (-2, 3, 4), (3, 5)]
+    engine = LookaheadEngine(residual_clauses(clauses, {1: False}), table)
+    assert engine.look_ahead(5) == (h[-3] * h[-4], 2, 1, False)
+    engine = LookaheadEngine(residual_clauses(clauses, {1: False, 3: False}),
+                             table)
+    assert engine.look_ahead(-4)[3] is True
     # an empty residual clause refutes every look-ahead
-    with_empty = Formula([(1,), (2, 3, 4)])
-    assert look_ahead(with_empty, {1: False}, 2, table)[3] is True
+    with_empty = residual_clauses([(1,), (2, 3, 4)], {1: False})
+    assert LookaheadEngine(with_empty, table).look_ahead(2)[3] is True
 
 
 def _with_tautologies(rng, formula):
@@ -150,8 +150,7 @@ def test_engine_matches_reference_look_ahead(rng):
         seen_units += any(len(c) == 1 for c in residual)
         seen_empty += any(not c for c in residual)
         if rng.random() < 0.5:
-            table = compute_h(formula, assignment,
-                              rng.choice([PTN_PARAMS, RND_PARAMS]))
+            table = _compute_h(residual, rng.choice([PTN_PARAMS, RND_PARAMS]))
         else:
             # magnitudes far apart make the float sum depend on its order
             table = HTable({lit: rng.random() * 10.0 ** rng.randint(-8, 8)
@@ -166,22 +165,21 @@ def test_engine_matches_reference_look_ahead(rng):
             assert got[2:] == want[2:]
             if not want[3]:
                 assert got[1] == want[1]
-            assert look_ahead(formula, assignment, lit, table) == got
             seen_weights += got[0] > 0
     assert seen_units and seen_empty and seen_weights
 
 
 def test_select_branch_count_bin():
-    formula = Formula([(1, 2, 3), (-1, 2, 3)])
-    table = compute_h(formula, {}, HeuristicParams())
-    assert select_branch(formula, {}, table, MODE_BIN) == 1
+    residual = [(1, 2, 3), (-1, 2, 3)]
+    table = _compute_h(residual, HeuristicParams())
+    assert _measure(residual, table, MODE_BIN)[0] == 1
 
 
 def test_select_branch_tie_break_smallest():
     # fully symmetric: both clauses of the sole triple of encode(5)
-    formula = encode(5)
-    table = compute_h(formula, {}, HeuristicParams())
-    assert select_branch(formula, {}, table, MODE_PTN) == 3
+    residual = list(encode(5).clauses)
+    table = _compute_h(residual, HeuristicParams())
+    assert _measure(residual, table, MODE_PTN)[0] == 3
 
 
 def test_residual_clauses():

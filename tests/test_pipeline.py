@@ -23,6 +23,18 @@ def test_config_rejects_unknown_mode():
         pipeline.PipelineConfig(n=30, mode="nosuchmode")
 
 
+def test_config_rejects_bad_cutoffs():
+    with pytest.raises(ValueError, match="cutoff: malformed cutoff 'nonsense'"):
+        pipeline.PipelineConfig(n=60, cutoff="nonsense")
+    # checked even when two-level mode, the only reader, is off
+    with pytest.raises(ValueError,
+                       match="second_cutoff: malformed cutoff 'garbage'"):
+        pipeline.PipelineConfig(n=60, second_cutoff="garbage")
+    with pytest.raises(ValueError, match="'x' is not an integer"):
+        pipeline.PipelineConfig(n=60, cutoff="bin:5,depth:x")
+    assert pipeline.PipelineConfig(n=60, cutoff=parse_cutoff("depth:2"))
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\nalpha = 2.5\nmode=rnd3sat\n\n")
@@ -32,6 +44,10 @@ def test_load_config(tmp_path):
     bad.write_text("nonsense\n")
     with pytest.raises(ValueError):
         pipeline.load_config(str(bad))
+    typo = tmp_path / "typo.cfg"
+    typo.write_text("# comment\nmode = ptn3sat\ncutof = depth:1\n")
+    with pytest.raises(ValueError, match="line 3: unknown key 'cutof'"):
+        pipeline.load_config(str(typo))
 
 
 def test_default_config_carries_reference_parameters():
