@@ -10,9 +10,10 @@ cubes, DRAT proof emission, and backbone computation.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass
 
-from .cnf import is_tautology, lit_value, make_clause, propagate_clauses
+from .cnf import lit_value, propagate_clauses
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -45,22 +46,30 @@ def luby(i):
 
 
 class Solver:
-    """One instance is strictly single-threaded; share nothing across threads."""
+    """One instance is strictly single-threaded; share nothing across threads.
+
+    State is flat, as in MiniSat (Een, Sorensson, SAT 2003).  `vals` is
+    indexed by literal: it holds 2*cap+1 slots, so `vals[lit]` and
+    `vals[-lit]` both work through Python's negative indexing.  `level`,
+    `reason`, `activity` and `phase` are indexed by variable.  Slots grow
+    when a variable beyond `cap` arrives.
+    """
 
     def __init__(self, formula=None, proof=None, conflict_budget=None,
                  var_decay=0.95):
         self.clauses = []          # list of lists; watched at positions 0 and 1
-        self.watches = {}          # literal -> clause indices watching it
-        self.assign = {}           # var -> bool
-        self.level = {}
-        self.reason = {}           # var -> clause index, None for decisions
+        self.cap = 0               # variables 1..cap have slots below
+        self.vals = [None]         # literal -> True/False, None if unassigned
+        self.watches = defaultdict(list)  # literal -> clause indices watching it
+        self.level = [0]           # var -> decision level while assigned
+        self.reason = [None]       # var -> clause index, None for decisions
+        self.activity = [None]     # var -> activity, None until touched
+        self.phase = [False]       # var -> saved polarity; default False
         self.trail = []
         self.trail_lim = []
         self.qhead = 0
-        self.activity = {}
         self.var_inc = 1.0
         self.var_decay = var_decay
-        self.phase = {}            # saved polarity; default False
         self.heap = []
         self.ok = True
         self.proof = proof         # list sink of ("a"|"d", clause) lines
@@ -72,37 +81,42 @@ class Solver:
         self.decisions = 0
         self.propagations = 0
         if formula is not None:
-            for clause in formula.clauses:
-                self.add_clause(clause)
+            self._grow(formula.num_vars)
+            self._load(formula.clauses)
 
     # ------------------------------------------------------------------ basics
 
-    def value(self, lit):
-        return lit_value(self.assign, lit)
+    def _grow(self, top):
+        """Give every variable up to `top` its slots."""
+        cap = self.cap
+        if top <= cap:
+            return
+        extra = top - cap
+        # negative literals index from the end, so they keep the tail
+        self.vals = self.vals[:cap + 1] + [None] * (2 * extra) + self.vals[cap + 1:]
+        self.level += [0] * extra
+        self.reason += [None] * extra
+        self.activity += [None] * extra
+        self.phase += [False] * extra
+        self.cap = top
 
-    def decision_level(self):
-        return len(self.trail_lim)
-
-    def _touch_var(self, var):
-        if var not in self.activity:
-            self.activity[var] = 0.0
-            heapq.heappush(self.heap, (0.0, var))
-
-    def _bump(self, var):
-        self.activity[var] = act = self.activity.get(var, 0.0) + self.var_inc
-        heapq.heappush(self.heap, (-act, var))
-        if act > 1e100:
-            for v in self.activity:
-                self.activity[v] *= 1e-100
-            self.var_inc *= 1e-100
-            self.heap = [(-self.activity[v], v) for v in self.activity
-                         if v not in self.assign]
-            heapq.heapify(self.heap)
+    def _rescale(self):
+        """Scale every activity down by 1e-100 and rebuild the heap from
+        the unassigned variables that have one."""
+        activity, vals = self.activity, self.vals
+        for var, act in enumerate(activity):
+            if act is not None:
+                activity[var] = act * 1e-100
+        self.var_inc *= 1e-100
+        self.heap = [(-act, var) for var, act in enumerate(activity)
+                     if act is not None and vals[var] is None]
+        heapq.heapify(self.heap)
 
     def _enqueue(self, lit, reason):
         var = abs(lit)
-        self.assign[var] = lit > 0
-        self.level[var] = self.decision_level()
+        self.vals[lit] = True
+        self.vals[-lit] = False
+        self.level[var] = len(self.trail_lim)
         self.reason[var] = reason
         self.trail.append(lit)
 
@@ -110,33 +124,59 @@ class Solver:
         self.trail_lim.append(len(self.trail))
 
     def _backtrack(self, target):
-        if self.decision_level() <= target:
+        trail_lim = self.trail_lim
+        if len(trail_lim) <= target:
             return
-        keep = self.trail_lim[target]
-        for lit in reversed(self.trail[keep:]):
+        keep = trail_lim[target]
+        trail, vals, phase = self.trail, self.vals, self.phase
+        activity, heap, push = self.activity, self.heap, heapq.heappush
+        for lit in trail[keep:]:
+            vals[lit] = vals[-lit] = None
             var = abs(lit)
-            self.phase[var] = self.assign.pop(var)
-            del self.level[var]
-            self.reason.pop(var, None)
-            heapq.heappush(self.heap, (-self.activity.get(var, 0.0), var))
-        del self.trail[keep:]
-        del self.trail_lim[target:]
-        self.qhead = len(self.trail)
+            phase[var] = lit > 0
+            push(heap, (-(activity[var] or 0.0), var))
+        del trail[keep:]
+        del trail_lim[target:]
+        self.qhead = len(trail)
 
     # ------------------------------------------------------------ clause store
 
     def add_clause(self, lits):
         """Add an input (or derived) clause at decision level 0."""
-        assert self.decision_level() == 0
-        clause = make_clause(lits)
-        for lit in clause:
-            self._touch_var(abs(lit))
-        if is_tautology(clause):
-            self.taut_vars.update(abs(l) for l in clause)
-            return
-        if not self.ok:
-            return
-        self._attach(list(clause))
+        self._load((lits,))
+
+    def _load(self, clauses):
+        """Add clauses at decision level 0, each as `add_clause` defines it:
+        literals deduplicated in first-occurrence order, literal 0
+        rejected, every variable touched, tautologies skipped, the rest
+        attached.  Touched variables enter the decision heap together."""
+        assert not self.trail_lim
+        touched = set()
+        kept = []
+        for lits in clauses:
+            clause = list(lits)
+            occurring = set(map(abs, clause))
+            if 0 in occurring:
+                raise ValueError("literal 0 is reserved")
+            touched |= occurring
+            if len(occurring) < len(clause):   # a repeat or a tautology
+                clause = list(dict.fromkeys(clause))
+                if len(occurring) < len(clause):
+                    self.taut_vars |= occurring
+                    continue
+            kept.append(clause)
+        self._grow(max(touched, default=0))
+        activity = self.activity
+        fresh = [(0.0, var) for var in touched if activity[var] is None]
+        if fresh:
+            for _, var in fresh:
+                activity[var] = 0.0
+            self.heap += fresh
+            heapq.heapify(self.heap)
+        for clause in kept:
+            if not self.ok:
+                break
+            self._attach(clause)
 
     def add_refuted(self, assumptions):
         """Add the clause negating `assumptions` after solve(assumptions) found
@@ -146,115 +186,143 @@ class Solver:
         if not self.ok:
             return
         negation = [-l for l in assumptions]
+        self._grow(max(map(abs, negation), default=0))
         self._emit(negation)
         self._attach(negation)
 
     def _attach(self, clause):
+        """Store a clause at level 0 and watch its first two literals.  With
+        literals already assigned, non-false ones move to the front, and a
+        clause left unit or false is acted on; on an empty trail nothing is
+        assigned, so the clause goes in as it is."""
         if not clause:
             self.ok = False
-            return None
-        sat_already = any(self.value(l) is True for l in clause)
+            return
+        vals = self.vals
         idx = len(self.clauses)
         self.clauses.append(clause)
         if len(clause) == 1:
-            if not sat_already:
-                if self.value(clause[0]) is False:
-                    self.ok = False
-                else:
-                    self._enqueue(clause[0], None)
-            return idx
-        # watch two non-false literals when possible
-        clause.sort(key=lambda l: (self.value(l) is False, ))
-        self.watches.setdefault(clause[0], []).append(idx)
-        self.watches.setdefault(clause[1], []).append(idx)
-        if not sat_already:
-            if self.value(clause[0]) is False:
+            val = vals[clause[0]]
+            if val is None:
+                self._enqueue(clause[0], None)
+            elif val is False:
                 self.ok = False
-            elif self.value(clause[1]) is False and self.value(clause[0]) is None:
+            return
+        assigned = bool(self.trail)
+        if assigned:
+            clause.sort(key=lambda l: vals[l] is False)
+        self.watches[clause[0]].append(idx)
+        self.watches[clause[1]].append(idx)
+        if assigned and not any(vals[l] is True for l in clause):
+            if vals[clause[0]] is False:
+                self.ok = False
+            elif vals[clause[1]] is False and vals[clause[0]] is None:
                 self._enqueue(clause[0], idx)
-        return idx
 
     # -------------------------------------------------------------- propagation
 
     def _propagate(self):
         """Propagate pending assignments; returns a conflicting clause index."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            self.propagations += 1
-            neg = -lit
-            watchers = self.watches.get(neg, [])
-            kept = []
+        trail, clauses, watches = self.trail, self.clauses, self.watches
+        vals, level, reason = self.vals, self.level, self.reason
+        lvl = len(self.trail_lim)
+        qhead = self.qhead
+        start = qhead
+        confl = None
+        while qhead < len(trail):
+            neg = -trail[qhead]
+            qhead += 1
+            watchers = watches[neg]
+            kept = 0               # watchers[:kept] stay on neg, in order
             for pos, ci in enumerate(watchers):
-                clause = self.clauses[ci]
-                if clause[0] == neg:
-                    clause[0], clause[1] = clause[1], clause[0]
+                clause = clauses[ci]
                 first = clause[0]
-                if self.value(first) is True:
-                    kept.append(ci)
+                if first == neg:
+                    first = clause[0] = clause[1]
+                    clause[1] = neg
+                val = vals[first]
+                if val:
+                    watchers[kept] = ci
+                    kept += 1
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self.value(clause[k]) is not False:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self.watches.setdefault(clause[1], []).append(ci)
-                        moved = True
+                    other = clause[k]
+                    if vals[other] is not False:
+                        clause[1] = other
+                        clause[k] = neg
+                        watches[other].append(ci)
                         break
-                if moved:
-                    continue
-                kept.append(ci)
-                if self.value(first) is False:
-                    kept.extend(watchers[pos + 1:])
-                    self.watches[neg] = kept
-                    return ci
-                self._enqueue(first, ci)
-            self.watches[neg] = kept
-        return None
+                else:
+                    watchers[kept] = ci
+                    kept += 1
+                    if val is False:
+                        confl = ci
+                        del watchers[kept:pos + 1]   # the unvisited ones stay
+                        break
+                    vals[first] = True
+                    vals[-first] = False
+                    var = abs(first)
+                    level[var] = lvl
+                    reason[var] = ci
+                    trail.append(first)
+            if confl is not None:
+                break
+            del watchers[kept:]
+        self.qhead = qhead
+        self.propagations += qhead - start
+        return confl
 
     # ----------------------------------------------------------------- learning
 
     def _analyze(self, confl):
-        cur = self.decision_level()
+        trail, level, reason, clauses = self.trail, self.level, self.reason, self.clauses
+        activity, heap, var_inc = self.activity, self.heap, self.var_inc
+        push = heapq.heappush
+        cur = len(self.trail_lim)
         seen = set()
         tail = []              # literals from lower decision levels
         pathc = 0
-        p = None
-        reason_clause = self.clauses[confl]
-        idx = len(self.trail) - 1
+        p = 0                  # no literal yet
+        reason_clause = clauses[confl]
+        idx = len(trail) - 1
         while True:
             for q in reason_clause:
-                if p is not None and q == p:
+                if q == p:
                     continue
                 var = abs(q)
-                if var in seen or self.level[var] == 0:
+                if var in seen or level[var] == 0:
                     continue
                 seen.add(var)
-                self._bump(var)
-                if self.level[var] >= cur:
+                activity[var] = act = (activity[var] or 0.0) + var_inc
+                push(heap, (-act, var))
+                if act > 1e100:
+                    self._rescale()
+                    heap, var_inc = self.heap, self.var_inc
+                if level[var] >= cur:
                     pathc += 1
                 else:
                     tail.append(q)
-            while abs(self.trail[idx]) not in seen:
+            while abs(trail[idx]) not in seen:
                 idx -= 1
-            p = self.trail[idx]
+            p = trail[idx]
             idx -= 1
             pathc -= 1
             if pathc == 0:
                 break
-            reason_clause = self.clauses[self.reason[abs(p)]]
+            reason_clause = clauses[reason[abs(p)]]
         # local minimization: drop tail literals whose reason is subsumed
         learnt = [-p]
         for q in tail:
-            r = self.reason.get(abs(q))
+            r = reason[abs(q)]
             if r is not None and all(
-                    abs(m) in seen or self.level[abs(m)] == 0
-                    for m in self.clauses[r] if m != -q):
+                    abs(m) in seen or level[abs(m)] == 0
+                    for m in clauses[r] if m != -q):
                 continue
             learnt.append(q)
         if len(learnt) == 1:
             bt_level = 0
         else:
-            bt_level = max(self.level[abs(q)] for q in learnt[1:])
+            bt_level = max(level[abs(q)] for q in learnt[1:])
         return learnt, bt_level
 
     def _emit(self, lits):
@@ -275,34 +343,35 @@ class Solver:
 
     def _learn(self, learnt, bt_level):
         self._emit(learnt)
+        level = self.level
         if len(learnt) > 1:
             # watch a max-level literal at position 1 so the watch pair is
             # exactly the pair that un-assigns last on backtracking
-            k = max(range(1, len(learnt)), key=lambda i: self.level[abs(learnt[i])])
+            k = max(range(1, len(learnt)), key=lambda i: level[abs(learnt[i])])
             learnt[1], learnt[k] = learnt[k], learnt[1]
         self._backtrack(bt_level)
+        idx = len(self.clauses)
+        self.clauses.append(list(learnt))
         if len(learnt) == 1:
-            self.clauses.append(list(learnt))
             self._enqueue(learnt[0], None)
         else:
-            idx = len(self.clauses)
-            self.clauses.append(list(learnt))
-            self.watches.setdefault(learnt[0], []).append(idx)
-            self.watches.setdefault(learnt[1], []).append(idx)
+            self.watches[learnt[0]].append(idx)
+            self.watches[learnt[1]].append(idx)
             self._enqueue(learnt[0], idx)
         self.var_inc /= self.var_decay
 
     # ------------------------------------------------------------------ solving
 
     def _pick_branch(self):
-        while self.heap:
-            _, var = heapq.heappop(self.heap)
-            if var not in self.assign:
-                return var if self.phase.get(var, False) else -var
+        heap, vals = self.heap, self.vals
+        while heap:
+            _, var = heapq.heappop(heap)
+            if vals[var] is None:
+                return var if self.phase[var] else -var
         return None
 
     def _model(self):
-        model = dict(self.assign)
+        model = {abs(lit): lit > 0 for lit in self.trail}
         for var in self.taut_vars:
             model.setdefault(var, False)
         return model
@@ -318,10 +387,12 @@ class Solver:
         is global; with assumptions it only refutes the cube.
         """
         assumptions = list(assumptions)
+        self._grow(max(map(abs, assumptions), default=0))
         self._backtrack(0)
         if not self.ok:
             self._emit_empty()
             return self._result(UNSAT)
+        vals = self.vals
         conflicts_here = 0
         budget = self.conflict_budget
         restart_idx = 1
@@ -331,7 +402,7 @@ class Solver:
             if confl is not None:
                 self.conflicts += 1
                 conflicts_here += 1
-                if self.decision_level() == 0:
+                if not self.trail_lim:
                     self.ok = False
                     self._emit_empty()
                     return self._result(UNSAT)
@@ -346,9 +417,9 @@ class Solver:
                     self._backtrack(0)
                 continue
             lit = None
-            while self.decision_level() < len(assumptions):
-                cand = assumptions[self.decision_level()]
-                val = self.value(cand)
+            while len(self.trail_lim) < len(assumptions):
+                cand = assumptions[len(self.trail_lim)]
+                val = vals[cand]
                 if val is True:
                     self._new_level()
                     continue

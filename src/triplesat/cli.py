@@ -80,7 +80,7 @@ def _settings(args, keys):
     """defaults.cfg, then the --config file if one is given, then every
     flag among `keys` that is given; unset flags are None."""
     values = pipeline.default_config()
-    if getattr(args, "config", None):
+    if args.config:
         values.update(pipeline.load_config(args.config))
     values.update((key, getattr(args, key)) for key in keys
                   if getattr(args, key) is not None)
@@ -127,12 +127,19 @@ def cmd_split(args):
     return 0
 
 
+def _print_counters(result):
+    """The solver's counters; a result carries its solver's running totals."""
+    for name in ("conflicts", "decisions", "propagations"):
+        print("c %s %d" % (name, getattr(result, name)))
+
+
 def cmd_solve(args):
     proof = [] if args.proof else None
     if args.cubes:
         formula, cube_list = parse_inccnf(_read(args.cubes))
         results = cdcl.solve_incremental(formula, cube_list, proof=proof,
                                          conflict_budget=args.conflict_budget)
+        _print_counters(results[-1] if results else cdcl.SolveResult(cdcl.UNSAT))
         verdicts = [r.verdict for r in results]
         if cdcl.SAT in verdicts:
             sat = results[verdicts.index(cdcl.SAT)]
@@ -147,6 +154,7 @@ def cmd_solve(args):
         formula = _load_formula(getattr(args, "in"))
         result = cdcl.solve(formula, proof=proof,
                             conflict_budget=args.conflict_budget)
+        _print_counters(result)
         code = _print_verdict(result.verdict, result.model)
     if args.proof:
         _write(args.proof, drat.write_drat(proof))
@@ -232,6 +240,9 @@ def build_parser():
         description="cube-and-conquer pipeline for the boolean Pythagorean "
                     "triples problem")
     sub = parser.add_subparsers(dest="command", required=True)
+    # split and pipeline read the same settings, so they share --config
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--config", help="key = value file over defaults.cfg")
 
     p = sub.add_parser("encode", help="emit the DIMACS encoding for {1..n}")
     p.add_argument("--n", type=int, required=True)
@@ -247,7 +258,8 @@ def build_parser():
     p.add_argument("--break-symmetry", action="store_true")
     p.set_defaults(func=cmd_transform)
 
-    p = sub.add_parser("split", help="look-ahead cube splitting")
+    p = sub.add_parser("split", help="look-ahead cube splitting",
+                       parents=[settings])
     p.add_argument("--in", required=True)
     p.add_argument("--out")
     p.add_argument("--tree")
@@ -280,10 +292,10 @@ def build_parser():
     p.add_argument("--out")
     p.set_defaults(func=cmd_unpack_cubes)
 
-    p = sub.add_parser("pipeline", help="run all phases end to end")
+    p = sub.add_parser("pipeline", help="run all phases end to end",
+                       parents=[settings])
     p.add_argument("--n", type=int)
     p.add_argument("--in")
-    p.add_argument("--config")
     p.add_argument("--mode", help=_MODE_HELP)
     p.add_argument("--cutoff")
     p.add_argument("--second-cutoff")

@@ -154,7 +154,7 @@ class Propagator:
                     if other in true:
                         break
                     if -other not in true:
-                        if unit is not None:
+                        if unit is not None and other != unit:
                             break  # two unassigned: not a unit
                         unit = other
                 else:

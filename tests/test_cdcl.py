@@ -90,6 +90,58 @@ def test_assumptions_not_emitted():
     assert proof == []
 
 
+def test_assumption_beyond_formula_variables():
+    solver = Solver(Formula([(1, 2)]))
+    result = solver.solve(assumptions=[-1, 7])
+    assert result.verdict == SAT
+    assert result.model[2] is True and result.model[7] is True
+    assert solver.solve(assumptions=[-2, -7]).model[1] is True
+
+
+def test_add_clause_after_solve():
+    solver = Solver(Formula([(1, 2)]))
+    assert solver.solve().verdict == SAT
+    solver.add_clause([-1])
+    solver.add_clause([-2, 9])       # variables beyond num_vars
+    solver.add_clause([-9, 12])
+    result = solver.solve()
+    assert result.verdict == SAT
+    assert [result.model[v] for v in (1, 2, 9, 12)] == [False, True, True, True]
+    solver.add_clause([-12])
+    assert solver.solve().verdict == UNSAT
+
+
+def test_add_refuted_beyond_formula_variables():
+    proof = []
+    solver = Solver(Formula([(1, 2)]), proof=proof)
+    solver.add_refuted([7, 8])
+    assert solver.solve(assumptions=[7]).model[8] is False
+    solver.add_refuted([9])
+    assert solver.solve().model[9] is False
+    assert solver.solve(assumptions=[9]).verdict == UNSAT
+    assert proof == [("a", (-7, -8)), ("a", (-9,))]
+
+
+def test_repeated_literals_and_tautologies():
+    formula = Formula([(2, 2, 1), (3, -3, 4), (-1,)])
+    solver = Solver(formula)
+    assert solver.clauses == [[2, 1], [-1]]
+    assert solver.taut_vars == {3, 4}
+    result = solver.solve()
+    assert result.verdict == SAT
+    # the tautology's variables occur nowhere else and default to False
+    assert result.model == {1: False, 2: True, 3: False, 4: False}
+
+
+def test_literal_zero_rejected():
+    with pytest.raises(ValueError):
+        Solver(Formula([(1, 0)]))
+    solver = Solver(Formula([(1, 2)]))
+    with pytest.raises(ValueError):
+        solver.add_clause([3, 0])
+    assert solver.solve().verdict == SAT
+
+
 def test_incremental_fig1(fig1_formula):
     proof = []
     results = solve_incremental(fig1_formula, [(1,), (-1,)], proof=proof)

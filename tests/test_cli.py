@@ -2,10 +2,10 @@ import dataclasses
 
 import pytest
 
-from triplesat import pipeline
+from triplesat import cdcl, pipeline
 from triplesat.cli import main
 from triplesat.cnf import parse_dimacs, write_dimacs
-from triplesat.lookahead import PTN_PARAMS, RND_PARAMS
+from triplesat.lookahead import PTN_PARAMS, RND_PARAMS, parse_inccnf
 
 from conftest import ap3_formula, run_python
 
@@ -80,6 +80,27 @@ def test_solve_indeterminate_exit_code(tmp_path, capsys):
     assert "s UNKNOWN" in capsys.readouterr().out
 
 
+def test_solve_prints_counters(tmp_path, capsys):
+    formula = ap3_formula(9)
+    cnf = tmp_path / "w.cnf"
+    cnf.write_text(write_dimacs(formula))
+    icnf = tmp_path / "w.icnf"
+    assert main(["split", "--in", str(cnf), "--cutoff", "depth:3",
+                 "--out", str(icnf)]) == 0
+    cube_list = parse_inccnf(icnf.read_text())[1]
+    capsys.readouterr()
+    for argv, result in (
+            (["--in", str(cnf)], cdcl.solve(formula)),
+            # with cubes, the counts cover the whole incremental solve
+            (["--cubes", str(icnf)], cdcl.solve_incremental(formula, cube_list)[-1])):
+        assert main(["solve"] + argv) == 20
+        assert capsys.readouterr().out.splitlines() == [
+            "c conflicts %d" % result.conflicts,
+            "c decisions %d" % result.decisions,
+            "c propagations %d" % result.propagations,
+            "s UNSATISFIABLE"]
+
+
 def test_check_fig1(tmp_path, capsys):
     cnf = tmp_path / "fig1.cnf"
     cnf.write_text(FIG1_TEXT)
@@ -149,6 +170,17 @@ def test_pipeline_cli_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("cutoff = depth:2\nmode = count_bin\n")
     assert main(["pipeline", "--n", "30", "--config", str(cfg)]) == 0
+
+
+def test_split_cli_config(tmp_path, capsys):
+    cnf = tmp_path / "w.cnf"
+    cnf.write_text(write_dimacs(ap3_formula(9)))
+    cfg = tmp_path / "split.cfg"
+    cfg.write_text("cutoff = depth:0\n")
+    argv = ["split", "--in", str(cnf), "--out", str(tmp_path / "w.icnf")]
+    assert main(argv) == 0
+    assert main(argv + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["c 2 cubes", "c 1 cubes"]
 
 
 def test_cli_import_leaves_numpy_out(tmp_path):

@@ -102,6 +102,13 @@ def test_unit_propagate_contradictory_assumptions():
     assert assignment == {}
 
 
+def test_unit_propagate_repeated_literal_is_one_literal():
+    # Formula keeps clauses as given, so a literal may occur twice
+    assert propagate_clauses([(2, 2, 1)], [-1]) == ({1: False, 2: True}, False)
+    assert propagate_clauses([(2, 2, 1)], [-1, -2])[1]
+    assert propagate_clauses([(2, -2, 1)], [-1]) == ({1: False}, False)
+
+
 def test_unit_propagate_fixpoint_order_independent(rng):
     """The fixpoint must not depend on propagation order: compare against a
     naive reference that processes unit clauses in random order."""
