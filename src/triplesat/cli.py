@@ -108,6 +108,7 @@ def cmd_transform(args):
             emit_transform_proof(formula, stack, pivot)))
     if args.stack:
         _write(args.stack, write_stack(stack))
+    print("c eliminated %d" % len(stack))
     if pivot is not None:
         print("c symmetry pivot %d" % pivot)
     return 0

@@ -192,9 +192,9 @@ def resolve(c1, c2, var):
 
 def is_flip_symmetric(formula):
     """True iff complementing every literal permutes the clause multiset."""
-    counts = Counter(frozenset(c) for c in formula.clauses)
-    flipped = Counter(frozenset(-l for l in c) for c in formula.clauses)
-    return counts == flipped
+    counts = Counter(map(frozenset, formula.clauses))
+    return all(counts[frozenset(-l for l in lits)] == k
+               for lits, k in counts.items())
 
 
 def parse_dimacs(text):

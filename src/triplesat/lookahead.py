@@ -313,6 +313,8 @@ def split(formula, cutoff, mode=MODE_PTN, params=None, preselect=1.0):
         assign, conflict = propagate_clauses(clauses, assumed)
         if conflict:
             return Leaf(REFUTED)
+        if depth >= cutoff.depth_limit:
+            return Leaf(CUTOFF)
         residual = residual_clauses(clauses, assign)
         while True:
             if not residual:

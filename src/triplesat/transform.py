@@ -6,6 +6,12 @@ with the current formula is tautological.  Removing blocked clauses
 preserves satisfiability; a model of the reduced formula is repaired by
 re-adding the eliminated clauses in reverse order and flipping the
 blocking literal wherever a clause is left unsatisfied.
+
+`bce` eliminates the lowest-index blocked clause first, on its first
+blocking literal.  It caches, per literal of each clause, a witness
+partner whose resolvent is not tautological: a clause is re-checked only
+when one of its witnesses is eliminated, and then only on the literals
+that lost theirs.
 """
 
 from __future__ import annotations
@@ -29,52 +35,58 @@ class EliminationRecord:
 def bce(formula):
     """Eliminate blocked clauses to fixpoint.
 
-    Returns (reduced Formula, elimination stack in removal order).
-    Candidates are examined in clause-index order; neighbours of an
-    eliminated clause are re-queued.
+    Returns (reduced Formula, elimination stack in removal order).  The
+    next clause eliminated is always the lowest-index clause that is
+    blocked at that moment, on its first blocking literal in clause order.
+
+    Each literal position of each clause keeps a witness: a live partner
+    clause whose resolvent on that literal is not tautological.  Clauses
+    never change, so a live witness stays valid, and a popped clause
+    re-scans only the positions whose witness has been eliminated.  A
+    clause whose witnesses all live cannot be blocked; so when a clause D
+    is eliminated, only the live neighbours of D that hold D as a witness
+    are re-queued.
     """
     clauses = [tuple(c) for c in formula.clauses]
-    lit_sets = [frozenset(c) for c in clauses]
     occ = defaultdict(set)
-    for idx, lits in enumerate(lit_sets):
-        for lit in lits:
+    offsets = [0]    # witness[offsets[idx]:offsets[idx + 1]] are clause idx's
+    for idx, clause in enumerate(clauses):
+        for lit in clause:
             occ[lit].add(idx)
-    alive = [True] * len(clauses)
-    heap = list(range(len(clauses)))
-    heapq.heapify(heap)
-    pending = set(heap)
+        offsets.append(offsets[-1] + len(clause))
+    witness = [-1] * offsets[-1]
+    alive = [True] * len(clauses) + [False]   # alive[-1] is False: no witness yet
+    heap = list(range(len(clauses)))          # sorted, so already a heap
+    pending = [True] * len(clauses)
     stack = []
 
     while heap:
         idx = heapq.heappop(heap)
-        if idx not in pending:
-            continue
-        pending.discard(idx)
-        if not alive[idx]:
-            continue
+        pending[idx] = False
         clause = clauses[idx]
+        slot = offsets[idx]
         blocking = None
         for lit in clause:
-            rest = [m for m in clause if m != lit]
-            for j in occ[-lit]:
-                if j == idx:
-                    continue
-                partner = lit_sets[j]
-                if not any(-m in partner for m in rest):
+            if not alive[witness[slot]]:
+                clash = {-m for m in clause if m != lit}
+                for j in occ[-lit]:
+                    if j != idx and clash.isdisjoint(clauses[j]):
+                        witness[slot] = j
+                        break
+                else:
+                    blocking = lit
                     break
-            else:
-                blocking = lit
-                break
+            slot += 1
         if blocking is None:
             continue
         alive[idx] = False
-        for lit in lit_sets[idx]:
+        for lit in clause:
             occ[lit].discard(idx)
         stack.append(EliminationRecord(clause, blocking, len(stack)))
-        for lit in lit_sets[idx]:
+        for lit in clause:
             for j in occ[-lit]:
-                if alive[j] and j not in pending:
-                    pending.add(j)
+                if not pending[j] and idx in witness[offsets[j]:offsets[j + 1]]:
+                    pending[j] = True
                     heapq.heappush(heap, j)
 
     reduced = [c for i, c in enumerate(clauses) if alive[i]]

@@ -5,6 +5,7 @@ recursive enumeration with clause-falsification pruning) so they share
 no machinery with the solver under test.
 """
 
+import heapq
 import os
 import random
 import subprocess
@@ -17,6 +18,7 @@ import pytest
 from triplesat.cnf import Formula, is_flip_symmetric, lit_value
 from triplesat.drat import CheckResult
 from triplesat.lookahead import CUTOFF, Leaf, Node
+from triplesat.transform import EliminationRecord
 
 
 REPO = Path(__file__).resolve().parents[1]
@@ -131,6 +133,62 @@ def ap3_formula(n):
             clauses.append(progression)
             clauses.append(tuple(-x for x in progression))
     return Formula(clauses, n)
+
+
+def reference_bce(formula):
+    """Blocked clause elimination by re-checking every re-queued clause in
+    full: the oracle of `transform.bce`, which must return the same
+    reduced formula and the same elimination stack.
+
+    Candidates are examined in clause-index order; neighbours of an
+    eliminated clause are re-queued.
+    """
+    clauses = [tuple(c) for c in formula.clauses]
+    lit_sets = [frozenset(c) for c in clauses]
+    occ = defaultdict(set)
+    for idx, lits in enumerate(lit_sets):
+        for lit in lits:
+            occ[lit].add(idx)
+    alive = [True] * len(clauses)
+    heap = list(range(len(clauses)))
+    heapq.heapify(heap)
+    pending = set(heap)
+    stack = []
+
+    while heap:
+        idx = heapq.heappop(heap)
+        if idx not in pending:
+            continue
+        pending.discard(idx)
+        if not alive[idx]:
+            continue
+        clause = clauses[idx]
+        blocking = None
+        for lit in clause:
+            rest = [m for m in clause if m != lit]
+            for j in occ[-lit]:
+                if j == idx:
+                    continue
+                partner = lit_sets[j]
+                if not any(-m in partner for m in rest):
+                    break
+            else:
+                blocking = lit
+                break
+        if blocking is None:
+            continue
+        alive[idx] = False
+        for lit in lit_sets[idx]:
+            occ[lit].discard(idx)
+        stack.append(EliminationRecord(clause, blocking, len(stack)))
+        for lit in lit_sets[idx]:
+            for j in occ[-lit]:
+                if alive[j] and j not in pending:
+                    pending.add(j)
+                    heapq.heappush(heap, j)
+
+    reduced = [c for i, c in enumerate(clauses) if alive[i]]
+    return Formula(reduced, formula.num_vars), stack
 
 
 def reference_propagate(clauses, assumptions=(), order_rng=None):

@@ -6,6 +6,7 @@ from triplesat import cdcl, pipeline
 from triplesat.cli import main
 from triplesat.cnf import parse_dimacs, write_dimacs
 from triplesat.lookahead import PTN_PARAMS, RND_PARAMS, parse_inccnf
+from triplesat.transform import parse_stack
 
 from conftest import ap3_formula, run_python
 
@@ -48,6 +49,19 @@ def test_transform_pipeline_files(tmp_path):
     assert out.exists() and proof.exists() and stack.exists()
     reduced = parse_dimacs(out.read_text())
     assert len(reduced.clauses) < 2 * 52  # strictly fewer than encode(100)
+
+
+def test_transform_prints_eliminated_count(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    main(["encode", "--n", "300", "--out", str(cnf)])
+    stack = tmp_path / "f.stack"
+    capsys.readouterr()
+    assert main(["transform", "--in", str(cnf), "--out", str(tmp_path / "f.t.cnf"),
+                 "--stack", str(stack), "--break-symmetry"]) == 0
+    records = parse_stack(stack.read_text())
+    assert len(records) == 200
+    assert capsys.readouterr().out.splitlines() == [
+        "c eliminated %d" % len(records), "c symmetry pivot 120"]
 
 
 def test_split_solve_check_unsat(tmp_path, capsys):

@@ -190,3 +190,38 @@ def test_flip_symmetry():
     assert is_flip_symmetric(Formula([]))
     # multiplicity matters
     assert not is_flip_symmetric(Formula([(1, 2), (1, 2), (-1, -2)]))
+
+
+def test_flip_symmetry_matches_two_counters():
+    """One Counter looked up under the flip agrees with comparing the
+    clause multiset against its flipped copy."""
+    from collections import Counter
+
+    def two_counters(formula):
+        counts = Counter(frozenset(c) for c in formula.clauses)
+        flipped = Counter(frozenset(-l for l in c) for c in formula.clauses)
+        return counts == flipped
+
+    rng = random.Random(9)
+    outcomes = Counter()
+    for _ in range(2000):
+        half = list(random_formula(rng, max_vars=5, max_clauses=6).clauses)
+        half += rng.sample(half, rng.randint(0, len(half)))   # repeated clauses
+        clauses = half + [tuple(-l for l in c) for c in half]
+        # near misses: one clause dropped, doubled or with one literal flipped
+        edit = rng.randrange(4)
+        if edit == 1:
+            clauses.pop(rng.randrange(len(clauses)))
+        elif edit == 2:
+            clauses.append(rng.choice(clauses))
+        elif edit == 3:
+            at = rng.randrange(len(clauses))
+            clause = list(clauses[at])
+            clause[0] = -clause[0]
+            clauses[at] = tuple(clause)
+        rng.shuffle(clauses)
+        formula = Formula(clauses)
+        expected = two_counters(formula)
+        assert is_flip_symmetric(formula) == expected
+        outcomes[expected] += 1
+    assert min(outcomes[True], outcomes[False]) >= 400, outcomes

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from triplesat import lookahead
 from triplesat.cnf import DimacsError, Formula, propagate_clauses
 from triplesat.encoder import encode
 from triplesat.lookahead import (CUTOFF, CutoffPolicy, HeuristicParams, HTable,
@@ -193,6 +194,28 @@ def test_split_depth_zero():
     tree = split(encode(20), parse_cutoff("depth:0"))
     assert isinstance(tree, Leaf)
     assert cubes(tree) == [()]
+
+
+def test_split_depth_limit_builds_no_residual(monkeypatch):
+    """A node at the depth limit is a cutoff leaf once its fixpoint holds."""
+    built = []
+
+    def counting(clauses, assign, original=residual_clauses):
+        built.append(len(assign))
+        return original(clauses, assign)
+
+    monkeypatch.setattr(lookahead, "residual_clauses", counting)
+    tree = split(encode(60), parse_cutoff("depth:1"))
+    assert isinstance(tree, Node)
+    assert tree.yes == tree.no == Leaf(CUTOFF)
+    assert built == [0]   # one residual: the root's, under the empty assignment
+
+
+def test_split_refuted_at_depth_limit():
+    # the fixpoint conflicts, so the leaf is refuted even where the depth
+    # limit alone would make it a cutoff leaf
+    formula = Formula([(1, 2), (-1,), (-2, 3), (-3,)])
+    assert split(formula, parse_cutoff("depth:0")) == Leaf(REFUTED)
 
 
 def test_split_policy_postcondition_encode100():

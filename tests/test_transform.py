@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 
 from triplesat.cnf import DimacsError, Formula, SATISFIED, evaluate
@@ -5,7 +8,7 @@ from triplesat.transform import (bce, emit_transform_proof, parse_stack,
                                  reconstruct, symmetry_break, write_stack)
 from triplesat.encoder import encode, occurrence_stats
 
-from conftest import brute_force, brute_sat, random_formula
+from conftest import brute_force, brute_sat, random_formula, reference_bce
 
 
 def specialized_ptn_reduction(n):
@@ -42,6 +45,63 @@ def test_bce_stack_records_are_ordered():
     assert [r.order_index for r in stack] == list(range(len(stack)))
     for record in stack:
         assert record.blocking_literal in record.clause
+
+
+def records(stack):
+    return [(r.clause, r.blocking_literal, r.order_index) for r in stack]
+
+
+@pytest.mark.parametrize("n", [30, 300, 1000, 7825])
+def test_bce_matches_reference_on_encoding(n):
+    formula = encode(n)
+    reduced, stack = bce(formula)
+    expected_reduced, expected_stack = reference_bce(formula)
+    assert reduced.clauses == expected_reduced.clauses
+    assert records(stack) == records(expected_stack)
+
+
+def random_messy_formula(rng):
+    """Clauses of width 0-4 drawn with replacement, so repeated literals,
+    tautologies, units and empty clauses all occur."""
+    num_vars = rng.randint(1, 6)
+    clauses = []
+    for _ in range(rng.randint(0, 16)):
+        width = rng.choice((0, 1, 1, 2, 2, 3, 3, 3, 4))
+        clauses.append(tuple(rng.choice((-1, 1)) * rng.randint(1, num_vars)
+                             for _ in range(width)))
+    return Formula(clauses, num_vars)
+
+
+def test_bce_matches_reference_on_random_formulas():
+    rng = random.Random(8)
+    seen = dict.fromkeys(("repeated", "tautology", "unit", "empty", "requeued"), 0)
+    for _ in range(2500):
+        formula = random_messy_formula(rng)
+        reduced, stack = bce(formula)
+        expected_reduced, expected_stack = reference_bce(formula)
+        assert reduced.clauses == expected_reduced.clauses
+        assert records(stack) == records(expected_stack)
+        for clause in formula.clauses:
+            seen["repeated"] += len(set(clause)) < len(clause)
+            seen["tautology"] += any(-lit in clause for lit in clause)
+            seen["unit"] += len(clause) == 1
+            seen["empty"] += not clause
+        if len(set(formula.clauses)) == len(formula.clauses):
+            # an elimination out of index order: a clause was re-queued
+            order = [formula.clauses.index(r.clause) for r in stack]
+            seen["requeued"] += order != sorted(order)
+    assert min(seen.values()) >= 100, seen
+
+
+@pytest.mark.parametrize("n, digest, count, pivot",
+                         [(300, "f2ea2e47e2479484", 200, 120),
+                          (7825, "08a52704e69bb2cf", 4272, 2520)])
+def test_bce_stack_pinned(n, digest, count, pivot):
+    """The elimination order, as the stack file records it."""
+    reduced, stack = bce(encode(n))
+    assert hashlib.sha256(write_stack(stack).encode()).hexdigest()[:16] == digest
+    assert len(stack) == count
+    assert symmetry_break(reduced)[1] == pivot
 
 
 def test_bce_no_blocked_clause_remains(rng):
