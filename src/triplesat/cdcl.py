@@ -20,6 +20,7 @@ UNSAT = "UNSAT"
 INDETERMINATE = "indeterminate"
 
 LUBY_UNIT = 100   # conflicts per unit of the Luby restart sequence
+VAR_DECAY = 0.95  # activity decay per conflict, as in MiniSat
 
 
 @dataclass
@@ -55,8 +56,7 @@ class Solver:
     when a variable beyond `cap` arrives.
     """
 
-    def __init__(self, formula=None, proof=None, conflict_budget=None,
-                 var_decay=0.95):
+    def __init__(self, formula=None, proof=None, conflict_budget=None):
         self.clauses = []          # list of lists; watched at positions 0 and 1
         self.cap = 0               # variables 1..cap have slots below
         self.vals = [None]         # literal -> True/False, None if unassigned
@@ -69,7 +69,6 @@ class Solver:
         self.trail_lim = []
         self.qhead = 0
         self.var_inc = 1.0
-        self.var_decay = var_decay
         self.heap = []
         self.ok = True
         self.proof = proof         # list sink of ("a"|"d", clause) lines
@@ -358,7 +357,7 @@ class Solver:
             self.watches[learnt[0]].append(idx)
             self.watches[learnt[1]].append(idx)
             self._enqueue(learnt[0], idx)
-        self.var_inc /= self.var_decay
+        self.var_inc /= VAR_DECAY
 
     # ------------------------------------------------------------------ solving
 
@@ -439,22 +438,20 @@ class Solver:
             self._enqueue(lit, None)
 
 
-def solve(formula, proof=None, conflict_budget=None, **kwargs):
+def solve(formula, proof=None, conflict_budget=None):
     """One-shot solve; an UNSAT verdict leaves a DRAT refutation in `proof`."""
-    solver = Solver(formula, proof=proof, conflict_budget=conflict_budget, **kwargs)
+    solver = Solver(formula, proof=proof, conflict_budget=conflict_budget)
     return solver.solve()
 
 
-def solve_incremental(formula, cube_list, proof=None, conflict_budget=None,
-                      **kwargs):
+def solve_incremental(formula, cube_list, proof=None, conflict_budget=None):
     """Solve the formula under each cube in order with one incremental solver.
 
     Learned clauses and heuristic state persist across cubes.  Each
     refuted cube contributes the clause negating it, both to the proof
     and to the clause database.
     """
-    solver = Solver(formula, proof=proof, conflict_budget=conflict_budget,
-                    **kwargs)
+    solver = Solver(formula, proof=proof, conflict_budget=conflict_budget)
     results = []
     for cube in cube_list:
         result = solver.solve(assumptions=cube)

@@ -205,8 +205,7 @@ def cmd_pipeline(args):
         workers=int(values["workers"]),
         conflict_budget=args.conflict_budget,
         params=pipeline.config_params(values),
-        preselect=float(values["preselect"]),
-        var_decay=float(values["var_decay"]))
+        preselect=float(values["preselect"]))
     result = pipeline.run(config)
     for phase, seconds in result.report.phase_times.items():
         print("c %-10s %8.3fs" % (phase, seconds))

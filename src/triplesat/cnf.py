@@ -64,11 +64,6 @@ class Formula:
             self.num_vars = top
 
 
-def variables(clauses):
-    """Set of variables occurring in an iterable of clauses."""
-    return {abs(l) for c in clauses for l in c}
-
-
 def lit_value(assignment, lit):
     """Value of a literal under a partial assignment, or None if unassigned."""
     val = assignment.get(abs(lit))

@@ -8,22 +8,25 @@ rounds: each round scales by the current mean and clamps into
 [alpha, beta], with gamma weighting binary-clause contributions.
 
 All look-aheads of one split node go through one `LookaheadEngine`,
-built once from the node's residual on `cnf.Propagator`, the same
-unit-propagation loop that computes each node's fixpoint.  It
-propagates each literal on a trail of its own and weighs only the
-ternary clauses that contain the negation of a trail literal, in clause
-order, so weights, scores and trees are exactly those of propagating and
-rescanning the whole residual per look-ahead.
+built once from the node's residual on `cnf.Propagator`.  It propagates
+each literal on a trail of its own and weighs only the ternary clauses
+that contain the negation of a trail literal, in clause order, so
+weights, scores and trees are exactly those of propagating and
+rescanning the whole residual per look-ahead.  A child node settles on
+its parent's engine: only the root's fixpoint runs over the whole
+formula.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .cnf import (DimacsError, Formula, Propagator, lit_value,
-                  parse_clause_line, propagate_clauses)
+# `propagate_clauses` is not called here: bench/spans.py wraps it where
+# `lookahead` looks it up, so the name must stay importable from here.
+from .cnf import (DimacsError, Formula, Propagator, parse_clause_line,
+                  propagate_clauses)
 
 CUTOFF = "cutoff"
 REFUTED = "refuted"
@@ -97,7 +100,8 @@ class CutoffPolicy:
 
 
 def parse_cutoff(spec):
-    """Parse 'bin:3000', 'vars:3450', 'depth:20', or comma-joined combinations."""
+    """Parse 'bin:3000', 'vars:3450', 'depth:20', or comma-joined
+    combinations; no value may be negative."""
     policy = CutoffPolicy()
     for part in spec.split(","):
         part = part.strip()
@@ -111,6 +115,8 @@ def parse_cutoff(spec):
         except ValueError:
             raise ValueError("cutoff %r: %r is not an integer"
                              % (part, value)) from None
+        if value < 0:
+            raise ValueError("cutoff %r: %d is negative" % (part, value))
         if kind == "bin":
             policy.min_binaries = value
         elif kind == "vars":
@@ -126,20 +132,18 @@ class LookaheadError(ValueError):
     """Residual formula is not in binary/ternary form; heuristic undefined."""
 
 
-def residual_clauses(clauses, assignment):
-    """Reduce clauses under an assignment: drop satisfied, strip false literals."""
+def residual_clauses(clauses, true):
+    """Reduce clauses under a set of true literals: drop satisfied clauses,
+    strip false literals, keep clause and literal order."""
     residual = []
     for clause in clauses:
         reduced = []
-        satisfied = False
         for lit in clause:
-            val = lit_value(assignment, lit)
-            if val is True:
-                satisfied = True
+            if lit in true:
                 break
-            if val is None:
+            if -lit not in true:
                 reduced.append(lit)
-        if not satisfied:
+        else:
             residual.append(tuple(reduced))
     return residual
 
@@ -189,6 +193,7 @@ class LookaheadEngine(Propagator):
 
     def __init__(self, residual, table):
         super().__init__(residual)
+        self.table = table
         self.h = table.values
 
     def look_ahead(self, lit):
@@ -248,20 +253,18 @@ def _candidates(residual, table, preselect):
     return sorted(ranked[:keep])
 
 
-def _measure(residual, table, mode, preselect=1.0):
+def _measure(engine, mode, preselect=1.0):
     """Look ahead on both polarities of every candidate variable.
 
-    Returns (best variable or None, list of failed literals, scores dict).
-    A variable refuted in both polarities is reported via a score of the
-    special value None in `failed` handling by the caller: here we return
-    best=None and failed containing both polarities.
+    Returns (best variable, failed literals, scores).  The best is the
+    smallest of the top-scoring variables that neither polarity refutes,
+    or None.  Every refuted literal is failed and its variable unscored.
     """
-    engine = LookaheadEngine(residual, table)
     best_var = None
     best_score = -1.0
     failed = []
     scores = {}
-    for var in _candidates(residual, table, preselect):
+    for var in _candidates(engine.clauses, engine.table, preselect):
         pos = engine.look_ahead(var)
         neg = engine.look_ahead(-var)
         if pos[3]:
@@ -279,12 +282,13 @@ def _measure(residual, table, mode, preselect=1.0):
 
 
 def branch_scores(formula, assignment, mode, params=None):
-    """Score table {variable: score} for one mode; inspection helper."""
+    """Score table {variable: score} for one mode under `assignment`
+    {variable: bool}; inspection helper."""
     params = params or params_for_mode(mode)
-    residual = residual_clauses(formula.clauses, assignment)
-    table = _compute_h(residual, params)
-    _, _, scores = _measure(residual, table, mode)
-    return scores
+    true = {var if value else -var for var, value in assignment.items()}
+    residual = residual_clauses(formula.clauses, true)
+    engine = LookaheadEngine(residual, _compute_h(residual, params))
+    return _measure(engine, mode)[2]
 
 
 def check_mode(mode):
@@ -300,51 +304,51 @@ def split(formula, cutoff, mode=MODE_PTN, params=None, preselect=1.0):
     Decisions propagate fully between levels; failed literals force their
     complement at the same node; a node whose variable fails in both
     polarities (or whose residual is conflicting) becomes a refuted leaf.
+    Only the root propagates over the whole formula.  A child's decision,
+    or a round of forced complements, propagates on the look-ahead engine
+    of the residual before it, which has no unit or empty clause left, so
+    fixpoints and residuals are those over the whole formula.
     Nodes are settled in preorder, yes-branch first, from an explicit
     stack, so the tree depth is bounded by the cutoff, not by the
     interpreter's recursion limit.
     """
     check_mode(mode)
     params = params or params_for_mode(mode)
-    clauses = formula.clauses
 
-    def settle(assumed, depth):
-        """A Leaf, or (branch variable, assumptions after failed literals)."""
-        assign, conflict = propagate_clauses(clauses, assumed)
-        if conflict:
-            return Leaf(REFUTED)
-        if depth >= cutoff.depth_limit:
-            return Leaf(CUTOFF)
-        residual = residual_clauses(clauses, assign)
+    def settle(propagator, seeds, depth):
+        """A Leaf, or (branch variable, the node's look-ahead engine)."""
         while True:
+            true, conflict = propagator.fixpoint(seeds)
+            if conflict:
+                return Leaf(REFUTED)
+            if depth >= cutoff.depth_limit:
+                return Leaf(CUTOFF)
+            residual = residual_clauses(propagator.clauses, true)
             if not residual:
                 return Leaf(CUTOFF)
             n_bin = sum(1 for c in residual if len(c) == 2)
             n_free = len({abs(l) for c in residual for l in c})
             if cutoff.triggers(depth, n_bin, n_free):
                 return Leaf(CUTOFF)
-            table = _compute_h(residual, params)
-            best, failed, _ = _measure(residual, table, mode, preselect)
+            engine = LookaheadEngine(residual, _compute_h(residual, params))
+            best, failed, _ = _measure(engine, mode, preselect)
             if any(-lit in failed for lit in failed):
                 return Leaf(REFUTED)
             if not failed:
-                return Leaf(CUTOFF) if best is None else (best, assumed)
-            assumed = assumed + [-lit for lit in failed]
-            assign, conflict = propagate_clauses(clauses, assumed)
-            if conflict:
-                return Leaf(REFUTED)
-            residual = residual_clauses(clauses, assign)
+                return Leaf(CUTOFF) if best is None else (best, engine)
+            propagator, seeds = engine, [-lit for lit in failed]
 
-    pending = [([], 0)]   # (assumptions, depth) of nodes still to settle
+    # (propagator, seed literals, depth) of nodes still to settle
+    pending = [(Propagator(formula.clauses), [], 0)]
 
     def next_node():
-        assumed, depth = pending.pop()
-        settled = settle(assumed, depth)
+        propagator, seeds, depth = pending.pop()
+        settled = settle(propagator, seeds, depth)
         if isinstance(settled, Leaf):
             return settled
-        best, assumed = settled
-        pending.append((assumed + [-best], depth + 1))
-        pending.append((assumed + [best], depth + 1))
+        best, engine = settled
+        pending.append((engine, [-best], depth + 1))
+        pending.append((engine, [best], depth + 1))
         return Node(best, None, None)
 
     return build_preorder(next_node)

@@ -100,7 +100,6 @@ class PipelineConfig:
     apply_bce: Optional[bool] = None  # None: on for encode(n), off for DIMACS
     params: Optional[HeuristicParams] = None  # None: the mode's parameters
     preselect: float = _default("preselect", float)
-    var_decay: float = _default("var_decay", float)
 
     def __post_init__(self):
         sources = [s is not None for s in (self.n, self.formula_path, self.formula)]
@@ -167,8 +166,7 @@ def solve_one_cube(formula, cube, config):
 
     start = time.perf_counter()
     proof = []
-    solver = cdcl.Solver(formula, proof=proof, conflict_budget=config.conflict_budget,
-                         var_decay=config.var_decay)
+    solver = cdcl.Solver(formula, proof=proof, conflict_budget=config.conflict_budget)
     negation = tuple(-l for l in cube)
     solver.proof_extension = negation
     for lit in cube:

@@ -15,9 +15,12 @@ from pathlib import Path
 
 import pytest
 
-from triplesat.cnf import Formula, is_flip_symmetric, lit_value
+from triplesat.cnf import (Formula, is_flip_symmetric, lit_value,
+                           propagate_clauses)
 from triplesat.drat import CheckResult
-from triplesat.lookahead import CUTOFF, Leaf, Node
+from triplesat.lookahead import (CUTOFF, REFUTED, Leaf, LookaheadEngine, Node,
+                                 _compute_h, _measure, build_preorder,
+                                 check_mode, params_for_mode)
 from triplesat.transform import EliminationRecord
 
 
@@ -246,6 +249,85 @@ def reference_look_ahead(residual, lit, table):
         weight += h.get(-y, 0.0) * h.get(-z, 0.0)
         new_binaries += 1
     return weight, len(assign), new_binaries, False
+
+
+def true_literals(assignment):
+    """The set of true literals of a partial assignment {variable: bool}."""
+    return {var if value else -var for var, value in assignment.items()}
+
+
+def reference_residual(clauses, assignment):
+    """The residual before it took a set of true literals: reduce clauses
+    under a partial assignment {variable: bool}."""
+    residual = []
+    for clause in clauses:
+        reduced = []
+        satisfied = False
+        for lit in clause:
+            val = lit_value(assignment, lit)
+            if val is True:
+                satisfied = True
+                break
+            if val is None:
+                reduced.append(lit)
+        if not satisfied:
+            residual.append(tuple(reduced))
+    return residual
+
+
+def reference_split(formula, cutoff, mode="ptn3sat", params=None, preselect=1.0,
+                    stats=None):
+    """`lookahead.split` before children settled on their parent's engine:
+    every node and every failed-literal round propagates its full
+    assumption list over the whole formula and reduces the whole formula
+    again.  `stats`, a Counter if given, counts failed-literal rounds."""
+    check_mode(mode)
+    params = params or params_for_mode(mode)
+    clauses = formula.clauses
+
+    def settle(assumed, depth):
+        """A Leaf, or (branch variable, assumptions after failed literals)."""
+        assign, conflict = propagate_clauses(clauses, assumed)
+        if conflict:
+            return Leaf(REFUTED)
+        if depth >= cutoff.depth_limit:
+            return Leaf(CUTOFF)
+        residual = reference_residual(clauses, assign)
+        while True:
+            if not residual:
+                return Leaf(CUTOFF)
+            n_bin = sum(1 for c in residual if len(c) == 2)
+            n_free = len({abs(l) for c in residual for l in c})
+            if cutoff.triggers(depth, n_bin, n_free):
+                return Leaf(CUTOFF)
+            table = _compute_h(residual, params)
+            best, failed, _ = _measure(LookaheadEngine(residual, table), mode,
+                                       preselect)
+            if any(-lit in failed for lit in failed):
+                return Leaf(REFUTED)
+            if not failed:
+                return Leaf(CUTOFF) if best is None else (best, assumed)
+            if stats is not None:
+                stats["failed_rounds"] += 1
+            assumed = assumed + [-lit for lit in failed]
+            assign, conflict = propagate_clauses(clauses, assumed)
+            if conflict:
+                return Leaf(REFUTED)
+            residual = reference_residual(clauses, assign)
+
+    pending = [([], 0)]   # (assumptions, depth) of nodes still to settle
+
+    def next_node():
+        assumed, depth = pending.pop()
+        settled = settle(assumed, depth)
+        if isinstance(settled, Leaf):
+            return settled
+        best, assumed = settled
+        pending.append((assumed + [-best], depth + 1))
+        pending.append((assumed + [best], depth + 1))
+        return Node(best, None, None)
+
+    return build_preorder(next_node)
 
 
 class ReferenceChecker:

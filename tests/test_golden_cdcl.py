@@ -100,11 +100,12 @@ def test_backbone_search(monkeypatch):
     assert proof_digest(proof) == "e5918c8ac64bd5de"
 
 
-def test_activity_rescale_keeps_search():
-    # var_decay 0.5 doubles the bump every conflict, so the 1e100 rescale
+def test_activity_rescale_keeps_search(monkeypatch):
+    # a decay of 0.5 doubles the bump every conflict, so the 1e100 rescale
     # runs many times during this solve
+    monkeypatch.setattr(cdcl, "VAR_DECAY", 0.5)
     proof = []
-    solver = cdcl.Solver(random_3sat(130, 624, 11), proof=proof, var_decay=0.5)
+    solver = cdcl.Solver(random_3sat(130, 624, 11), proof=proof)
     assert counters(solver.solve()) == ("UNSAT", 2775, 3395, 70526)
     assert solver.var_inc < 1e50
     assert proof_digest(proof) == "08679c079922471f"

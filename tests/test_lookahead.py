@@ -1,21 +1,23 @@
 import inspect
 import sys
+from collections import Counter
 
 import pytest
 
-from triplesat import lookahead
-from triplesat.cnf import DimacsError, Formula, propagate_clauses
+from triplesat import cnf, lookahead
+from triplesat.cnf import DimacsError, Formula, Propagator, propagate_clauses
 from triplesat.encoder import encode
 from triplesat.lookahead import (CUTOFF, CutoffPolicy, HeuristicParams, HTable,
                                  Leaf, LookaheadEngine, LookaheadError, MODE_BIN,
-                                 MODE_PTN, MODE_RND, MODE_VAR, Node, PTN_PARAMS,
-                                 REFUTED, RND_PARAMS, _compute_h, _measure,
-                                 cubes, leaf_cubes, negate_cubes,
+                                 MODE_PTN, MODE_RND, MODE_VAR, MODES, Node,
+                                 PTN_PARAMS, REFUTED, RND_PARAMS, _compute_h,
+                                 _measure, cubes, leaf_cubes, negate_cubes,
                                  params_for_mode, parse_cutoff, parse_inccnf,
                                  residual_clauses, split, write_inccnf)
 
 from conftest import (FIG3_CUBES, brute_sat, cubes_cover_all, random_formula,
-                      random_tree, reference_look_ahead)
+                      random_tree, reference_look_ahead, reference_split,
+                      true_literals)
 
 
 def test_params_validation():
@@ -46,6 +48,10 @@ def test_parse_cutoff():
         parse_cutoff("nonsense")
     with pytest.raises(ValueError, match="cutoff 'depth:x': 'x' is not an integer"):
         parse_cutoff("bin:10,depth:x")
+    for part in ("depth:-1", "bin:-5", "vars:-3"):
+        with pytest.raises(ValueError, match="cutoff '%s': -[0-9] is negative" % part):
+            parse_cutoff("bin:10,%s" % part)
+    assert parse_cutoff("depth:0,bin:0,vars:0").depth_limit == 0
 
 
 def test_round_zero_mean_is_one():
@@ -117,13 +123,12 @@ def test_look_ahead_asserts_residual_units_and_empty_clauses():
     table = _compute_h([(2, 3, 4)], HeuristicParams())
     h = table.values
     clauses = [(1, 2), (-2, 3, 4), (3, 5)]
-    engine = LookaheadEngine(residual_clauses(clauses, {1: False}), table)
+    engine = LookaheadEngine(residual_clauses(clauses, {-1}), table)
     assert engine.look_ahead(5) == (h[-3] * h[-4], 2, 1, False)
-    engine = LookaheadEngine(residual_clauses(clauses, {1: False, 3: False}),
-                             table)
+    engine = LookaheadEngine(residual_clauses(clauses, {-1, -3}), table)
     assert engine.look_ahead(-4)[3] is True
     # an empty residual clause refutes every look-ahead
-    with_empty = residual_clauses([(1,), (2, 3, 4)], {1: False})
+    with_empty = residual_clauses([(1,), (2, 3, 4)], {-1})
     assert LookaheadEngine(with_empty, table).look_ahead(2)[3] is True
 
 
@@ -147,7 +152,7 @@ def test_engine_matches_reference_look_ahead(rng):
         assignment = {var: rng.random() < 0.5
                       for var in range(1, formula.num_vars + 1)
                       if rng.random() < 0.25}
-        residual = residual_clauses(formula.clauses, assignment)
+        residual = residual_clauses(formula.clauses, true_literals(assignment))
         seen_units += any(len(c) == 1 for c in residual)
         seen_empty += any(not c for c in residual)
         if rng.random() < 0.5:
@@ -173,21 +178,21 @@ def test_engine_matches_reference_look_ahead(rng):
 def test_select_branch_count_bin():
     residual = [(1, 2, 3), (-1, 2, 3)]
     table = _compute_h(residual, HeuristicParams())
-    assert _measure(residual, table, MODE_BIN)[0] == 1
+    assert _measure(LookaheadEngine(residual, table), MODE_BIN)[0] == 1
 
 
 def test_select_branch_tie_break_smallest():
     # fully symmetric: both clauses of the sole triple of encode(5)
     residual = list(encode(5).clauses)
     table = _compute_h(residual, HeuristicParams())
-    assert _measure(residual, table, MODE_PTN)[0] == 3
+    assert _measure(LookaheadEngine(residual, table), MODE_PTN)[0] == 3
 
 
 def test_residual_clauses():
     clauses = [(1, 2, 3), (-1, 4), (2, 5)]
-    assert residual_clauses(clauses, {1: True}) == [(2, 5)] or \
-        residual_clauses(clauses, {1: True}) == [(4,), (2, 5)]
-    assert residual_clauses(clauses, {1: False, 2: False}) == [(3,), (5,)]
+    assert residual_clauses(clauses, {1}) == [(2, 5)] or \
+        residual_clauses(clauses, {1}) == [(4,), (2, 5)]
+    assert residual_clauses(clauses, {-1, -2}) == [(3,), (5,)]
 
 
 def test_split_depth_zero():
@@ -218,6 +223,54 @@ def test_split_refuted_at_depth_limit():
     assert split(formula, parse_cutoff("depth:0")) == Leaf(REFUTED)
 
 
+def test_split_matches_reference_split(rng):
+    """Children settled on their parent's engine give the trees of
+    propagating every node's full assumption list over the whole formula,
+    with failed-literal rounds, refuted leaves, unit clauses, tautologies
+    and preselection in play."""
+    rounds = Counter()
+    refuted = 0
+    for case in range(300):
+        formula = random_formula(rng, max_vars=12, allow_units=case % 5 == 0)
+        if case % 2:
+            formula = _with_tautologies(rng, formula)
+        cutoff = parse_cutoff("depth:%d" % (1 + case % 6))
+        for mode in MODES:
+            for preselect in (1.0, 0.3):
+                want = leaf_cubes(reference_split(formula, cutoff, mode,
+                                                  preselect=preselect,
+                                                  stats=rounds))
+                got = leaf_cubes(split(formula, cutoff, mode,
+                                       preselect=preselect))
+                assert got == want, (formula, cutoff, mode, preselect)
+                refuted += sum(status == REFUTED for _, status in want)
+    assert rounds["failed_rounds"] >= 50
+    assert refuted >= 50
+
+
+def test_split_propagates_the_whole_formula_once(monkeypatch):
+    """Only the root's fixpoint runs over the whole formula; every other
+    propagator is a node's look-ahead engine over its residual."""
+    formula = encode(300)
+    over_formula = []
+    original = Propagator.__init__
+
+    def counting(self, clauses):
+        over_formula.append(clauses is formula.clauses)
+        original(self, clauses)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("split called propagate_clauses")
+
+    monkeypatch.setattr(Propagator, "__init__", counting)
+    monkeypatch.setattr(lookahead, "propagate_clauses", forbidden)
+    monkeypatch.setattr(cnf, "propagate_clauses", forbidden)
+    tree = split(formula, parse_cutoff("depth:3"))
+    assert len(cubes(tree)) == 8
+    assert over_formula.count(True) == 1
+    assert len(over_formula) == 1 + 7   # the root, then one engine per node
+
+
 def test_split_policy_postcondition_encode100():
     """Cutoff leaves must have at least the threshold of binary clauses and
     their parents fewer (both measured after full propagation)."""
@@ -227,7 +280,8 @@ def test_split_policy_postcondition_encode100():
     def binaries(assumed):
         assign, conflict = propagate_clauses(formula.clauses, list(assumed))
         assert not conflict
-        return sum(1 for c in residual_clauses(formula.clauses, assign)
+        return sum(1 for c in residual_clauses(formula.clauses,
+                                               true_literals(assign))
                    if len(c) == 2)
 
     seen_leaves = 0

@@ -32,6 +32,11 @@ def test_config_rejects_bad_cutoffs():
         pipeline.PipelineConfig(n=60, second_cutoff="garbage")
     with pytest.raises(ValueError, match="'x' is not an integer"):
         pipeline.PipelineConfig(n=60, cutoff="bin:5,depth:x")
+    with pytest.raises(ValueError, match="cutoff: cutoff 'depth:-1': -1 is negative"):
+        pipeline.PipelineConfig(n=60, cutoff="depth:-1")
+    with pytest.raises(ValueError,
+                       match="second_cutoff: cutoff 'vars:-3': -3 is negative"):
+        pipeline.PipelineConfig(n=60, second_cutoff="vars:-3")
     assert pipeline.PipelineConfig(n=60, cutoff=parse_cutoff("depth:2"))
 
 
@@ -50,6 +55,14 @@ def test_load_config(tmp_path):
         pipeline.load_config(str(typo))
 
 
+def test_load_config_rejects_var_decay(tmp_path):
+    # the activity decay is cdcl.VAR_DECAY, not a setting
+    path = tmp_path / "decay.cfg"
+    path.write_text("var_decay = 0.9\n")
+    with pytest.raises(ValueError, match="line 1: unknown key 'var_decay'"):
+        pipeline.load_config(str(path))
+
+
 def test_default_config_carries_reference_parameters():
     values = pipeline.default_config()
     params = pipeline.config_params(values)
@@ -57,7 +70,6 @@ def test_default_config_carries_reference_parameters():
     assert params.iterations == 4
     assert values["cutoff"] == "bin:3000"
     assert values["second_cutoff"] == "vars:3450"
-    assert float(values["var_decay"]) == 0.95
 
 
 def test_run_n5_sat():
