@@ -52,18 +52,34 @@ class Solver:
     State is flat, as in MiniSat (Een, Sorensson, SAT 2003).  `vals` is
     indexed by literal: it holds 2*cap+1 slots, so `vals[lit]` and
     `vals[-lit]` both work through Python's negative indexing.  `level`,
-    `reason`, `activity` and `phase` are indexed by variable.  Slots grow
-    when a variable beyond `cap` arrives.
+    `reason`, `activity`, `queued` and `phase` are indexed by variable.
+    Slots grow when a variable beyond `cap` arrives.
+
+    Clauses are lists, stored once in `self.clauses` in the order they
+    arrive; the watch lists and `reason` hold those same list objects.
+
+    The decision heap holds `(-activity, var)` entries.  `queued[var]` is
+    true when the heap holds an entry at the variable's current activity
+    (None counts as 0.0), and then it holds exactly one.  Every free
+    variable with an activity is queued.  An activity changes only while
+    its variable is assigned (a bump, which clears the flag) or in
+    `_rescale`, which rebuilds the heap; `_backtrack` queues a freed
+    variable whose flag is clear.  Entries at older activities stay in
+    the heap and are dropped when popped.  The keys are a total order and
+    a free variable's current entry precedes its older ones, so the first
+    free variable popped is the arg-max of activity over free variables,
+    ties to the smaller variable.
     """
 
     def __init__(self, formula=None, proof=None, conflict_budget=None):
         self.clauses = []          # list of lists; watched at positions 0 and 1
         self.cap = 0               # variables 1..cap have slots below
         self.vals = [None]         # literal -> True/False, None if unassigned
-        self.watches = defaultdict(list)  # literal -> clause indices watching it
+        self.watches = defaultdict(list)  # literal -> clauses watching it
         self.level = [0]           # var -> decision level while assigned
-        self.reason = [None]       # var -> clause index, None for decisions
+        self.reason = [None]       # var -> implying clause, None for decisions
         self.activity = [None]     # var -> activity, None until touched
+        self.queued = [False]      # var -> heap holds its current activity
         self.phase = [False]       # var -> saved polarity; default False
         self.trail = []
         self.trail_lim = []
@@ -96,13 +112,14 @@ class Solver:
         self.level += [0] * extra
         self.reason += [None] * extra
         self.activity += [None] * extra
+        self.queued += [False] * extra
         self.phase += [False] * extra
         self.cap = top
 
     def _rescale(self):
         """Scale every activity down by 1e-100 and rebuild the heap from
-        the unassigned variables that have one."""
-        activity, vals = self.activity, self.vals
+        the unassigned variables that have one; exactly those are queued."""
+        activity, vals, queued = self.activity, self.vals, self.queued
         for var, act in enumerate(activity):
             if act is not None:
                 activity[var] = act * 1e-100
@@ -110,6 +127,9 @@ class Solver:
         self.heap = [(-act, var) for var, act in enumerate(activity)
                      if act is not None and vals[var] is None]
         heapq.heapify(self.heap)
+        queued[:] = [False] * len(queued)   # in place: _analyze holds it
+        for _, var in self.heap:
+            queued[var] = True
 
     def _enqueue(self, lit, reason):
         var = abs(lit)
@@ -128,12 +148,15 @@ class Solver:
             return
         keep = trail_lim[target]
         trail, vals, phase = self.trail, self.vals, self.phase
-        activity, heap, push = self.activity, self.heap, heapq.heappush
+        activity, queued, heap = self.activity, self.queued, self.heap
+        push = heapq.heappush
         for lit in trail[keep:]:
             vals[lit] = vals[-lit] = None
             var = abs(lit)
             phase[var] = lit > 0
-            push(heap, (-(activity[var] or 0.0), var))
+            if not queued[var]:
+                queued[var] = True
+                push(heap, (-(activity[var] or 0.0), var))
         del trail[keep:]
         del trail_lim[target:]
         self.qhead = len(trail)
@@ -165,13 +188,15 @@ class Solver:
                     continue
             kept.append(clause)
         self._grow(max(touched, default=0))
-        activity = self.activity
-        fresh = [(0.0, var) for var in touched if activity[var] is None]
+        activity, queued, heap = self.activity, self.queued, self.heap
+        fresh = [var for var in touched if activity[var] is None]
+        for var in fresh:
+            activity[var] = 0.0
+            if not queued[var]:    # a None activity was queued at 0.0
+                queued[var] = True
+                heap.append((0.0, var))
         if fresh:
-            for _, var in fresh:
-                activity[var] = 0.0
-            self.heap += fresh
-            heapq.heapify(self.heap)
+            heapq.heapify(heap)
         for clause in kept:
             if not self.ok:
                 break
@@ -198,7 +223,6 @@ class Solver:
             self.ok = False
             return
         vals = self.vals
-        idx = len(self.clauses)
         self.clauses.append(clause)
         if len(clause) == 1:
             val = vals[clause[0]]
@@ -210,19 +234,19 @@ class Solver:
         assigned = bool(self.trail)
         if assigned:
             clause.sort(key=lambda l: vals[l] is False)
-        self.watches[clause[0]].append(idx)
-        self.watches[clause[1]].append(idx)
+        self.watches[clause[0]].append(clause)
+        self.watches[clause[1]].append(clause)
         if assigned and not any(vals[l] is True for l in clause):
             if vals[clause[0]] is False:
                 self.ok = False
             elif vals[clause[1]] is False and vals[clause[0]] is None:
-                self._enqueue(clause[0], idx)
+                self._enqueue(clause[0], clause)
 
     # -------------------------------------------------------------- propagation
 
     def _propagate(self):
-        """Propagate pending assignments; returns a conflicting clause index."""
-        trail, clauses, watches = self.trail, self.clauses, self.watches
+        """Propagate pending assignments; returns a conflicting clause."""
+        trail, watches = self.trail, self.watches
         vals, level, reason = self.vals, self.level, self.reason
         lvl = len(self.trail_lim)
         qhead = self.qhead
@@ -233,15 +257,14 @@ class Solver:
             qhead += 1
             watchers = watches[neg]
             kept = 0               # watchers[:kept] stay on neg, in order
-            for pos, ci in enumerate(watchers):
-                clause = clauses[ci]
+            for pos, clause in enumerate(watchers):
                 first = clause[0]
                 if first == neg:
                     first = clause[0] = clause[1]
                     clause[1] = neg
                 val = vals[first]
                 if val:
-                    watchers[kept] = ci
+                    watchers[kept] = clause
                     kept += 1
                     continue
                 for k in range(2, len(clause)):
@@ -249,20 +272,20 @@ class Solver:
                     if vals[other] is not False:
                         clause[1] = other
                         clause[k] = neg
-                        watches[other].append(ci)
+                        watches[other].append(clause)
                         break
                 else:
-                    watchers[kept] = ci
+                    watchers[kept] = clause
                     kept += 1
                     if val is False:
-                        confl = ci
+                        confl = clause
                         del watchers[kept:pos + 1]   # the unvisited ones stay
                         break
                     vals[first] = True
                     vals[-first] = False
                     var = abs(first)
                     level[var] = lvl
-                    reason[var] = ci
+                    reason[var] = clause
                     trail.append(first)
             if confl is not None:
                 break
@@ -274,15 +297,17 @@ class Solver:
     # ----------------------------------------------------------------- learning
 
     def _analyze(self, confl):
-        trail, level, reason, clauses = self.trail, self.level, self.reason, self.clauses
-        activity, heap, var_inc = self.activity, self.heap, self.var_inc
-        push = heapq.heappush
+        """First-UIP learning from the conflicting clause `confl`.  Every
+        variable met is bumped while assigned, so it leaves the queue and
+        `_backtrack` queues it again at its new activity."""
+        trail, level, reason = self.trail, self.level, self.reason
+        activity, queued, var_inc = self.activity, self.queued, self.var_inc
         cur = len(self.trail_lim)
         seen = set()
         tail = []              # literals from lower decision levels
         pathc = 0
         p = 0                  # no literal yet
-        reason_clause = clauses[confl]
+        reason_clause = confl
         idx = len(trail) - 1
         while True:
             for q in reason_clause:
@@ -293,10 +318,10 @@ class Solver:
                     continue
                 seen.add(var)
                 activity[var] = act = (activity[var] or 0.0) + var_inc
-                push(heap, (-act, var))
+                queued[var] = False
                 if act > 1e100:
                     self._rescale()
-                    heap, var_inc = self.heap, self.var_inc
+                    var_inc = self.var_inc
                 if level[var] >= cur:
                     pathc += 1
                 else:
@@ -308,15 +333,17 @@ class Solver:
             pathc -= 1
             if pathc == 0:
                 break
-            reason_clause = clauses[reason[abs(p)]]
+            reason_clause = reason[abs(p)]
         # local minimization: drop tail literals whose reason is subsumed
         learnt = [-p]
         for q in tail:
             r = reason[abs(q)]
-            if r is not None and all(
-                    abs(m) in seen or level[abs(m)] == 0
-                    for m in clauses[r] if m != -q):
-                continue
+            if r is not None:
+                for m in r:
+                    if m != -q and abs(m) not in seen and level[abs(m)] != 0:
+                        break
+                else:
+                    continue
             learnt.append(q)
         if len(learnt) == 1:
             bt_level = 0
@@ -349,24 +376,28 @@ class Solver:
             k = max(range(1, len(learnt)), key=lambda i: level[abs(learnt[i])])
             learnt[1], learnt[k] = learnt[k], learnt[1]
         self._backtrack(bt_level)
-        idx = len(self.clauses)
-        self.clauses.append(list(learnt))
+        self.clauses.append(learnt)
         if len(learnt) == 1:
             self._enqueue(learnt[0], None)
         else:
-            self.watches[learnt[0]].append(idx)
-            self.watches[learnt[1]].append(idx)
-            self._enqueue(learnt[0], idx)
+            self.watches[learnt[0]].append(learnt)
+            self.watches[learnt[1]].append(learnt)
+            self._enqueue(learnt[0], learnt)
         self.var_inc /= VAR_DECAY
 
     # ------------------------------------------------------------------ solving
 
     def _pick_branch(self):
+        """The free variable of highest activity, in its saved phase."""
         heap, vals = self.heap, self.vals
+        activity, queued, pop = self.activity, self.queued, heapq.heappop
         while heap:
-            _, var = heapq.heappop(heap)
+            key, var = pop(heap)
             if vals[var] is None:
+                queued[var] = False
                 return var if self.phase[var] else -var
+            if key == -(activity[var] or 0.0):
+                queued[var] = False
         return None
 
     def _model(self):

@@ -13,7 +13,9 @@ import random
 from triplesat import cdcl, pipeline
 from triplesat.cnf import Formula
 from triplesat.drat import write_drat
+from triplesat.encoder import encode
 from triplesat.lookahead import cubes, parse_cutoff, split
+from triplesat.transform import bce, symmetry_break
 
 from conftest import ap3_formula
 
@@ -59,6 +61,22 @@ def test_solve_one_cube_ap3_depth3():
     assert solve_cubes(ap3_formula(9), "depth:3") == [
         (("UNSAT", 4, 3, 20), "54d78bab5526f3a4"),
         (("UNSAT", 4, 4, 22), "49d32121e2a9d6cc")]
+
+
+def test_solve_one_cube_ptn7825_budget():
+    # the paper-sized formula (14673 clauses after BCE and symmetry
+    # breaking) on both sides of one root split, 300 conflicts each:
+    # long learned clauses and the full watch lists of the real instance
+    formula, _ = bce(encode(7825))
+    formula, _ = symmetry_break(formula)
+    config = pipeline.PipelineConfig(formula=formula, conflict_budget=300)
+    out = []
+    for cube in ((3900,), (-3900,)):
+        result, proof, _, _ = pipeline.solve_one_cube(formula, cube, config)
+        out.append((counters(result), proof_digest(proof)))
+    assert out == [
+        (("indeterminate", 300, 666, 53149), "63e93d67426c19b1"),
+        (("indeterminate", 300, 731, 52312), "5e3077db89241e35")]
 
 
 def test_solve_incremental_rnd_depth3():
