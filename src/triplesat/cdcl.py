@@ -58,17 +58,19 @@ class Solver:
     Clauses are lists, stored once in `self.clauses` in the order they
     arrive; the watch lists and `reason` hold those same list objects.
 
-    The decision heap holds `(-activity, var)` entries.  `queued[var]` is
-    true when the heap holds an entry at the variable's current activity
-    (None counts as 0.0), and then it holds exactly one.  Every free
-    variable with an activity is queued.  An activity changes only while
-    its variable is assigned (a bump, which clears the flag) or in
+    A variable gets an activity, 0.0, when a clause holding it arrives;
+    one that only ever occurs in assumptions has none and is never
+    decided.  The decision heap holds `(-activity, var)` entries.
+    `queued[var]` is true when the heap holds an entry at the variable's
+    current activity, and then it holds exactly one.  Every free variable
+    with an activity is queued.  An activity changes only while its
+    variable is assigned (a bump, which clears the flag) or in
     `_rescale`, which rebuilds the heap; `_backtrack` queues a freed
-    variable whose flag is clear.  Entries at older activities stay in
-    the heap and are dropped when popped.  The keys are a total order and
-    a free variable's current entry precedes its older ones, so the first
-    free variable popped is the arg-max of activity over free variables,
-    ties to the smaller variable.
+    variable that has an activity and whose flag is clear.  Entries at
+    older activities stay in the heap and are dropped when popped.  The
+    keys are a total order and a free variable's current entry precedes
+    its older ones, so the first free variable popped is the arg-max of
+    activity over free variables, ties to the smaller variable.
     """
 
     def __init__(self, formula=None, proof=None, conflict_budget=None):
@@ -155,8 +157,10 @@ class Solver:
             var = abs(lit)
             phase[var] = lit > 0
             if not queued[var]:
-                queued[var] = True
-                push(heap, (-(activity[var] or 0.0), var))
+                act = activity[var]
+                if act is not None:
+                    queued[var] = True
+                    push(heap, (-act, var))
         del trail[keep:]
         del trail_lim[target:]
         self.qhead = len(trail)
@@ -188,15 +192,7 @@ class Solver:
                     continue
             kept.append(clause)
         self._grow(max(touched, default=0))
-        activity, queued, heap = self.activity, self.queued, self.heap
-        fresh = [var for var in touched if activity[var] is None]
-        for var in fresh:
-            activity[var] = 0.0
-            if not queued[var]:    # a None activity was queued at 0.0
-                queued[var] = True
-                heap.append((0.0, var))
-        if fresh:
-            heapq.heapify(heap)
+        self._touch(touched)
         for clause in kept:
             if not self.ok:
                 break
@@ -211,8 +207,20 @@ class Solver:
             return
         negation = [-l for l in assumptions]
         self._grow(max(map(abs, negation), default=0))
+        self._touch(set(map(abs, negation)))
         self._emit(negation)
         self._attach(negation)
+
+    def _touch(self, variables):
+        """Give the variables without an activity 0.0, and queue them."""
+        activity, queued, heap = self.activity, self.queued, self.heap
+        fresh = [var for var in variables if activity[var] is None]
+        for var in fresh:
+            activity[var] = 0.0
+            queued[var] = True
+            heap.append((0.0, var))
+        if fresh:
+            heapq.heapify(heap)
 
     def _attach(self, clause):
         """Store a clause at level 0 and watch its first two literals.  With
@@ -317,7 +325,7 @@ class Solver:
                 if var in seen or level[var] == 0:
                     continue
                 seen.add(var)
-                activity[var] = act = (activity[var] or 0.0) + var_inc
+                activity[var] = act = activity[var] + var_inc
                 queued[var] = False
                 if act > 1e100:
                     self._rescale()
@@ -396,7 +404,7 @@ class Solver:
             if vals[var] is None:
                 queued[var] = False
                 return var if self.phase[var] else -var
-            if key == -(activity[var] or 0.0):
+            if key == -activity[var]:
                 queued[var] = False
         return None
 

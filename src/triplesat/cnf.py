@@ -47,11 +47,6 @@ def make_clause(literals):
     return tuple(out)
 
 
-def is_tautology(clause):
-    lits = set(clause)
-    return any(-l in lits for l in lits)
-
-
 @dataclass
 class Formula:
     clauses: list = field(default_factory=list)
@@ -172,17 +167,6 @@ def propagate_clauses(clauses, assumptions=()):
         return {}, True
     true, conflict = Propagator(clauses).fixpoint(list(assumptions))
     return {abs(lit): lit > 0 for lit in true}, conflict
-
-
-def resolve(c1, c2, var):
-    """Resolvent of c1 (containing var) and c2 (containing -var)."""
-    if var <= 0:
-        raise ValueError("resolution variable must be positive")
-    if var not in c1:
-        raise ValueError("variable %d does not occur positively in %s" % (var, (c1,)))
-    if -var not in c2:
-        raise ValueError("variable %d does not occur negatively in %s" % (var, (c2,)))
-    return make_clause([l for l in c1 if l != var] + [l for l in c2 if l != -var])
 
 
 def is_flip_symmetric(formula):

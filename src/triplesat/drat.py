@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .cnf import Formula, is_flip_symmetric, make_clause, parse_clause_line
+from .cnf import Formula, is_flip_symmetric, parse_clause_line
 
 
 @dataclass
@@ -319,30 +319,6 @@ def check_proof(formula, proof, refutation=False, symmetry_pivots=(),
         return CheckResult(False, None, "refutation does not add the empty clause",
                            warnings, stats)
     return CheckResult(True, warnings=warnings, stats=stats)
-
-
-def extension_clauses(x, a, b, formula=None):
-    """Clauses defining x := a AND b over fresh variable x.
-
-    Added in this order, each has RAT with its x-literal as pivot.
-    Duplicate literals collapse, so a degenerate a == b definition yields
-    two clauses.
-    """
-    if x <= 0:
-        raise ValueError("extension variable must be positive")
-    if formula is not None:
-        occurring = {abs(l) for c in formula.clauses for l in c}
-        if x in occurring:
-            raise ValueError("extension variable %d is not fresh" % x)
-        for lit in (a, b):
-            if abs(lit) not in occurring:
-                raise ValueError("literal %d does not occur in the formula" % lit)
-    clauses = [make_clause([x, -a, -b]), make_clause([-x, a]), make_clause([-x, b])]
-    out = []
-    for clause in clauses:
-        if clause not in out:
-            out.append(clause)
-    return out
 
 
 def merge_proofs(transform_proof, cube_proofs, tautology_proof):

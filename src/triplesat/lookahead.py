@@ -7,14 +7,16 @@ created binary clauses.  Literal weights h(l) are refined over a few
 rounds: each round scales by the current mean and clamps into
 [alpha, beta], with gamma weighting binary-clause contributions.
 
-All look-aheads of one split node go through one `LookaheadEngine`,
-built once from the node's residual on `cnf.Propagator`.  It propagates
-each literal on a trail of its own and weighs only the ternary clauses
-that contain the negation of a trail literal, in clause order, so
-weights, scores and trees are exactly those of propagating and
-rescanning the whole residual per look-ahead.  A child node settles on
-its parent's engine: only the root's fixpoint runs over the whole
-formula.
+Each split node derives its residual, its set of free variables, its
+binary-clause count and its h-table once.  All of its look-aheads go
+through one `LookaheadEngine`, the `cnf.Propagator` of the residual,
+and take the h-table as an argument.  The engine propagates each
+literal on a trail of its own and weighs only the ternary clauses that
+contain the negation of a trail literal, in clause order, so weights,
+scores and trees are exactly those of propagating and rescanning the
+whole residual per look-ahead.  A child node settles on its parent's
+engine: only the root's fixpoint runs over the whole formula, and a
+pending child keeps only its parent's residual and occurrence lists.
 """
 
 from __future__ import annotations
@@ -59,15 +61,6 @@ RND_PARAMS = HeuristicParams(alpha=0.1, beta=25.0, gamma=3.3, iterations=4)
 
 def params_for_mode(mode):
     return RND_PARAMS if mode == MODE_RND else PTN_PARAMS
-
-
-@dataclass
-class HTable:
-    values: dict            # literal -> heuristic value
-    means: list             # per-round mean, means[i] is the round-i average
-
-    def product(self, var):
-        return self.values.get(var, 0.0) * self.values.get(-var, 0.0)
 
 
 @dataclass
@@ -148,55 +141,55 @@ def residual_clauses(clauses, true):
     return residual
 
 
-def _check_3cnf(residual):
-    for clause in residual:
-        if len(clause) > 3:
-            raise LookaheadError("residual clause %r longer than 3" % (clause,))
+def _compute_h(residual, free, params):
+    """The node's h-table {literal: weight}, over the variables `free`,
+    the set of those occurring in `residual`.
 
-
-def _compute_h(residual, params):
-    _check_3cnf(residual)
-    occurring = {abs(l) for c in residual for l in c}
+    Each round's mean sums over `free` in its iteration order, and each
+    literal's raw weight adds its clauses' terms in clause order, so the
+    set must be built from the residual, clause by clause.
+    """
     h = {}
-    for var in occurring:
+    for var in free:
         h[var] = 1.0
         h[-var] = 1.0
-    n = len(occurring)
-    means = []
+    n = len(free)
+    gamma = params.gamma
     for _ in range(params.iterations):
-        mu = sum(h[v] + h[-v] for v in occurring) / (2 * n) if n else 1.0
-        means.append(mu)
+        mu = sum(h[v] + h[-v] for v in free) / (2 * n) if n else 1.0
+        ratio = {lit: h[-lit] / mu for lit in h}
         raw = dict.fromkeys(h, 0.0)
         for clause in residual:
             if len(clause) == 3:
                 x, y, z = clause
-                hy, hz, hx = h[-y] / mu, h[-z] / mu, h[-x] / mu
+                hy, hz, hx = ratio[y], ratio[z], ratio[x]
                 raw[x] += hy * hz
                 raw[y] += hx * hz
                 raw[z] += hx * hy
             elif len(clause) == 2:
                 x, y = clause
-                raw[x] += params.gamma * h[-y] / mu
-                raw[y] += params.gamma * h[-x] / mu
+                raw[x] += gamma * h[-y] / mu
+                raw[y] += gamma * h[-x] / mu
+            elif len(clause) > 3:
+                raise LookaheadError("residual clause %r longer than 3"
+                                     % (clause,))
         for lit in h:
             h[lit] = max(params.alpha, min(params.beta, raw[lit]))
-    return HTable(h, means)
+    return h
 
 
 class LookaheadEngine(Propagator):
-    """The look-aheads of one split node, over the node's residual.
+    """The look-aheads of one split node: the propagator of the node's
+    residual.
 
     Built once per node, so the occurrence lists and the residual's unit
     clauses (which a non-fixpoint assignment can leave, and every
     look-ahead must assert too) are shared by all of its look-aheads.
+    The node's h-table is passed to each look-ahead, so a child that
+    settles on its parent's engine keeps no h-table alive.
     """
 
-    def __init__(self, residual, table):
-        super().__init__(residual)
-        self.table = table
-        self.h = table.values
-
-    def look_ahead(self, lit):
+    def look_ahead(self, lit, h):
         """(weight, assigned count, new binary count, refuted) of `lit`.
 
         The weight sums h(~y) * h(~z) over the newly created binaries
@@ -210,7 +203,7 @@ class LookaheadEngine(Propagator):
         true, conflict = self.fixpoint([lit])
         if conflict:
             return 0.0, len(true), 0, True
-        clauses, occ, h = self.clauses, self.occ, self.h
+        clauses, occ = self.clauses, self.occ
         touched = set()
         for assigned in true:
             touched.update(occ.get(-assigned, ()))
@@ -244,16 +237,18 @@ def _score(mode, pos, neg):
     raise ValueError("unknown mode %r" % mode)
 
 
-def _candidates(residual, table, preselect):
-    occurring = sorted({abs(l) for c in residual for l in c})
+def _candidates(free, h, preselect):
+    """The variables to look ahead on, ascending: all of `free`, or its
+    `preselect` share of highest h(v) * h(~v), ties to the smaller."""
+    occurring = sorted(free)
     if preselect >= 1.0 or len(occurring) <= 1:
         return occurring
     keep = max(1, math.ceil(preselect * len(occurring)))
-    ranked = sorted(occurring, key=lambda v: (-table.product(v), v))
+    ranked = sorted(occurring, key=lambda v: (-(h[v] * h[-v]), v))
     return sorted(ranked[:keep])
 
 
-def _measure(engine, mode, preselect=1.0):
+def _measure(engine, h, candidates, mode):
     """Look ahead on both polarities of every candidate variable.
 
     Returns (best variable, failed literals, scores).  The best is the
@@ -264,9 +259,9 @@ def _measure(engine, mode, preselect=1.0):
     best_score = -1.0
     failed = []
     scores = {}
-    for var in _candidates(engine.clauses, engine.table, preselect):
-        pos = engine.look_ahead(var)
-        neg = engine.look_ahead(-var)
+    for var in candidates:
+        pos = engine.look_ahead(var, h)
+        neg = engine.look_ahead(-var, h)
         if pos[3]:
             failed.append(var)
         if neg[3]:
@@ -287,8 +282,9 @@ def branch_scores(formula, assignment, mode, params=None):
     params = params or params_for_mode(mode)
     true = {var if value else -var for var, value in assignment.items()}
     residual = residual_clauses(formula.clauses, true)
-    engine = LookaheadEngine(residual, _compute_h(residual, params))
-    return _measure(engine, mode)[2]
+    free = {abs(l) for c in residual for l in c}
+    h = _compute_h(residual, free, params)
+    return _measure(LookaheadEngine(residual), h, sorted(free), mode)[2]
 
 
 def check_mode(mode):
@@ -327,11 +323,13 @@ def split(formula, cutoff, mode=MODE_PTN, params=None, preselect=1.0):
             if not residual:
                 return Leaf(CUTOFF)
             n_bin = sum(1 for c in residual if len(c) == 2)
-            n_free = len({abs(l) for c in residual for l in c})
-            if cutoff.triggers(depth, n_bin, n_free):
+            free = {abs(l) for c in residual for l in c}
+            if cutoff.triggers(depth, n_bin, len(free)):
                 return Leaf(CUTOFF)
-            engine = LookaheadEngine(residual, _compute_h(residual, params))
-            best, failed, _ = _measure(engine, mode, preselect)
+            h = _compute_h(residual, free, params)
+            engine = LookaheadEngine(residual)
+            best, failed, _ = _measure(engine, h,
+                                       _candidates(free, h, preselect), mode)
             if any(-lit in failed for lit in failed):
                 return Leaf(REFUTED)
             if not failed:

@@ -6,23 +6,25 @@ no machinery with the solver under test.
 """
 
 import heapq
+import math
 import os
 import random
 import subprocess
 import sys
 from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 from triplesat import cdcl
 from triplesat.cdcl import INDETERMINATE, SAT, UNSAT, SolveResult, luby
-from triplesat.cnf import (Formula, is_flip_symmetric, lit_value,
-                           propagate_clauses)
+from triplesat.cnf import (Formula, Propagator, is_flip_symmetric, lit_value,
+                           make_clause, propagate_clauses)
 from triplesat.drat import CheckResult
-from triplesat.lookahead import (CUTOFF, REFUTED, Leaf, LookaheadEngine, Node,
-                                 _compute_h, _measure, build_preorder,
-                                 check_mode, params_for_mode)
+from triplesat.lookahead import (CUTOFF, REFUTED, Leaf, LookaheadError, Node,
+                                 _score, build_preorder, check_mode,
+                                 params_for_mode)
 from triplesat.transform import EliminationRecord
 
 
@@ -140,6 +142,29 @@ def ap3_formula(n):
     return Formula(clauses, n)
 
 
+def is_tautology(clause):
+    lits = set(clause)
+    return any(-l in lits for l in lits)
+
+
+def resolve(c1, c2, var):
+    """Resolvent of c1 (containing var) and c2 (containing -var)."""
+    if var <= 0:
+        raise ValueError("resolution variable must be positive")
+    if var not in c1:
+        raise ValueError("variable %d does not occur positively in %s" % (var, (c1,)))
+    if -var not in c2:
+        raise ValueError("variable %d does not occur negatively in %s" % (var, (c2,)))
+    return make_clause([l for l in c1 if l != var] + [l for l in c2 if l != -var])
+
+
+def extension_clauses(x, a, b):
+    """Clauses defining x := a AND b, for a fresh variable x and literals
+    a, b of distinct variables.  Added in this order, each has RAT with
+    its x-literal as pivot."""
+    return [(x, -a, -b), (-x, a), (-x, b)]
+
+
 def reference_bce(formula):
     """Blocked clause elimination by re-checking every re-queued clause in
     full: the oracle of `transform.bce`, which must return the same
@@ -224,15 +249,153 @@ def reference_propagate(clauses, assumptions=(), order_rng=None):
         assign[abs(lit)] = lit > 0
 
 
-def reference_look_ahead(residual, lit, table):
+# The h-table and the per-node engine as split used them before each node
+# derived its free variables and h-table once, verbatim except for the
+# `reference_`/`Reference` names: the oracle of the h-table and split
+# differential tests, so the live code is compared with a fixed copy.
+
+
+@dataclass
+class ReferenceHTable:
+    values: dict            # literal -> heuristic value
+    means: list             # per-round mean, means[i] is the round-i average
+
+    def product(self, var):
+        return self.values.get(var, 0.0) * self.values.get(-var, 0.0)
+
+
+def reference_check_3cnf(residual):
+    for clause in residual:
+        if len(clause) > 3:
+            raise LookaheadError("residual clause %r longer than 3" % (clause,))
+
+
+def reference_compute_h(residual, params):
+    reference_check_3cnf(residual)
+    occurring = {abs(l) for c in residual for l in c}
+    h = {}
+    for var in occurring:
+        h[var] = 1.0
+        h[-var] = 1.0
+    n = len(occurring)
+    means = []
+    for _ in range(params.iterations):
+        mu = sum(h[v] + h[-v] for v in occurring) / (2 * n) if n else 1.0
+        means.append(mu)
+        raw = dict.fromkeys(h, 0.0)
+        for clause in residual:
+            if len(clause) == 3:
+                x, y, z = clause
+                hy, hz, hx = h[-y] / mu, h[-z] / mu, h[-x] / mu
+                raw[x] += hy * hz
+                raw[y] += hx * hz
+                raw[z] += hx * hy
+            elif len(clause) == 2:
+                x, y = clause
+                raw[x] += params.gamma * h[-y] / mu
+                raw[y] += params.gamma * h[-x] / mu
+        for lit in h:
+            h[lit] = max(params.alpha, min(params.beta, raw[lit]))
+    return ReferenceHTable(h, means)
+
+
+class ReferenceLookaheadEngine(Propagator):
+    """The look-aheads of one split node, over the node's residual.
+
+    Built once per node, so the occurrence lists and the residual's unit
+    clauses (which a non-fixpoint assignment can leave, and every
+    look-ahead must assert too) are shared by all of its look-aheads.
+    """
+
+    def __init__(self, residual, table):
+        super().__init__(residual)
+        self.table = table
+        self.h = table.values
+
+    def look_ahead(self, lit):
+        """(weight, assigned count, new binary count, refuted) of `lit`.
+
+        The weight sums h(~y) * h(~z) over the newly created binaries
+        (y | z); refuted means propagation conflicts, forcing the
+        complement.  A ternary clause turns binary only through a false
+        literal, so only the clauses in the occurrence lists of the
+        negated true literals are weighed, in ascending index: the weight
+        is the same float sum a scan of the whole residual in clause order
+        would give.
+        """
+        true, conflict = self.fixpoint([lit])
+        if conflict:
+            return 0.0, len(true), 0, True
+        clauses, occ, h = self.clauses, self.occ, self.h
+        touched = set()
+        for assigned in true:
+            touched.update(occ.get(-assigned, ()))
+        weight = 0.0
+        new_binaries = 0
+        for idx in sorted(touched):
+            clause = clauses[idx]
+            if len(clause) != 3:
+                continue
+            unassigned = []
+            for other in clause:
+                if other in true:
+                    break
+                if -other not in true:
+                    unassigned.append(other)
+            else:
+                if len(unassigned) == 2:
+                    y, z = unassigned
+                    weight += h.get(-y, 0.0) * h.get(-z, 0.0)
+                    new_binaries += 1
+        return weight, len(true), new_binaries, False
+
+
+def reference_candidates(residual, table, preselect):
+    occurring = sorted({abs(l) for c in residual for l in c})
+    if preselect >= 1.0 or len(occurring) <= 1:
+        return occurring
+    keep = max(1, math.ceil(preselect * len(occurring)))
+    ranked = sorted(occurring, key=lambda v: (-table.product(v), v))
+    return sorted(ranked[:keep])
+
+
+def reference_measure(engine, mode, preselect=1.0):
+    """Look ahead on both polarities of every candidate variable.
+
+    Returns (best variable, failed literals, scores).  The best is the
+    smallest of the top-scoring variables that neither polarity refutes,
+    or None.  Every refuted literal is failed and its variable unscored.
+    """
+    best_var = None
+    best_score = -1.0
+    failed = []
+    scores = {}
+    for var in reference_candidates(engine.clauses, engine.table, preselect):
+        pos = engine.look_ahead(var)
+        neg = engine.look_ahead(-var)
+        if pos[3]:
+            failed.append(var)
+        if neg[3]:
+            failed.append(-var)
+        if pos[3] or neg[3]:
+            continue
+        score = _score(mode, pos, neg)
+        scores[var] = score
+        if score > best_score:
+            best_score = score
+            best_var = var
+    return best_var, failed, scores
+
+
+def reference_look_ahead(residual, lit, h):
     """The look-ahead before the per-node engine: full propagation over the
-    residual, then a rescan of every ternary clause in clause order."""
+    residual, then a rescan of every ternary clause in clause order.  `h`
+    is an h-table {literal: weight}."""
     assign, conflict = reference_propagate(residual, [lit])
     if conflict:
         return 0.0, len(assign), 0, True
     weight = 0.0
     new_binaries = 0
-    h = table.values
     for clause in residual:
         if len(clause) != 3:
             continue
@@ -302,9 +465,9 @@ def reference_split(formula, cutoff, mode="ptn3sat", params=None, preselect=1.0,
             n_free = len({abs(l) for c in residual for l in c})
             if cutoff.triggers(depth, n_bin, n_free):
                 return Leaf(CUTOFF)
-            table = _compute_h(residual, params)
-            best, failed, _ = _measure(LookaheadEngine(residual, table), mode,
-                                       preselect)
+            table = reference_compute_h(residual, params)
+            best, failed, _ = reference_measure(
+                ReferenceLookaheadEngine(residual, table), mode, preselect)
             if any(-lit in failed for lit in failed):
                 return Leaf(REFUTED)
             if not failed:
@@ -494,7 +657,10 @@ class ReferenceSolver:
 
     The body is the earlier solver's, verbatim except that VAR_DECAY and
     LUBY_UNIT are read from `cdcl`, so a test that patches them there
-    changes both solvers.  Watch lists and reasons hold clause indices;
+    changes both solvers, and that, as in `cdcl.Solver`, a variable that
+    occurs only in assumptions gets no activity and is never decided:
+    `_backtrack` queues only variables with an activity, and
+    `add_refuted` gives its clause's new variables one.  Watch lists and reasons hold clause indices;
     the heap takes a new entry at every bump and every unassignment.
     """
 
@@ -575,7 +741,8 @@ class ReferenceSolver:
             vals[lit] = vals[-lit] = None
             var = abs(lit)
             phase[var] = lit > 0
-            push(heap, (-(activity[var] or 0.0), var))
+            if activity[var] is not None:
+                push(heap, (-activity[var], var))
         del trail[keep:]
         del trail_lim[target:]
         self.qhead = len(trail)
@@ -628,6 +795,14 @@ class ReferenceSolver:
             return
         negation = [-l for l in assumptions]
         self._grow(max(map(abs, negation), default=0))
+        activity = self.activity
+        fresh = [(0.0, var) for var in set(map(abs, negation))
+                 if activity[var] is None]
+        if fresh:
+            for _, var in fresh:
+                activity[var] = 0.0
+            self.heap += fresh
+            heapq.heapify(self.heap)
         self._emit(negation)
         self._attach(negation)
 

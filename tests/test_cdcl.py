@@ -98,6 +98,16 @@ def test_assumption_beyond_formula_variables():
     assert solver.solve(assumptions=[-2, -7]).model[1] is True
 
 
+def test_assumption_only_variable_is_never_decided():
+    # var 5 occurs in no clause: once its assumption is gone it stays free
+    solver = Solver(Formula([(1, 2)], 2))
+    first = solver.solve(assumptions=[5])
+    assert first.model == {1: False, 2: True, 5: True}
+    second = solver.solve()
+    assert second.decisions - first.decisions == 1
+    assert second.model == {1: False, 2: True}
+
+
 def test_add_clause_after_solve():
     solver = Solver(Formula([(1, 2)]))
     assert solver.solve().verdict == SAT

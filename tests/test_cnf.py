@@ -4,11 +4,11 @@ import pytest
 
 from triplesat.cnf import (DimacsError, FALSIFIED, Formula, SATISFIED,
                            UNDETERMINED, evaluate, is_flip_symmetric,
-                           is_tautology, make_clause, parse_dimacs,
-                           propagate_clauses, resolve, write_dimacs)
+                           make_clause, parse_dimacs, propagate_clauses,
+                           write_dimacs)
 
-from conftest import (FIG1_CLAUSES, brute_sat, random_formula,
-                      reference_propagate)
+from conftest import (FIG1_CLAUSES, brute_sat, is_tautology, random_formula,
+                      reference_propagate, resolve)
 
 
 FIG1_TEXT = """p cnf 4 8

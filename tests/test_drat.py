@@ -4,12 +4,11 @@ import pytest
 
 from triplesat import cdcl, pipeline
 from triplesat.cnf import DimacsError, Formula
-from triplesat.drat import (check_proof, check_rat, check_rup,
-                            extension_clauses, merge_proofs, parse_drat,
-                            write_drat)
+from triplesat.drat import (check_proof, check_rat, check_rup, merge_proofs,
+                            parse_drat, write_drat)
 
-from conftest import (FIG1_PROOF, ap3_formula, brute_sat, random_formula,
-                      reference_check_proof)
+from conftest import (FIG1_PROOF, ap3_formula, brute_sat, extension_clauses,
+                      random_formula, reference_check_proof)
 
 
 FIG1_PROOF_TEXT = "-1 0\nd -1 2 4 0\n2 0\n0\n"
@@ -195,21 +194,9 @@ def test_extension_clauses_shape():
     assert extension_clauses(9, 1, 2) == [(9, -1, -2), (-9, 1), (-9, 2)]
 
 
-def test_extension_clauses_degenerate():
-    assert extension_clauses(9, 1, 1) == [(9, -1), (-9, 1)]
-
-
-def test_extension_clauses_freshness():
-    formula = Formula([(1, 2)])
-    with pytest.raises(ValueError):
-        extension_clauses(1, 1, 2, formula=formula)
-    with pytest.raises(ValueError):
-        extension_clauses(9, 1, 5, formula=formula)  # 5 does not occur
-
-
 def test_extension_clauses_rat_addable():
     formula = Formula([(1, 2)])
-    proof = [("a", c) for c in extension_clauses(9, 1, 2, formula=formula)]
+    proof = [("a", c) for c in extension_clauses(9, 1, 2)]
     assert check_proof(formula, proof)
 
 
@@ -222,7 +209,7 @@ def test_extension_preserves_satisfiability(rng):
         a, b = rng.sample(occurring, 2)
         x = formula.num_vars + 1
         extended = Formula(list(formula.clauses) +
-                           extension_clauses(x, a, b, formula=formula))
+                           extension_clauses(x, a, b))
         assert brute_sat(formula) == brute_sat(extended)
 
 
@@ -447,7 +434,7 @@ def test_check_counters_on_ap3():
                                                   cutoff="depth:3")).proof
     # extension clauses need RAT partner checks; a deletion after the
     # empty clause rebuilds level 0
-    extension = [("a", c) for c in extension_clauses(10, 1, 2, formula=formula)]
+    extension = [("a", c) for c in extension_clauses(10, 1, 2)]
     proof = extension + merged + [("d", (1, 2, 3))]
     result = check_proof(formula, proof, refutation=True)
     assert result

@@ -11,7 +11,9 @@ import pytest
 
 from triplesat import pipeline
 from triplesat.cnf import Formula
+from triplesat.encoder import encode
 from triplesat.lookahead import MODES, cubes, parse_cutoff, split
+from triplesat.transform import bce, symmetry_break
 
 
 def cube_digest(cube_list):
@@ -52,3 +54,11 @@ def test_random_3sat_split(mode):
     formula = random_3sat(130, 624, 11)
     tree = split(formula, parse_cutoff("depth:3"), mode)
     assert cube_digest(cubes(tree)) == RANDOM_DIGESTS[mode]
+
+
+def test_paper_size_split():
+    """The paper's n=7825 formula, transformed as the pipeline does: 15
+    measured nodes whose free-variable sets are the size of the paper's."""
+    formula = symmetry_break(bce(encode(7825))[0])[0]
+    tree = split(formula, parse_cutoff("depth:4"), "ptn3sat", preselect=0.1)
+    assert cube_digest(cubes(tree)) == "907ec38f4ae56912"

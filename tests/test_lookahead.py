@@ -7,17 +7,18 @@ import pytest
 from triplesat import cnf, lookahead
 from triplesat.cnf import DimacsError, Formula, Propagator, propagate_clauses
 from triplesat.encoder import encode
-from triplesat.lookahead import (CUTOFF, CutoffPolicy, HeuristicParams, HTable,
-                                 Leaf, LookaheadEngine, LookaheadError, MODE_BIN,
+from triplesat.lookahead import (CUTOFF, CutoffPolicy, HeuristicParams, Leaf,
+                                 LookaheadEngine, LookaheadError, MODE_BIN,
                                  MODE_PTN, MODE_RND, MODE_VAR, MODES, Node,
                                  PTN_PARAMS, REFUTED, RND_PARAMS, _compute_h,
                                  _measure, cubes, leaf_cubes, negate_cubes,
                                  params_for_mode, parse_cutoff, parse_inccnf,
                                  residual_clauses, split, write_inccnf)
+from triplesat.transform import bce, symmetry_break
 
 from conftest import (FIG3_CUBES, brute_sat, cubes_cover_all, random_formula,
-                      random_tree, reference_look_ahead, reference_split,
-                      true_literals)
+                      random_tree, reference_compute_h, reference_look_ahead,
+                      reference_split, true_literals)
 
 
 def test_params_validation():
@@ -54,57 +55,121 @@ def test_parse_cutoff():
     assert parse_cutoff("depth:0,bin:0,vars:0").depth_limit == 0
 
 
+def free_vars(residual):
+    """The variables of `residual`, as split builds the set."""
+    return {abs(l) for c in residual for l in c}
+
+
+def h_table(residual, params):
+    return _compute_h(residual, free_vars(residual), params)
+
+
 def test_round_zero_mean_is_one():
-    table = _compute_h([(1, 2, 3), (-1, -2, 4)],
-                       HeuristicParams(alpha=0.5, beta=10, iterations=1))
-    assert table.means[0] == 1.0
+    # with mean 1, one round's raw weights are plain sums of products of 1.0
+    table = h_table([(1, 2, 3), (-1, -2, 4)],
+                    HeuristicParams(alpha=0.5, beta=10, iterations=1))
+    assert table == {1: 1.0, -1: 1.0, 2: 1.0, -2: 1.0, 3: 1.0, -3: 0.5,
+                     4: 1.0, -4: 0.5}
 
 
 def test_h1_clamps_up_to_alpha():
-    table = _compute_h([(1, 2, 3)],
-                       HeuristicParams(alpha=8, beta=550, gamma=25, iterations=1))
+    table = h_table([(1, 2, 3)],
+                    HeuristicParams(alpha=8, beta=550, gamma=25, iterations=1))
     for lit in (1, 2, 3, -1, -2, -3):
-        assert table.values[lit] == 8.0
+        assert table[lit] == 8.0
 
 
 def test_h1_small_alpha():
-    table = _compute_h([(1, 2, 3)],
-                       HeuristicParams(alpha=0.1, beta=25, gamma=3.3,
-                                       iterations=1))
+    table = h_table([(1, 2, 3)],
+                    HeuristicParams(alpha=0.1, beta=25, gamma=3.3, iterations=1))
     for lit in (1, 2, 3):
-        assert table.values[lit] == pytest.approx(1.0)
-        assert table.values[-lit] == pytest.approx(0.1)
+        assert table[lit] == pytest.approx(1.0)
+        assert table[-lit] == pytest.approx(0.1)
 
 
 def test_h_clamp_bounds_always_hold(rng):
     for _ in range(50):
         formula = random_formula(rng, max_vars=10, allow_units=False)
         params = HeuristicParams(alpha=0.3, beta=4.0, gamma=2.0, iterations=4)
-        table = _compute_h(formula.clauses, params)
-        for value in table.values.values():
+        table = h_table(formula.clauses, params)
+        for value in table.values():
             assert params.alpha <= value <= params.beta
 
 
-def test_h_rejects_long_clauses():
-    with pytest.raises(LookaheadError):
-        _compute_h([(1, 2, 3, 4)], HeuristicParams())
+def _spread_residual(rng):
+    """Binary and ternary clauses over variables spread far apart, so the
+    free-variable set's slots collide and its iteration order depends on
+    the order the variables were added in."""
+    pool = rng.sample(range(1, 1 << rng.randint(8, 16)), rng.randint(3, 60))
+    residual = []
+    for _ in range(rng.randint(1, 3 * len(pool))):
+        width = 2 if rng.random() < 0.4 else 3
+        residual.append(tuple(v if rng.random() < 0.5 else -v
+                              for v in rng.sample(pool, width)))
+    return residual
+
+
+def _hex_items(table):
+    return [(lit, value.hex()) for lit, value in table.items()]
+
+
+def test_compute_h_matches_reference(rng):
+    """The h-table is bit for bit, and in key order, the one of the copy
+    that built its own free-variable set and h-table object per call."""
+    collided = 0
+    for case in range(400):
+        residual = _spread_residual(rng)
+        free = free_vars(residual)
+        # without slot collisions a set's order does not depend on the
+        # order its elements were added in
+        collided += list(free) != list(set(sorted(free)))
+        params = [PTN_PARAMS, RND_PARAMS,
+                  HeuristicParams(alpha=0.5, beta=80.0, gamma=7.0,
+                                  iterations=6)][case % 3]
+        assert _hex_items(_compute_h(residual, free, params)) == \
+            _hex_items(reference_compute_h(residual, params).values)
+    assert collided >= 100
+
+
+def test_compute_h_matches_reference_at_paper_size():
+    """The root residual of the paper's n=7825 formula."""
+    formula = symmetry_break(bce(encode(7825))[0])[0]
+    true, conflict = Propagator(formula.clauses).fixpoint([])
+    assert not conflict
+    residual = residual_clauses(formula.clauses, true)
+    assert _hex_items(h_table(residual, PTN_PARAMS)) == \
+        _hex_items(reference_compute_h(residual, PTN_PARAMS).values)
+
+
+# (1 | 2 | 3 | 4) keeps its four literals at the root: nothing propagates
+LONG_CLAUSE = Formula([(1, 2, 3, 4), (-1, -2, 5), (2, 3, -5)], 5)
+
+
+def test_split_long_clause_is_cutoff_leaf_when_cutoff_fires():
+    # the cutoff test comes before the h-table, which needs 3-CNF
+    assert split(LONG_CLAUSE, parse_cutoff("bin:0")) == Leaf(CUTOFF)
+
+
+def test_split_long_clause_raises_when_node_is_measured():
+    with pytest.raises(LookaheadError, match=r"\(1, 2, 3, 4\) longer than 3"):
+        split(LONG_CLAUSE, parse_cutoff("depth:1"))
 
 
 def test_look_ahead_counts_new_binary():
     residual = [(1, 2, 3)]
-    table = _compute_h(residual, HeuristicParams(alpha=0.1, beta=25,
-                                                 iterations=1))
-    engine = LookaheadEngine(residual, table)
-    weight, assigned, new_binaries, refuted = engine.look_ahead(-1)
+    table = h_table(residual, HeuristicParams(alpha=0.1, beta=25, iterations=1))
+    weight, assigned, new_binaries, refuted = \
+        LookaheadEngine(residual).look_ahead(-1, table)
     assert not refuted
     assert new_binaries == 1
-    assert weight == pytest.approx(table.values[-2] * table.values[-3])
+    assert weight == pytest.approx(table[-2] * table[-3])
 
 
 def test_look_ahead_pure_literal():
     residual = [(1, 2, 3)]
-    table = _compute_h(residual, HeuristicParams())
-    weight, _, new_binaries, refuted = LookaheadEngine(residual, table).look_ahead(1)
+    table = h_table(residual, HeuristicParams())
+    weight, _, new_binaries, refuted = \
+        LookaheadEngine(residual).look_ahead(1, table)
     assert (weight, new_binaries, refuted) == (0.0, 0, False)
 
 
@@ -113,23 +178,22 @@ def test_look_ahead_refuted():
     # propagation of 1 chains to a conflict with (-2)
     _, conflict = propagate_clauses(residual, [1])
     assert conflict
-    table = _compute_h([(2, 3)], HeuristicParams())
-    assert LookaheadEngine(residual, table).look_ahead(1)[3] is True
+    table = h_table([(2, 3)], HeuristicParams())
+    assert LookaheadEngine(residual).look_ahead(1, table)[3] is True
 
 
 def test_look_ahead_asserts_residual_units_and_empty_clauses():
     # under {1: False} the residual holds the unit (2,), which every
     # look-ahead asserts after its own literal
-    table = _compute_h([(2, 3, 4)], HeuristicParams())
-    h = table.values
+    h = h_table([(2, 3, 4)], HeuristicParams())
     clauses = [(1, 2), (-2, 3, 4), (3, 5)]
-    engine = LookaheadEngine(residual_clauses(clauses, {-1}), table)
-    assert engine.look_ahead(5) == (h[-3] * h[-4], 2, 1, False)
-    engine = LookaheadEngine(residual_clauses(clauses, {-1, -3}), table)
-    assert engine.look_ahead(-4)[3] is True
+    engine = LookaheadEngine(residual_clauses(clauses, {-1}))
+    assert engine.look_ahead(5, h) == (h[-3] * h[-4], 2, 1, False)
+    engine = LookaheadEngine(residual_clauses(clauses, {-1, -3}))
+    assert engine.look_ahead(-4, h)[3] is True
     # an empty residual clause refutes every look-ahead
     with_empty = residual_clauses([(1,), (2, 3, 4)], {-1})
-    assert LookaheadEngine(with_empty, table).look_ahead(2)[3] is True
+    assert LookaheadEngine(with_empty).look_ahead(2, h)[3] is True
 
 
 def _with_tautologies(rng, formula):
@@ -156,16 +220,16 @@ def test_engine_matches_reference_look_ahead(rng):
         seen_units += any(len(c) == 1 for c in residual)
         seen_empty += any(not c for c in residual)
         if rng.random() < 0.5:
-            table = _compute_h(residual, rng.choice([PTN_PARAMS, RND_PARAMS]))
+            table = h_table(residual, rng.choice([PTN_PARAMS, RND_PARAMS]))
         else:
             # magnitudes far apart make the float sum depend on its order
-            table = HTable({lit: rng.random() * 10.0 ** rng.randint(-8, 8)
-                            for v in range(1, formula.num_vars + 1)
-                            for lit in (v, -v)}, [])
-        engine = LookaheadEngine(residual, table)
+            table = {lit: rng.random() * 10.0 ** rng.randint(-8, 8)
+                     for v in range(1, formula.num_vars + 1)
+                     for lit in (v, -v)}
+        engine = LookaheadEngine(residual)
         free = [v for v in range(1, formula.num_vars + 1) if v not in assignment]
         for lit in [l for v in free for l in (v, -v)]:
-            got = engine.look_ahead(lit)
+            got = engine.look_ahead(lit, table)
             want = reference_look_ahead(residual, lit, table)
             assert got[0] == want[0]
             assert got[2:] == want[2:]
@@ -175,17 +239,19 @@ def test_engine_matches_reference_look_ahead(rng):
     assert seen_units and seen_empty and seen_weights
 
 
+def _best(residual, mode):
+    table = h_table(residual, HeuristicParams())
+    engine = LookaheadEngine(residual)
+    return _measure(engine, table, sorted(free_vars(residual)), mode)[0]
+
+
 def test_select_branch_count_bin():
-    residual = [(1, 2, 3), (-1, 2, 3)]
-    table = _compute_h(residual, HeuristicParams())
-    assert _measure(LookaheadEngine(residual, table), MODE_BIN)[0] == 1
+    assert _best([(1, 2, 3), (-1, 2, 3)], MODE_BIN) == 1
 
 
 def test_select_branch_tie_break_smallest():
     # fully symmetric: both clauses of the sole triple of encode(5)
-    residual = list(encode(5).clauses)
-    table = _compute_h(residual, HeuristicParams())
-    assert _measure(LookaheadEngine(residual, table), MODE_PTN)[0] == 3
+    assert _best(list(encode(5).clauses), MODE_PTN) == 3
 
 
 def test_residual_clauses():

@@ -8,7 +8,8 @@ from triplesat.transform import (bce, emit_transform_proof, parse_stack,
                                  reconstruct, symmetry_break, write_stack)
 from triplesat.encoder import encode, occurrence_stats
 
-from conftest import brute_force, brute_sat, random_formula, reference_bce
+from conftest import (brute_force, brute_sat, is_tautology, random_formula,
+                      reference_bce, resolve)
 
 
 def specialized_ptn_reduction(n):
@@ -106,8 +107,6 @@ def test_bce_stack_pinned(n, digest, count, pivot):
 
 def test_bce_no_blocked_clause_remains(rng):
     """Fixpoint: nothing in the output is blocked with respect to the output."""
-    from triplesat.cnf import is_tautology, resolve
-
     def blocked(clause, clauses):
         for lit in clause:
             partners = [d for d in clauses if -lit in d and d is not clause]
