@@ -71,6 +71,9 @@ class Solver:
     keys are a total order and a free variable's current entry precedes
     its older ones, so the first free variable popped is the arg-max of
     activity over free variables, ties to the smaller variable.
+
+    With a `proof` sink, learned clauses and refuted cubes' negations
+    are emitted as they are: each is RUP against what precedes it.
     """
 
     def __init__(self, formula=None, proof=None, conflict_budget=None):
@@ -90,7 +93,6 @@ class Solver:
         self.heap = []
         self.ok = True
         self.proof = proof         # list sink of ("a"|"d", clause) lines
-        self.proof_extension = ()  # literals appended to every emitted lemma
         self._empty_emitted = False
         self.conflict_budget = conflict_budget
         self.taut_vars = set()
@@ -360,15 +362,8 @@ class Solver:
         return learnt, bt_level
 
     def _emit(self, lits):
-        if self.proof is None:
-            return
-        clause = list(lits)
-        present = set(clause)
-        for lit in self.proof_extension:
-            if lit not in present:
-                clause.append(lit)
-                present.add(lit)
-        self.proof.append(("a", tuple(clause)))
+        if self.proof is not None:
+            self.proof.append(("a", tuple(lits)))
 
     def _emit_empty(self):
         if not self._empty_emitted:
@@ -488,15 +483,18 @@ def solve_incremental(formula, cube_list, proof=None, conflict_budget=None):
 
     Learned clauses and heuristic state persist across cubes.  Each
     refuted cube contributes the clause negating it, both to the proof
-    and to the clause database.
+    and to the clause database.  A model decides the formula, so solving
+    stops after the first SAT cube: there is one result per cube solved.
     """
     solver = Solver(formula, proof=proof, conflict_budget=conflict_budget)
     results = []
     for cube in cube_list:
         result = solver.solve(assumptions=cube)
+        results.append(result)
+        if result.verdict == SAT:
+            break
         if result.verdict == UNSAT:
             solver.add_refuted(cube)
-        results.append(result)
     return results
 
 

@@ -138,25 +138,24 @@ def cmd_solve(args):
     proof = [] if args.proof else None
     if args.cubes:
         formula, cube_list = parse_inccnf(_read(args.cubes))
-        results = cdcl.solve_incremental(formula, cube_list, proof=proof,
+        # no cubes: the one empty cube, which is the whole formula
+        results = cdcl.solve_incremental(formula, cube_list or [()],
+                                         proof=proof,
                                          conflict_budget=args.conflict_budget)
-        _print_counters(results[-1] if results else cdcl.SolveResult(cdcl.UNSAT))
-        verdicts = [r.verdict for r in results]
-        if cdcl.SAT in verdicts:
-            sat = results[verdicts.index(cdcl.SAT)]
-            code = _print_verdict(cdcl.SAT, sat.model)
-        elif cdcl.INDETERMINATE in verdicts:
-            code = _print_verdict(cdcl.INDETERMINATE)
-        else:
-            code = _print_verdict(cdcl.UNSAT)
     else:
         if getattr(args, "in") is None:
             raise ValueError("solve needs --in or --cubes")
         formula = _load_formula(getattr(args, "in"))
-        result = cdcl.solve(formula, proof=proof,
-                            conflict_budget=args.conflict_budget)
-        _print_counters(result)
-        code = _print_verdict(result.verdict, result.model)
+        results = [cdcl.solve(formula, proof=proof,
+                              conflict_budget=args.conflict_budget)]
+    # solving stops at a SAT cube, so only the last result can be SAT
+    result = results[-1]
+    verdict = result.verdict
+    if verdict == cdcl.UNSAT and any(r.verdict == cdcl.INDETERMINATE
+                                     for r in results):
+        verdict = cdcl.INDETERMINATE
+    _print_counters(result)
+    code = _print_verdict(verdict, result.model)
     if args.proof:
         _write(args.proof, drat.write_drat(proof))
     return code

@@ -176,20 +176,32 @@ def is_flip_symmetric(formula):
                for lits, k in counts.items())
 
 
+def numbered_lines(text):
+    """(line number, line) pairs of a str, or of bytes read as ASCII; a
+    non-ASCII byte raises DimacsError carrying its line number."""
+    if isinstance(text, (bytes, bytearray)):
+        try:
+            text = text.decode("ascii")
+        except UnicodeDecodeError as exc:
+            # the prefix is ASCII; the marker makes the bad byte's line count
+            lineno = len((text[:exc.start] + b"x").decode("ascii").splitlines())
+            raise DimacsError("non-ASCII byte 0x%02x" % text[exc.start],
+                              lineno) from None
+    return enumerate(text.splitlines(), start=1)
+
+
 def parse_dimacs(text):
     """Parse DIMACS CNF (str or bytes) into a Formula.
 
     The header clause count is re-verified; mismatches, out-of-range
     literals and unterminated clauses are reported with line numbers.
     """
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("ascii")
     num_vars = None
     num_clauses = None
     clauses = []
     current = []
     last_line = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in numbered_lines(text):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .cnf import Formula, is_flip_symmetric, parse_clause_line
+from .cnf import Formula, is_flip_symmetric, numbered_lines, parse_clause_line
 
 
 @dataclass
@@ -42,10 +42,8 @@ def parse_drat(text):
 
     Malformed lines raise cnf.DimacsError carrying the line number.
     """
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("ascii")
     proof = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in numbered_lines(text):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue

@@ -27,8 +27,8 @@ from typing import Optional
 
 # `propagate_clauses` is not called here: bench/spans.py wraps it where
 # `lookahead` looks it up, so the name must stay importable from here.
-from .cnf import (DimacsError, Formula, Propagator, parse_clause_line,
-                  propagate_clauses)
+from .cnf import (DimacsError, Formula, Propagator, numbered_lines,
+                  parse_clause_line, propagate_clauses)
 
 CUTOFF = "cutoff"
 REFUTED = "refuted"
@@ -415,12 +415,10 @@ def parse_inccnf(text):
 
     Malformed lines raise cnf.DimacsError carrying the line number.
     """
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("ascii")
     clauses = []
     cube_list = []
     saw_header = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in numbered_lines(text):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue

@@ -5,8 +5,9 @@ index order, tautology proof) that is checked once, against the original
 formula; SAT runs produce a repaired model validated against the
 original problem.  Every cube goes through one primitive,
 `solve_one_cube`, either in this process or over share-nothing worker
-processes.  In two-level mode the primitive re-splits its cube and hands
-the sub-cubes to one incremental solver.
+processes.  It solves the cube under assumptions with
+`cdcl.solve_incremental`; in two-level mode it first re-splits the cube
+and hands the sub-cubes, then the cube, to the same solver.
 """
 
 from __future__ import annotations
@@ -144,41 +145,29 @@ def _policy(cutoff):
 
 
 def solve_one_cube(formula, cube, config):
-    """Solve formula AND cube in one fresh solver; cube literals become units.
+    """Solve formula AND cube with `cdcl.solve_incremental` on `[cube]`.
 
-    Emitted lemmas are extended with the cube's negation so the proof
-    stands against the formula alone; an UNSAT run ends with the negated
-    cube itself.  In two-level mode the cube is first re-split under
-    `config.second_cutoff`, and the solver refutes the sub-cubes in turn,
-    keeping what it learns, before a last call without assumptions closes
-    the cube.  Solving stops at the first sub-cube that is not refuted.
-    Returns (SolveResult of the last call, proof, split seconds, solve
-    seconds); the result's counters cover every call on the cube's solver.
+    Two-level mode first re-splits the cube under `config.second_cutoff`
+    and puts each sub-cube, prefixed with the cube, before it, so the last
+    entry closes the cube.  Returns (SolveResult of the last call, proof,
+    split seconds, solve seconds); the result's counters cover every call
+    on the cube's solver.
     """
     start = time.perf_counter()
-    subcubes = []
+    cube_list = [cube]
     if config.two_level:
         restricted = Formula(list(formula.clauses) + [(l,) for l in cube],
                              formula.num_vars)
         subcubes = cubes(split(restricted, _policy(config.second_cutoff),
                                config.mode, config.params, config.preselect))
+        cube_list = [(*cube, *sub) for sub in subcubes] + cube_list
     split_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()
     proof = []
-    solver = cdcl.Solver(formula, proof=proof, conflict_budget=config.conflict_budget)
-    negation = tuple(-l for l in cube)
-    solver.proof_extension = negation
-    for lit in cube:
-        solver.add_clause([lit])
-    for subcube in subcubes + [()]:
-        result = solver.solve(assumptions=subcube)
-        if result.verdict != cdcl.UNSAT:
-            break
-        solver.add_refuted(subcube)
-    if result.verdict == cdcl.UNSAT and (not proof or proof[-1] != ("a", negation)):
-        proof.append(("a", negation))
-    return result, proof, split_elapsed, time.perf_counter() - start
+    results = cdcl.solve_incremental(formula, cube_list, proof=proof,
+                                     conflict_budget=config.conflict_budget)
+    return results[-1], proof, split_elapsed, time.perf_counter() - start
 
 
 _WORKER = {}

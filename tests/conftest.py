@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,8 +24,9 @@ from triplesat.cnf import (Formula, Propagator, is_flip_symmetric, lit_value,
                            make_clause, propagate_clauses)
 from triplesat.drat import CheckResult
 from triplesat.lookahead import (CUTOFF, REFUTED, Leaf, LookaheadError, Node,
-                                 _score, build_preorder, check_mode,
-                                 params_for_mode)
+                                 _score, build_preorder, check_mode, cubes,
+                                 params_for_mode, split)
+from triplesat.pipeline import _policy
 from triplesat.transform import EliminationRecord
 
 
@@ -1053,6 +1055,42 @@ class ReferenceSolver:
                 self.decisions += 1
             self._new_level()
             self._enqueue(lit, None)
+
+
+def reference_solve_one_cube(formula, cube, config):
+    """`pipeline.solve_one_cube` before every cube went through
+    `cdcl.solve_incremental`: the oracle of the conquer differential test.
+
+    The body is the earlier function's, verbatim except that it runs on
+    `ReferenceSolver`.  The cube goes in as unit clauses, every lemma is
+    extended with the cube's negation (`proof_extension`), and two-level
+    mode stops at the first sub-cube that is not refuted.
+    """
+    start = time.perf_counter()
+    subcubes = []
+    if config.two_level:
+        restricted = Formula(list(formula.clauses) + [(l,) for l in cube],
+                             formula.num_vars)
+        subcubes = cubes(split(restricted, _policy(config.second_cutoff),
+                               config.mode, config.params, config.preselect))
+    split_elapsed = time.perf_counter() - start
+
+    start = time.perf_counter()
+    proof = []
+    solver = ReferenceSolver(formula, proof=proof,
+                             conflict_budget=config.conflict_budget)
+    negation = tuple(-l for l in cube)
+    solver.proof_extension = negation
+    for lit in cube:
+        solver.add_clause([lit])
+    for subcube in subcubes + [()]:
+        result = solver.solve(assumptions=subcube)
+        if result.verdict != cdcl.UNSAT:
+            break
+        solver.add_refuted(subcube)
+    if result.verdict == cdcl.UNSAT and (not proof or proof[-1] != ("a", negation)):
+        proof.append(("a", negation))
+    return result, proof, split_elapsed, time.perf_counter() - start
 
 
 # ------------------------------------------------------------------ fixtures

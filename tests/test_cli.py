@@ -115,6 +115,43 @@ def test_solve_prints_counters(tmp_path, capsys):
             "s UNSATISFIABLE"]
 
 
+def test_solve_cubes_without_cubes_solves_the_formula(tmp_path, capsys):
+    # an inccnf file with no `a` lines is the one empty cube
+    sat = tmp_path / "sat.icnf"
+    sat.write_text("p inccnf\n1 2 0\n-1 2 0\n1 -2 0\n")
+    assert main(["solve", "--cubes", str(sat)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "s SATISFIABLE" in out
+    assert out[-1] == "v 1 2 0"
+    unsat = tmp_path / "unsat.icnf"
+    unsat.write_text("p inccnf\n" + FIG1_TEXT.split("\n", 1)[1])
+    cnf = tmp_path / "fig1.cnf"
+    cnf.write_text(FIG1_TEXT)
+    proof = tmp_path / "fig1.drat"
+    assert main(["solve", "--cubes", str(unsat), "--proof", str(proof)]) == 20
+    assert "s UNSATISFIABLE" in capsys.readouterr().out
+    assert main(["check", "--formula", str(cnf), "--proof", str(proof),
+                 "--refutation"]) == 0
+    assert "s VERIFIED" in capsys.readouterr().out
+
+
+def test_non_ascii_input_is_an_error_with_its_line(tmp_path, capsys):
+    cnf = tmp_path / "bad.cnf"
+    cnf.write_bytes(b"p cnf 2 1\n1 2 \xff 0\n")
+    icnf = tmp_path / "bad.icnf"
+    icnf.write_bytes(b"p inccnf\n1 2 0\n\na \xff 0\n")
+    good = tmp_path / "fig1.cnf"
+    good.write_text(FIG1_TEXT)
+    drat_file = tmp_path / "bad.drat"
+    drat_file.write_bytes(b"\xff 0\n")
+    for argv, line in ((["solve", "--in", str(cnf)], 2),
+                       (["solve", "--cubes", str(icnf)], 4),
+                       (["check", "--formula", str(good), "--proof",
+                         str(drat_file)], 1)):
+        assert main(argv) == 1
+        assert "error: line %d: non-ASCII byte 0x" % line in capsys.readouterr().err
+
+
 def test_check_fig1(tmp_path, capsys):
     cnf = tmp_path / "fig1.cnf"
     cnf.write_text(FIG1_TEXT)

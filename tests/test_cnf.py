@@ -59,6 +59,16 @@ def test_parse_errors_carry_line_numbers():
         parse_dimacs("1 2 0\n")  # no header
 
 
+@pytest.mark.parametrize("data, line", [(b"\xff", 1),
+                                        (b"p cnf 2 1\n1 2 0\nc \xe9\n", 3),
+                                        (b"p cnf 2 1\r\n1 \xff 0\n", 2)],
+                         ids=["first-byte", "comment", "crlf"])
+def test_non_ascii_bytes_carry_line_numbers(data, line):
+    with pytest.raises(DimacsError, match="line %d: non-ASCII" % line) as info:
+        parse_dimacs(data)
+    assert info.value.line == line
+
+
 def test_write_dimacs_fig1():
     formula = Formula(list(FIG1_CLAUSES), 4)
     assert write_dimacs(formula) == FIG1_TEXT

@@ -29,6 +29,13 @@ def test_parse_drat_reports_bad_lines(text, line):
     assert info.value.line == line
 
 
+@pytest.mark.parametrize("data, line", [(b"\xff", 1), (b"1 0\nd 2 \x80 0\n", 2)])
+def test_parse_drat_rejects_non_ascii(data, line):
+    with pytest.raises(DimacsError, match="line %d: non-ASCII" % line) as info:
+        parse_drat(data)
+    assert info.value.line == line
+
+
 def test_write_drat_round_trip():
     assert write_drat(FIG1_PROOF) == FIG1_PROOF_TEXT
     assert parse_drat(write_drat(FIG1_PROOF)) == FIG1_PROOF

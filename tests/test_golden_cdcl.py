@@ -1,6 +1,8 @@
 """Pinned CDCL searches: a faster solver must take exactly the same steps.
 
-The values were recorded with the dict-based solver.  Each pin holds a
+The values were recorded with the dict-based solver, and the
+`solve_one_cube` pins again when every cube came to be solved under
+assumptions by `cdcl.solve_incremental`.  Each pin holds a
 call's (verdict, conflicts, decisions, propagations) and the first 16 hex
 digits of the sha256 of `write_drat` of its proof, so any change to the
 watch order, the decision order, conflict analysis or the emitted lemmas
@@ -39,9 +41,9 @@ def counters(result):
             result.propagations)
 
 
-def solve_cubes(formula, cutoff):
+def solve_cubes(formula, cutoff, **settings):
     """(counters, proof digest) of `solve_one_cube` on each cube of the split."""
-    config = pipeline.PipelineConfig(formula=formula, cutoff=cutoff)
+    config = pipeline.PipelineConfig(formula=formula, cutoff=cutoff, **settings)
     tree = split(formula, parse_cutoff(cutoff), config.mode, config.params,
                  config.preselect)
     out = []
@@ -53,14 +55,27 @@ def solve_cubes(formula, cutoff):
 
 def test_solve_one_cube_rnd_depth1():
     assert solve_cubes(random_3sat(130, 624, 11), "depth:1") == [
-        (("UNSAT", 731, 899, 19360), "158a986e130296e2"),
-        (("UNSAT", 567, 704, 14306), "cb0b0bf93c33f136")]
+        (("UNSAT", 569, 674, 15342), "101aead87967ec10"),
+        (("UNSAT", 630, 778, 15711), "7d3541cb73b6b3ad")]
 
 
 def test_solve_one_cube_ap3_depth3():
     assert solve_cubes(ap3_formula(9), "depth:3") == [
-        (("UNSAT", 4, 3, 20), "54d78bab5526f3a4"),
-        (("UNSAT", 4, 4, 22), "49d32121e2a9d6cc")]
+        (("UNSAT", 4, 3, 21), "00593d5f0fd20f64"),
+        (("UNSAT", 4, 4, 23), "db6745b59c814194")]
+
+
+def test_solve_one_cube_two_level():
+    # ap3(9)'s cubes re-split to the one empty sub-cube, so each cube is
+    # solved twice; the rnd cubes re-split to four sub-cubes each
+    assert solve_cubes(ap3_formula(9), "depth:2", two_level=True,
+                       second_cutoff="depth:4") == [
+        (("UNSAT", 4, 3, 21), "958bcdc25d38f149"),
+        (("UNSAT", 4, 4, 23), "55e2074b00a7e30c")]
+    assert solve_cubes(random_3sat(130, 624, 11), "depth:1", mode="rnd3sat",
+                       two_level=True, second_cutoff="depth:2") == [
+        (("UNSAT", 262, 318, 6736), "71ce71c3af1db404"),
+        (("UNSAT", 541, 644, 14831), "198c548578351ae1")]
 
 
 def test_solve_one_cube_ptn7825_budget():
@@ -75,8 +90,8 @@ def test_solve_one_cube_ptn7825_budget():
         result, proof, _, _ = pipeline.solve_one_cube(formula, cube, config)
         out.append((counters(result), proof_digest(proof)))
     assert out == [
-        (("indeterminate", 300, 666, 53149), "63e93d67426c19b1"),
-        (("indeterminate", 300, 731, 52312), "5e3077db89241e35")]
+        (("indeterminate", 300, 666, 53151), "729916b617a22b0b"),
+        (("indeterminate", 300, 747, 51083), "3065a66e3d14f96b")]
 
 
 def test_solve_incremental_rnd_depth3():

@@ -492,3 +492,11 @@ def test_inccnf_reports_bad_lines(text, line):
     with pytest.raises(DimacsError) as info:
         parse_inccnf(text)
     assert info.value.line == line
+
+
+@pytest.mark.parametrize("data, line", [(b"\xff", 1),
+                                        (b"p inccnf\n1 0\na \xff 0\n", 3)])
+def test_inccnf_rejects_non_ascii(data, line):
+    with pytest.raises(DimacsError, match="line %d: non-ASCII" % line) as info:
+        parse_inccnf(data)
+    assert info.value.line == line

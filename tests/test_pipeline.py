@@ -1,12 +1,15 @@
+import random
+from collections import Counter
+
 import pytest
 
 from triplesat import cdcl, drat, pipeline
 from triplesat.cnf import Formula, SATISFIED, evaluate
 from triplesat.encoder import check_partition
-from triplesat.lookahead import cubes, parse_cutoff, split
+from triplesat.lookahead import cubes, negate_cubes, parse_cutoff, split
 
 from conftest import (FIG1_CLAUSES, FIG3_CUBES, ap3_formula, brute_sat,
-                      random_formula)
+                      random_formula, reference_solve_one_cube)
 
 
 def test_config_requires_one_source():
@@ -208,3 +211,92 @@ def test_per_cube_solver_counters():
         assert (row["conflicts"], row["decisions"], row["propagations"]) == \
             (alone.conflicts, alone.decisions, alone.propagations)
     assert sum(row["propagations"] for row in result.report.cube_stats) > 0
+
+
+def random_partition(rng, variables, depth):
+    """The cubes of a random decision tree: no variable repeats on a path,
+    so the cubes are consistent and cover every assignment."""
+    if depth == 0 or not variables or rng.random() < 0.25:
+        return [()]
+    var = rng.choice(variables)
+    rest = [v for v in variables if v != var]
+    lit = var if rng.random() < 0.5 else -var
+    return [(sign * lit,) + cube for sign in (1, -1)
+            for cube in random_partition(rng, rest, depth - 1)]
+
+
+def merged_proof_accepted(formula, cube_list, outcomes):
+    """check_proof of the cube proofs against the formula alone; when
+    every cube is refuted, with the partition's tautology proof closing
+    the refutation."""
+    refuted = all(o[0].verdict == cdcl.UNSAT for o in outcomes)
+    taut_proof = []
+    if refuted:
+        assert cdcl.solve(negate_cubes(cube_list),
+                          proof=taut_proof).verdict == cdcl.UNSAT
+    merged = drat.merge_proofs([], [o[1] for o in outcomes], taut_proof)
+    return bool(drat.check_proof(formula, merged, refutation=refuted))
+
+
+@pytest.mark.parametrize("budget", [None, 3])
+@pytest.mark.parametrize("two_level", [False, True])
+def test_solve_one_cube_matches_reference(two_level, budget):
+    # the parent's conquer path (cube as units, lemmas extended with the
+    # cube's negation) against cubes under assumptions: searches and
+    # proofs differ, verdicts may not, and both proofs must check
+    rng = random.Random("conquer-%s-%s" % (two_level, budget))
+    hits = Counter()
+    for _ in range(60):
+        num_vars = rng.randint(6, 24)
+        formula = Formula([tuple(v if rng.random() < 0.5 else -v
+                                 for v in rng.sample(range(1, num_vars + 1), 3))
+                           for _ in range(int(num_vars * rng.uniform(4, 6)))],
+                          num_vars)
+        cube_list = random_partition(rng, list(range(1, num_vars + 1)), 3)
+        config = pipeline.PipelineConfig(
+            formula=formula, second_cutoff="depth:2", two_level=two_level,
+            conflict_budget=budget)
+        new = [pipeline.solve_one_cube(formula, cube, config)
+               for cube in cube_list]
+        old = [reference_solve_one_cube(formula, cube, config)
+               for cube in cube_list]
+        for cube, (got, _, _, _), (want, _, _, _) in zip(cube_list, new, old):
+            hits[got.verdict] += 1
+            if got.verdict == cdcl.SAT:
+                restricted = list(formula.clauses) + [(l,) for l in cube]
+                assert evaluate(Formula(restricted), got.model) == SATISFIED
+            if cdcl.INDETERMINATE not in (got.verdict, want.verdict):
+                assert got.verdict == want.verdict
+                hits["compared"] += 1
+        # an all-UNSAT cube list makes these two full refutations
+        assert merged_proof_accepted(formula, cube_list, new)
+        assert merged_proof_accepted(formula, cube_list, old)
+        hits["refuted formula"] += all(o[0].verdict == cdcl.UNSAT for o in new)
+    expected = {cdcl.SAT, cdcl.UNSAT, "compared"}
+    expected.add("refuted formula" if budget is None else cdcl.INDETERMINATE)
+    assert not {name for name in expected if not hits[name]}, hits
+
+
+def test_two_level_sat_subcube_decides_its_cube(monkeypatch):
+    # the cube (-1,) re-splits on 2: the sub-cube (-1, 2) is refuted, the
+    # sub-cube (-1, -2) is SAT, and the closing call on (-1,) never runs
+    formula = Formula([(1, -5, 3), (4, -3, 2), (2, -4, -1), (-1, 5, 3),
+                       (-1, -4, 3), (-2, 5, 6), (-6, -3, -2), (-5, -4, 6),
+                       (-5, 6, -3), (-5, -3, -2), (-4, 3, 2), (5, -6, 1)], 6)
+    config = pipeline.PipelineConfig(formula=formula, second_cutoff="depth:1",
+                                     two_level=True)
+    calls = []
+    solve_incremental = cdcl.solve_incremental
+
+    def record(formula, cube_list, **kwargs):
+        results = solve_incremental(formula, cube_list, **kwargs)
+        calls.append((cube_list, [r.verdict for r in results]))
+        return results
+
+    monkeypatch.setattr(cdcl, "solve_incremental", record)
+    result = pipeline.solve_one_cube(formula, (-1,), config)[0]
+    assert calls == [([(-1, 2), (-1, -2), (-1,)], [cdcl.UNSAT, cdcl.SAT])]
+    assert result.verdict == cdcl.SAT
+    assert evaluate(formula, result.model) == SATISFIED
+    assert result.model[1] is False and result.model[2] is False
+    assert reference_solve_one_cube(formula, (-1,), config)[0].verdict == cdcl.SAT
