@@ -13,7 +13,7 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .cnf import lit_value, propagate_clauses
+from .cnf import Propagator, lit_value
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -547,5 +547,5 @@ def arithmetic_witness_check():
     if not (is_pythagorean(5180, 5865, 7825) and is_pythagorean(625, 7800, 7825)):
         return False
     constraints = [(-5180, -5865, -7825), (625, 7800, 7825)]
-    _, conflict = propagate_clauses(constraints, [5180, 5865, -625, -7800])
+    _, conflict = Propagator(constraints).fixpoint([5180, 5865, -625, -7800])
     return conflict

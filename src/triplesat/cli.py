@@ -138,8 +138,9 @@ def cmd_solve(args):
     proof = [] if args.proof else None
     if args.cubes:
         formula, cube_list = parse_inccnf(_read(args.cubes))
-        # no cubes: the one empty cube, which is the whole formula
-        results = cdcl.solve_incremental(formula, cube_list or [()],
+        # the closing empty cube is the whole formula, with the cubes
+        # refuted before it: its verdict and proof cover what they leave
+        results = cdcl.solve_incremental(formula, [*cube_list, ()],
                                          proof=proof,
                                          conflict_budget=args.conflict_budget)
     else:
@@ -148,14 +149,11 @@ def cmd_solve(args):
         formula = _load_formula(getattr(args, "in"))
         results = [cdcl.solve(formula, proof=proof,
                               conflict_budget=args.conflict_budget)]
-    # solving stops at a SAT cube, so only the last result can be SAT
+    # solving stops at a SAT cube, and otherwise ends on the whole
+    # formula, so the last result is the verdict
     result = results[-1]
-    verdict = result.verdict
-    if verdict == cdcl.UNSAT and any(r.verdict == cdcl.INDETERMINATE
-                                     for r in results):
-        verdict = cdcl.INDETERMINATE
     _print_counters(result)
-    code = _print_verdict(verdict, result.model)
+    code = _print_verdict(result.verdict, result.model)
     if args.proof:
         _write(args.proof, drat.write_drat(proof))
     return code
@@ -179,7 +177,7 @@ def cmd_check(args):
 
 
 def cmd_pack_cubes(args):
-    tree = cubecodec.parse_tree_text(_read(args.tree).decode("ascii"))
+    tree = cubecodec.parse_tree_text(_read(args.tree))
     _write(args.out, cubecodec.encode_tree(tree))
     return 0
 
@@ -208,7 +206,9 @@ def cmd_pipeline(args):
     result = pipeline.run(config)
     for phase, seconds in result.report.phase_times.items():
         print("c %-10s %8.3fs" % (phase, seconds))
-    print("c cubes: %d" % len(result.report.cube_stats))
+    # solving stops at the first SAT cube, so fewer may have been solved
+    print("c cubes: %d, solved: %d" % (len(result.cube_results),
+                                       len(result.report.cube_stats)))
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
         _write(os.path.join(args.output_dir, "cubes.csv"),

@@ -10,6 +10,7 @@ t - 1; children follow in yes-then-no order.
 
 from __future__ import annotations
 
+from .cnf import numbered_lines
 from .lookahead import CUTOFF, REFUTED, Leaf, Node, build_preorder
 
 MAGIC = b"PTCT"
@@ -117,8 +118,9 @@ def write_tree_text(tree):
 
 
 def parse_tree_text(text):
-    """Inverse of write_tree_text."""
-    tokens = iter(text.split())
+    """Inverse of write_tree_text; `text` is a str, or bytes read as ASCII
+    (a non-ASCII byte raises cnf.DimacsError carrying its line number)."""
+    tokens = (token for _, line in numbered_lines(text) for token in line.split())
 
     def read_node():
         token = next(tokens, None)

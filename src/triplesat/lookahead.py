@@ -14,9 +14,15 @@ and take the h-table as an argument.  The engine propagates each
 literal on a trail of its own and weighs only the ternary clauses that
 contain the negation of a trail literal, in clause order, so weights,
 scores and trees are exactly those of propagating and rescanning the
-whole residual per look-ahead.  A child node settles on its parent's
-engine: only the root's fixpoint runs over the whole formula, and a
-pending child keeps only its parent's residual and occurrence lists.
+whole residual per look-ahead.  A literal that propagates nothing (most
+of them) is weighed straight from its complement's occurrence list.  A
+child node settles on its parent's engine: only the root's fixpoint runs
+over the whole formula, and a pending child keeps only its parent's
+residual and occurrence lists.
+
+The h-table's rounds run on flat lists indexed by signed literal, with
+the same float operations in the same order as on a dict, so tables
+match bit for bit and trees do not change.
 """
 
 from __future__ import annotations
@@ -147,22 +153,26 @@ def _compute_h(residual, free, params):
 
     Each round's mean sums over `free` in its iteration order, and each
     literal's raw weight adds its clauses' terms in clause order, so the
-    set must be built from the residual, clause by clause.
+    set must be built from the residual, clause by clause.  The rounds run
+    on flat lists indexed by literal, as `cdcl.Solver.vals` is: slots
+    -top..top of a list of 2*top+1, `top` the largest variable in `free`.
+    Slots of variables outside `free` take part in no sum and are dropped
+    from the table returned, whose keys run var, -var per variable of
+    `free`.
     """
-    h = {}
-    for var in free:
-        h[var] = 1.0
-        h[-var] = 1.0
+    size = 2 * max(free, default=0) + 1
+    h = [1.0] * size
     n = len(free)
-    gamma = params.gamma
+    alpha, gamma = params.alpha, params.gamma
+    ceiling = max(alpha, params.beta)
     for _ in range(params.iterations):
-        mu = sum(h[v] + h[-v] for v in free) / (2 * n) if n else 1.0
-        ratio = {lit: h[-lit] / mu for lit in h}
-        raw = dict.fromkeys(h, 0.0)
+        mu = sum([h[v] + h[-v] for v in free]) / (2 * n) if n else 1.0
+        ratio = [weight / mu for weight in h]
+        raw = [0.0] * size
         for clause in residual:
             if len(clause) == 3:
                 x, y, z = clause
-                hy, hz, hx = ratio[y], ratio[z], ratio[x]
+                hy, hz, hx = ratio[-y], ratio[-z], ratio[-x]
                 raw[x] += hy * hz
                 raw[y] += hx * hz
                 raw[z] += hx * hy
@@ -173,9 +183,14 @@ def _compute_h(residual, free, params):
             elif len(clause) > 3:
                 raise LookaheadError("residual clause %r longer than 3"
                                      % (clause,))
-        for lit in h:
-            h[lit] = max(params.alpha, min(params.beta, raw[lit]))
-    return h
+        # max(alpha, min(beta, weight)), ties and all, without the calls
+        h = [(weight if weight > alpha else alpha) if weight < ceiling
+             else ceiling for weight in raw]
+    table = {}
+    for var in free:
+        table[var] = h[var]
+        table[-var] = h[-var]
+    return table
 
 
 class LookaheadEngine(Propagator):
@@ -198,11 +213,14 @@ class LookaheadEngine(Propagator):
         literal, so only the clauses in the occurrence lists of the
         negated true literals are weighed, in ascending index: the weight
         is the same float sum a scan of the whole residual in clause order
-        would give.
+        would give.  When nothing propagates, `_weigh_alone` reads the
+        one occurrence list that matters.
         """
         true, conflict = self.fixpoint([lit])
         if conflict:
             return 0.0, len(true), 0, True
+        if len(true) == 1:
+            return self._weigh_alone(lit, h)
         clauses, occ = self.clauses, self.occ
         touched = set()
         for assigned in true:
@@ -225,6 +243,29 @@ class LookaheadEngine(Propagator):
                     weight += h.get(-y, 0.0) * h.get(-z, 0.0)
                     new_binaries += 1
         return weight, len(true), new_binaries, False
+
+    def _weigh_alone(self, lit, h):
+        """`look_ahead` of a literal that propagates nothing: only `lit`
+        holds, so the clauses weighed are those of its complement's
+        occurrence list, which is already ascending and free of repeats."""
+        clauses = self.clauses
+        neg = -lit
+        weight = 0.0
+        new_binaries = 0
+        for idx in self.occ.get(neg, ()):
+            clause = clauses[idx]
+            # the other two literals are unassigned unless one is `lit`,
+            # or the clause repeats `neg`
+            if len(clause) != 3 or lit in clause or clause.count(neg) != 1:
+                continue
+            y, z, other = clause
+            if y == neg:
+                y, z = z, other
+            elif z == neg:
+                z = other
+            weight += h.get(-y, 0.0) * h.get(-z, 0.0)
+            new_binaries += 1
+        return weight, 1, new_binaries, False
 
 
 def _score(mode, pos, neg):

@@ -8,6 +8,11 @@ original problem.  Every cube goes through one primitive,
 processes.  It solves the cube under assumptions with
 `cdcl.solve_incremental`; in two-level mode it first re-splits the cube
 and hands the sub-cubes, then the cube, to the same solver.
+
+Cubes are solved in index order until the first SAT one, whose model
+decides the formula; the cubes after it are left unsolved, and the
+worker pool's pending ones are cancelled.  `cube_results` holds one
+entry per cube: its verdict, or None when it went unsolved.
 """
 
 from __future__ import annotations
@@ -148,10 +153,10 @@ def solve_one_cube(formula, cube, config):
     """Solve formula AND cube with `cdcl.solve_incremental` on `[cube]`.
 
     Two-level mode first re-splits the cube under `config.second_cutoff`
-    and puts each sub-cube, prefixed with the cube, before it, so the last
-    entry closes the cube.  Returns (SolveResult of the last call, proof,
-    split seconds, solve seconds); the result's counters cover every call
-    on the cube's solver.
+    and puts each non-empty sub-cube, prefixed with the cube, before it, so
+    the last entry closes the cube.  Returns (SolveResult of the last call,
+    proof, split seconds, solve seconds); the result's counters cover every
+    call on the cube's solver.
     """
     start = time.perf_counter()
     cube_list = [cube]
@@ -160,7 +165,8 @@ def solve_one_cube(formula, cube, config):
                              formula.num_vars)
         subcubes = cubes(split(restricted, _policy(config.second_cutoff),
                                config.mode, config.params, config.preselect))
-        cube_list = [(*cube, *sub) for sub in subcubes] + cube_list
+        # an empty sub-cube is the cube itself, which the last entry solves
+        cube_list = [(*cube, *sub) for sub in subcubes if sub] + cube_list
     split_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()
@@ -168,6 +174,17 @@ def solve_one_cube(formula, cube, config):
     results = cdcl.solve_incremental(formula, cube_list, proof=proof,
                                      conflict_budget=config.conflict_budget)
     return results[-1], proof, split_elapsed, time.perf_counter() - start
+
+
+def _until_sat(outcomes):
+    """The outcomes, in cube order, up to and including the first SAT one:
+    a model decides the formula, so the cubes after it go unsolved."""
+    solved = []
+    for outcome in outcomes:
+        solved.append(outcome)
+        if outcome[0].verdict == cdcl.SAT:
+            break
+    return solved
 
 
 _WORKER = {}
@@ -220,11 +237,12 @@ def run(config):
     start = time.perf_counter()
     solve = functools.partial(solve_one_cube, work, config=config)
     if config.workers == 1:
-        outcomes = list(map(solve, cube_list))
+        outcomes = _until_sat(map(solve, cube_list))
     else:
         with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker,
                                  initargs=(solve,)) as pool:
-            outcomes = list(pool.map(_run_worker, cube_list))
+            outcomes = _until_sat(pool.map(_run_worker, cube_list))
+            pool.shutdown(cancel_futures=True)
     report.phase_times["solve"] = time.perf_counter() - start
 
     for index, (cube, (solved, _, split_s, solve_s)) in enumerate(
@@ -235,7 +253,9 @@ def run(config):
             "decisions": solved.decisions, "propagations": solved.propagations})
 
     verdicts = [o[0].verdict for o in outcomes]
-    result = PipelineResult("", report=report, cube_results=verdicts, pivot=pivot)
+    unsolved = [None] * (len(cube_list) - len(outcomes))
+    result = PipelineResult("", report=report, cube_results=verdicts + unsolved,
+                            pivot=pivot)
 
     start = time.perf_counter()
     if cdcl.SAT in verdicts:

@@ -175,7 +175,7 @@ def test_criterion_11_heuristic_mode_coverage():
             elapsed = time.perf_counter() - start
             verdicts[mode] = result.verdict
             rows.append((name, mode, result.verdict, elapsed,
-                         len(result.report.cube_stats)))
+                         len(result.cube_results)))
         assert len(set(verdicts.values())) == 1, \
             "modes disagree on %s: %s" % (name, verdicts)
     print("\ninstance     mode      verdict  seconds  cubes")

@@ -4,7 +4,7 @@ import pytest
 
 from triplesat import cdcl, pipeline
 from triplesat.cli import main
-from triplesat.cnf import parse_dimacs, write_dimacs
+from triplesat.cnf import Formula, SATISFIED, evaluate, parse_dimacs, write_dimacs
 from triplesat.lookahead import PTN_PARAMS, RND_PARAMS, parse_inccnf
 from triplesat.transform import parse_stack
 
@@ -75,9 +75,20 @@ def test_split_solve_check_unsat(tmp_path, capsys):
     code = main(["solve", "--cubes", str(icnf), "--proof", str(proof)])
     assert code == 20
     capsys.readouterr()
-    # the incremental proof needs the tautology closure before it refutes
-    # the formula outright, so check it without --refutation
-    assert main(["check", "--formula", str(cnf), "--proof", str(proof)]) == 0
+    # the closing empty cube carries the proof to the empty clause
+    assert main(["check", "--formula", str(cnf), "--proof", str(proof),
+                 "--refutation"]) == 0
+
+
+def test_solve_cubes_that_do_not_cover_the_formula(tmp_path, capsys):
+    # the one cube (-2,) is refuted, yet x2 true satisfies the formula
+    icnf = tmp_path / "part.icnf"
+    icnf.write_text("p inccnf\n1 2 0\n-1 2 0\na -2 0\n")
+    assert main(["solve", "--cubes", str(icnf)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "s SATISFIABLE" in out
+    model = {abs(lit): lit > 0 for lit in map(int, out[-1].split()[1:-1])}
+    assert evaluate(Formula([(1, 2), (-1, 2)]), model) == SATISFIED
 
 
 def test_solve_sat_exit_code(tmp_path, capsys):
@@ -180,6 +191,14 @@ def test_check_prints_counters(tmp_path, capsys):
     assert lines[-1] == "s VERIFIED"
 
 
+def test_pack_cubes_non_ascii_is_an_error_with_its_line(tmp_path, capsys):
+    tree = tmp_path / "bad.tree"
+    tree.write_bytes(b"3\ncutoff\n\xff\n")
+    assert main(["pack-cubes", "--tree", str(tree),
+                 "--out", str(tmp_path / "bad.ptct")]) == 1
+    assert "error: line 3: non-ASCII byte 0xff" in capsys.readouterr().err
+
+
 def test_pack_unpack_round_trip(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     main(["encode", "--n", "60", "--out", str(cnf)])
@@ -197,9 +216,12 @@ def test_pack_unpack_round_trip(tmp_path, capsys):
 
 def test_pipeline_cli(tmp_path, capsys):
     outdir = tmp_path / "run"
-    code = main(["pipeline", "--n", "60", "--cutoff", "depth:3",
+    code = main(["pipeline", "--n", "300", "--cutoff", "depth:3",
                  "--output-dir", str(outdir)])
     assert code == 0
+    # the first cube is SAT, so the other seven go unsolved
+    assert "c cubes: 8, solved: 1" in capsys.readouterr().out.splitlines()
+    assert len((outdir / "cubes.csv").read_text().splitlines()) == 2
     assert (outdir / "cubes.csv").exists()
     assert (outdir / "histogram.csv").exists()
 

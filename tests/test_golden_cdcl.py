@@ -66,12 +66,13 @@ def test_solve_one_cube_ap3_depth3():
 
 
 def test_solve_one_cube_two_level():
-    # ap3(9)'s cubes re-split to the one empty sub-cube, so each cube is
-    # solved twice; the rnd cubes re-split to four sub-cubes each
+    # ap3(9)'s cubes re-split to the one empty sub-cube, which is dropped,
+    # so each cube is solved once, as in plain mode at depth:3; the rnd
+    # cubes re-split to four sub-cubes each
     assert solve_cubes(ap3_formula(9), "depth:2", two_level=True,
                        second_cutoff="depth:4") == [
-        (("UNSAT", 4, 3, 21), "958bcdc25d38f149"),
-        (("UNSAT", 4, 4, 23), "55e2074b00a7e30c")]
+        (("UNSAT", 4, 3, 21), "00593d5f0fd20f64"),
+        (("UNSAT", 4, 4, 23), "db6745b59c814194")]
     assert solve_cubes(random_3sat(130, 624, 11), "depth:1", mode="rnd3sat",
                        two_level=True, second_cutoff="depth:2") == [
         (("UNSAT", 262, 318, 6736), "71ce71c3af1db404"),

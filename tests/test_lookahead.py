@@ -208,8 +208,11 @@ def _with_tautologies(rng, formula):
 def test_engine_matches_reference_look_ahead(rng):
     """Differential check of the per-node engine against the full-rescan
     look-ahead, under partial assignments that need not be fixpoints, so
-    residuals keep unit and empty clauses."""
+    residuals keep unit and empty clauses.  Both paths are hit: a literal
+    that propagates nothing (weighed from one occurrence list) and one
+    that propagates."""
     seen_units = seen_empty = seen_weights = 0
+    seen_paths = Counter()
     for case in range(400):
         formula = _with_tautologies(rng, random_formula(
             rng, max_vars=12, allow_units=case % 4 == 0))
@@ -235,8 +238,10 @@ def test_engine_matches_reference_look_ahead(rng):
             assert got[2:] == want[2:]
             if not want[3]:
                 assert got[1] == want[1]
+                seen_paths[got[1] == 1, got[0] > 0] += 1
             seen_weights += got[0] > 0
     assert seen_units and seen_empty and seen_weights
+    assert len(seen_paths) == 4, seen_paths
 
 
 def _best(residual, mode):

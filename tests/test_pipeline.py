@@ -1,3 +1,4 @@
+import multiprocessing
 import random
 from collections import Counter
 
@@ -5,8 +6,9 @@ import pytest
 
 from triplesat import cdcl, drat, pipeline
 from triplesat.cnf import Formula, SATISFIED, evaluate
-from triplesat.encoder import check_partition
+from triplesat.encoder import check_partition, encode
 from triplesat.lookahead import cubes, negate_cubes, parse_cutoff, split
+from triplesat.transform import bce, reconstruct, symmetry_break
 
 from conftest import (FIG1_CLAUSES, FIG3_CUBES, ap3_formula, brute_sat,
                       random_formula, reference_solve_one_cube)
@@ -300,3 +302,99 @@ def test_two_level_sat_subcube_decides_its_cube(monkeypatch):
     assert evaluate(formula, result.model) == SATISFIED
     assert result.model[1] is False and result.model[2] is False
     assert reference_solve_one_cube(formula, (-1,), config)[0].verdict == cdcl.SAT
+
+
+def test_two_level_drops_the_empty_subcube():
+    # ap3(9)'s cube (5,) re-splits to the one empty sub-cube: the cube is
+    # solved once, as in plain mode, not a second time as (5,) + ()
+    formula = ap3_formula(9)
+    plain = pipeline.PipelineConfig(formula=formula)
+    two_level = pipeline.PipelineConfig(formula=formula, two_level=True,
+                                        second_cutoff="depth:4")
+    assert cubes(split(Formula(list(formula.clauses) + [(5,)]),
+                       parse_cutoff("depth:4"))) == [()]
+    got = pipeline.solve_one_cube(formula, (5,), two_level)
+    want = pipeline.solve_one_cube(formula, (5,), plain)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+
+
+def every_cube_until_sat(config):
+    """(cube list, verdicts up to the first SAT cube, that cube's model as
+    the run reports it) from solving every cube of the run's split on its
+    own with `solve_one_cube`."""
+    stack = []
+    work = config.formula
+    if config.n is not None:
+        work, stack = bce(encode(config.n))
+        work, _ = symmetry_break(work)
+    cube_list = cubes(split(work, parse_cutoff(config.cutoff), config.mode,
+                            config.params, config.preselect))
+    outcomes = [pipeline.solve_one_cube(work, cube, config) for cube in cube_list]
+    verdicts = [o[0].verdict for o in outcomes]
+    first = verdicts.index(cdcl.SAT)
+    model = reconstruct(outcomes[first][0].model, stack, formula=work)
+    for var in range(1, (config.n or 0) + 1):
+        model.setdefault(var, False)
+    return cube_list, verdicts[:first + 1], model
+
+
+def sat_formulas(rng, count):
+    """Random 3-SAT near the threshold, 8 to 12 variables, that brute force
+    finds satisfiable: the first SAT cube is often not the first cube."""
+    found = []
+    while len(found) < count:
+        num_vars = rng.randint(8, 12)
+        formula = Formula([tuple(v if rng.random() < 0.5 else -v
+                                 for v in rng.sample(range(1, num_vars + 1), 3))
+                           for _ in range(int(num_vars * rng.uniform(3.8, 5)))],
+                          num_vars)
+        if brute_sat(formula):
+            found.append(formula)
+    return found
+
+
+@pytest.mark.parametrize("two_level", [False, True])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sat_run_stops_at_the_first_sat_cube(workers, two_level, monkeypatch):
+    rng = random.Random("first-sat-%d-%s" % (workers, two_level))
+    configs = [pipeline.PipelineConfig(n=300, cutoff="depth:3",
+                                       second_cutoff="depth:2")]
+    configs += [pipeline.PipelineConfig(formula=formula, cutoff="depth:3",
+                                        second_cutoff="depth:2")
+                for formula in [ap3_formula(8)] + sat_formulas(rng, 12)]
+    solve_one_cube = pipeline.solve_one_cube
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return solve_one_cube(*args, **kwargs)
+
+    unsolved = later_sat = 0
+    for config in configs:
+        config.two_level = two_level
+        config.workers = workers
+        cube_list, prefix, model = every_cube_until_sat(config)
+        calls.clear()
+        if workers == 1:
+            monkeypatch.setattr(pipeline, "solve_one_cube", counted)
+        result = pipeline.run(config)
+        monkeypatch.undo()
+        assert result.verdict == cdcl.SAT
+        if config.formula is not None:
+            assert brute_sat(config.formula)
+            assert evaluate(config.formula, result.model) == SATISFIED
+        else:
+            assert check_partition(config.n, result.model) is None
+        assert result.model == model
+        assert result.cube_results == \
+            prefix + [None] * (len(cube_list) - len(prefix))
+        assert [row["index"] for row in result.report.cube_stats] == \
+            list(range(len(prefix)))
+        if workers == 1:
+            assert calls == cube_list[:len(prefix)]
+        else:
+            assert not multiprocessing.active_children()
+        unsolved += len(cube_list) > len(prefix)
+        later_sat += len(prefix) > 1
+    assert unsolved and later_sat
