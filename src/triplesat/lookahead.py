@@ -20,9 +20,9 @@ child node settles on its parent's engine: only the root's fixpoint runs
 over the whole formula, and a pending child keeps only its parent's
 residual and occurrence lists.
 
-The h-table's rounds run on flat lists indexed by signed literal, with
-the same float operations in the same order as on a dict, so tables
-match bit for bit and trees do not change.
+The h-table's rounds run on flat lists indexed by each free variable's
+position, with the same float operations in the same order as on a
+dict, so tables match bit for bit and trees do not change.
 """
 
 from __future__ import annotations
@@ -154,22 +154,32 @@ def _compute_h(residual, free, params):
     Each round's mean sums over `free` in its iteration order, and each
     literal's raw weight adds its clauses' terms in clause order, so the
     set must be built from the residual, clause by clause.  The rounds run
-    on flat lists indexed by literal, as `cdcl.Solver.vals` is: slots
-    -top..top of a list of 2*top+1, `top` the largest variable in `free`.
-    Slots of variables outside `free` take part in no sum and are dropped
-    from the table returned, whose keys run var, -var per variable of
-    `free`.
+    on flat lists indexed by signed position: the i-th variable of `free`
+    (from 1) is renamed i, so the lists hold 2*len(free)+1 slots however
+    large the variable numbers are, and the residual is renamed once.
+    The table returned has keys var, -var per variable of `free`.
     """
-    size = 2 * max(free, default=0) + 1
-    h = [1.0] * size
+    position = {}
+    for i, var in enumerate(free, 1):
+        position[var] = i
+        position[-var] = -i
+    clauses = []
+    for clause in residual:
+        if len(clause) > 3:
+            raise LookaheadError("residual clause %r longer than 3"
+                                 % (clause,))
+        if len(clause) > 1:
+            clauses.append(tuple([position[lit] for lit in clause]))
     n = len(free)
+    size = 2 * n + 1
+    h = [1.0] * size
     alpha, gamma = params.alpha, params.gamma
     ceiling = max(alpha, params.beta)
     for _ in range(params.iterations):
-        mu = sum([h[v] + h[-v] for v in free]) / (2 * n) if n else 1.0
+        mu = sum([h[i] + h[-i] for i in range(1, n + 1)]) / (2 * n) if n else 1.0
         ratio = [weight / mu for weight in h]
         raw = [0.0] * size
-        for clause in residual:
+        for clause in clauses:
             if len(clause) == 3:
                 x, y, z = clause
                 hy, hz, hx = ratio[-y], ratio[-z], ratio[-x]
@@ -180,16 +190,13 @@ def _compute_h(residual, free, params):
                 x, y = clause
                 raw[x] += gamma * h[-y] / mu
                 raw[y] += gamma * h[-x] / mu
-            elif len(clause) > 3:
-                raise LookaheadError("residual clause %r longer than 3"
-                                     % (clause,))
         # max(alpha, min(beta, weight)), ties and all, without the calls
         h = [(weight if weight > alpha else alpha) if weight < ceiling
              else ceiling for weight in raw]
     table = {}
-    for var in free:
-        table[var] = h[var]
-        table[-var] = h[-var]
+    for i, var in enumerate(free, 1):
+        table[var] = h[i]
+        table[-var] = h[-i]
     return table
 
 

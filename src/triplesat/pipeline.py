@@ -123,11 +123,14 @@ class PipelineConfig:
 
 @dataclass
 class PhaseReport:
+    """Phase times; the size of every cube of the split; and a row of
+    solver counters per cube solved, which after a SAT cube are fewer."""
     phase_times: dict = field(default_factory=dict)
+    cube_sizes: list = field(default_factory=list)
     cube_stats: list = field(default_factory=list)
 
     def histogram(self):
-        counts = Counter(row["size"] for row in self.cube_stats)
+        counts = Counter(self.cube_sizes)
         return dict(sorted(counts.items()))
 
 
@@ -233,6 +236,7 @@ def run(config):
                  config.preselect)
     cube_list = cubes(tree)
     report.phase_times["split"] = time.perf_counter() - start
+    report.cube_sizes = [len(cube) for cube in cube_list]
 
     start = time.perf_counter()
     solve = functools.partial(solve_one_cube, work, config=config)

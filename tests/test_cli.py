@@ -5,7 +5,8 @@ import pytest
 from triplesat import cdcl, pipeline
 from triplesat.cli import main
 from triplesat.cnf import Formula, SATISFIED, evaluate, parse_dimacs, write_dimacs
-from triplesat.lookahead import PTN_PARAMS, RND_PARAMS, parse_inccnf
+from triplesat.lookahead import (PTN_PARAMS, RND_PARAMS, parse_inccnf,
+                                 write_inccnf)
 from triplesat.transform import parse_stack
 
 from conftest import ap3_formula, run_python
@@ -78,6 +79,39 @@ def test_split_solve_check_unsat(tmp_path, capsys):
     # the closing empty cube carries the proof to the empty clause
     assert main(["check", "--formula", str(cnf), "--proof", str(proof),
                  "--refutation"]) == 0
+
+
+def test_solve_cubes_budget_on_a_split_file(tmp_path, capsys):
+    """With a conflict budget, a cube that runs out no longer decides the
+    run: the closing empty cube refutes the formula, so the verdict is
+    UNSAT and its proof checks.  A budget every cube fits in stays UNSAT."""
+    formula = ap3_formula(9)
+    cnf = tmp_path / "w.cnf"
+    cnf.write_text(write_dimacs(formula))
+    icnf = tmp_path / "w.icnf"
+    assert main(["split", "--in", str(cnf), "--cutoff", "depth:3",
+                 "--out", str(icnf)]) == 0
+    _, cube_list = parse_inccnf(icnf.read_bytes())
+    verdicts = [r.verdict for r in cdcl.solve_incremental(
+        formula, [*cube_list, ()], conflict_budget=4)]
+    assert verdicts == [cdcl.INDETERMINATE, cdcl.UNSAT, cdcl.UNSAT]
+    proof = tmp_path / "w.drat"
+    assert main(["solve", "--cubes", str(icnf), "--conflict-budget", "4",
+                 "--proof", str(proof)]) == 20
+    assert "s UNSATISFIABLE" in capsys.readouterr().out
+    assert main(["check", "--formula", str(cnf), "--proof", str(proof),
+                 "--refutation"]) == 0
+    assert main(["solve", "--cubes", str(icnf), "--conflict-budget", "50"]) == 20
+
+
+def test_solve_cubes_budget_runs_out_on_the_closing_cube(tmp_path, capsys):
+    # (1, 2, 3) colours a 3-AP alike, so the cube is refuted outright; the
+    # closing call must refute ap3(9) itself, which takes more than one
+    # conflict, so the run is UNKNOWN rather than UNSAT
+    icnf = tmp_path / "one.icnf"
+    icnf.write_text(write_inccnf(ap3_formula(9), [(1, 2, 3)]))
+    assert main(["solve", "--cubes", str(icnf), "--conflict-budget", "1"]) == 30
+    assert "s UNKNOWN" in capsys.readouterr().out
 
 
 def test_solve_cubes_that_do_not_cover_the_formula(tmp_path, capsys):
@@ -223,7 +257,9 @@ def test_pipeline_cli(tmp_path, capsys):
     assert "c cubes: 8, solved: 1" in capsys.readouterr().out.splitlines()
     assert len((outdir / "cubes.csv").read_text().splitlines()) == 2
     assert (outdir / "cubes.csv").exists()
-    assert (outdir / "histogram.csv").exists()
+    # the histogram counts all eight cubes, solved or not
+    rows = (outdir / "histogram.csv").read_text().splitlines()[1:]
+    assert sum(int(row.split(",")[1]) for row in rows) == 8
 
 
 def test_pipeline_cli_unsat(tmp_path, capsys):

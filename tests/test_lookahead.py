@@ -1,11 +1,13 @@
 import inspect
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from triplesat import cnf, lookahead
-from triplesat.cnf import DimacsError, Formula, Propagator, propagate_clauses
+from triplesat.cnf import (DimacsError, Formula, Propagator, parse_dimacs,
+                           propagate_clauses)
 from triplesat.encoder import encode
 from triplesat.lookahead import (CUTOFF, CutoffPolicy, HeuristicParams, Leaf,
                                  LookaheadEngine, LookaheadError, MODE_BIN,
@@ -141,6 +143,26 @@ def test_compute_h_matches_reference_at_paper_size():
         _hex_items(reference_compute_h(residual, PTN_PARAMS).values)
 
 
+def test_compute_h_memory_does_not_grow_with_variable_numbers():
+    """The h-table's lists hold a slot per free literal, not one per
+    literal up to the largest variable number, so a formula naming a
+    variable in the millions splits in a few kilobytes."""
+    formula = parse_dimacs(b"p cnf 1000000 2\n1 2 1000000 0\n-1 -2 3 0\n")
+    residual = list(formula.clauses)
+    tracemalloc.start()
+    try:
+        table = h_table(residual, PTN_PARAMS)
+        tree = split(formula, parse_cutoff("depth:2"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _hex_items(table) == \
+        _hex_items(reference_compute_h(residual, PTN_PARAMS).values)
+    assert leaf_cubes(tree) == \
+        leaf_cubes(reference_split(formula, parse_cutoff("depth:2")))
+    assert peak < 1 << 20
+
+
 # (1 | 2 | 3 | 4) keeps its four literals at the root: nothing propagates
 LONG_CLAUSE = Formula([(1, 2, 3, 4), (-1, -2, 5), (2, 3, -5)], 5)
 
@@ -208,9 +230,10 @@ def _with_tautologies(rng, formula):
 def test_engine_matches_reference_look_ahead(rng):
     """Differential check of the per-node engine against the full-rescan
     look-ahead, under partial assignments that need not be fixpoints, so
-    residuals keep unit and empty clauses.  Both paths are hit: a literal
-    that propagates nothing (weighed from one occurrence list) and one
-    that propagates."""
+    residuals keep unit and empty clauses.  Both paths are hit, each with
+    and without weight: a literal that propagates nothing, which
+    `_weigh_alone` weighs from one occurrence list, and one that
+    propagates."""
     seen_units = seen_empty = seen_weights = 0
     seen_paths = Counter()
     for case in range(400):
@@ -230,15 +253,23 @@ def test_engine_matches_reference_look_ahead(rng):
                      for v in range(1, formula.num_vars + 1)
                      for lit in (v, -v)}
         engine = LookaheadEngine(residual)
+        alone = engine._weigh_alone
+        weighed_alone = []
+        engine._weigh_alone = lambda lit, h: (weighed_alone.append(lit),
+                                              alone(lit, h))[1]
         free = [v for v in range(1, formula.num_vars + 1) if v not in assignment]
         for lit in [l for v in free for l in (v, -v)]:
             got = engine.look_ahead(lit, table)
             want = reference_look_ahead(residual, lit, table)
             assert got[0] == want[0]
             assert got[2:] == want[2:]
+            fast = weighed_alone == [lit]
+            weighed_alone.clear()
+            # the fast path runs exactly when nothing but `lit` holds
+            assert fast == (not want[3] and want[1] == 1)
             if not want[3]:
                 assert got[1] == want[1]
-                seen_paths[got[1] == 1, got[0] > 0] += 1
+                seen_paths[fast, got[0] > 0] += 1
             seen_weights += got[0] > 0
     assert seen_units and seen_empty and seen_weights
     assert len(seen_paths) == 4, seen_paths

@@ -192,12 +192,7 @@ def test_stats_csv():
 
 
 def test_histogram_of_fig3_sizes():
-    report = pipeline.PhaseReport()
-    for index, cube in enumerate(FIG3_CUBES):
-        report.cube_stats.append({"index": index, "size": len(cube),
-                                  "split_time": 0.0, "solve_time": 0.0,
-                                  "conflicts": 0, "decisions": 0,
-                                  "propagations": 0})
+    report = pipeline.PhaseReport(cube_sizes=[len(c) for c in FIG3_CUBES])
     assert report.histogram() == {2: 2, 3: 3, 4: 2}
     assert sum(report.histogram().values()) == len(FIG3_CUBES)
 
@@ -391,6 +386,10 @@ def test_sat_run_stops_at_the_first_sat_cube(workers, two_level, monkeypatch):
             prefix + [None] * (len(cube_list) - len(prefix))
         assert [row["index"] for row in result.report.cube_stats] == \
             list(range(len(prefix)))
+        # the size histogram still counts every cube of the split
+        assert result.report.cube_sizes == [len(c) for c in cube_list]
+        assert sum(result.report.histogram().values()) == \
+            len(result.cube_results)
         if workers == 1:
             assert calls == cube_list[:len(prefix)]
         else:
