@@ -5,11 +5,19 @@ minimization, activity-based decisions with decay, Luby restarts, and
 phase saving (initial polarity negative).  Supports incremental solving
 under cube assumptions with the learned-clause database retained across
 cubes, DRAT proof emission, and backbone computation.
+
+With a `hints` sink beside the proof, every emitted line also gets its
+antecedents, in LRAT style (Cruz-Filipe, Heule, Hunt, Kaufmann,
+Schneider-Kamp, CADE 2017): the clauses conflict analysis used, numbered
+in `drat.check_proof`'s frame.  Number `i < len(formula.clauses)` names
+input clause `i`, and the solver's k-th emitted line is
+`len(formula.clauses) + k`.  Recording them changes no step of the search.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -73,10 +81,20 @@ class Solver:
     activity over free variables, ties to the smaller variable.
 
     With a `proof` sink, learned clauses and refuted cubes' negations
-    are emitted as they are: each is RUP against what precedes it.
+    are emitted as they are: each is RUP against what precedes it.  A
+    `hints` sink, which needs the proof sink, gets one entry per emitted
+    line: for a learned clause an `array('i')` of its antecedents' numbers
+    (see the module docstring), in an order that propagates: the reasons
+    local minimization used, the reasons resolved in trail order, then
+    the conflict clause.  Refuted cubes' negations, the empty clause and
+    a clause learned from one added by `add_clause` get `()`.  Until
+    `flush_hints` runs, the antecedents wait as clause lists: numbering
+    them needs a map over every input clause, which only a refutation's
+    check uses, so `solve` and `solve_incremental` flush when they end
+    on UNSAT and not otherwise.
     """
 
-    def __init__(self, formula=None, proof=None, conflict_budget=None):
+    def __init__(self, formula=None, proof=None, conflict_budget=None, hints=None):
         self.clauses = []          # list of lists; watched at positions 0 and 1
         self.cap = 0               # variables 1..cap have slots below
         self.vals = [None]         # literal -> True/False, None if unassigned
@@ -93,6 +111,13 @@ class Solver:
         self.heap = []
         self.ok = True
         self.proof = proof         # list sink of ("a"|"d", clause) lines
+        if hints is not None and proof is None:
+            raise ValueError("a hints sink needs a proof sink")
+        self.hints = hints         # list sink of each line's antecedents
+        self._unflushed = []       # (number, clause, antecedent lists) per line
+        self._inputs = None        # (input clause lists, their numbers)
+        self._numbers = None       # id() of a clause list -> its number
+        self._next_line = len(formula.clauses) if formula is not None else 0
         self._empty_emitted = False
         self.conflict_budget = conflict_budget
         self.taut_vars = set()
@@ -101,7 +126,7 @@ class Solver:
         self.propagations = 0
         if formula is not None:
             self._grow(formula.num_vars)
-            self._load(formula.clauses)
+            self._load(formula.clauses, numbered=True)
 
     # ------------------------------------------------------------------ basics
 
@@ -173,15 +198,17 @@ class Solver:
         """Add an input (or derived) clause at decision level 0."""
         self._load((lits,))
 
-    def _load(self, clauses):
+    def _load(self, clauses, numbered=False):
         """Add clauses at decision level 0, each as `add_clause` defines it:
         literals deduplicated in first-occurrence order, literal 0
         rejected, every variable touched, tautologies skipped, the rest
-        attached.  Touched variables enter the decision heap together."""
+        attached.  Touched variables enter the decision heap together.
+        When `numbered` and hints are kept, clause `i` gets number `i`."""
         assert not self.trail_lim
         touched = set()
         kept = []
-        for lits in clauses:
+        numbers = array("i") if numbered and self.hints is not None else None
+        for num, lits in enumerate(clauses):
             clause = list(lits)
             occurring = set(map(abs, clause))
             if 0 in occurring:
@@ -193,6 +220,10 @@ class Solver:
                     self.taut_vars |= occurring
                     continue
             kept.append(clause)
+            if numbers is not None:
+                numbers.append(num)
+        if numbers is not None:
+            self._inputs = kept, numbers
         self._grow(max(touched, default=0))
         self._touch(touched)
         for clause in kept:
@@ -309,7 +340,9 @@ class Solver:
     def _analyze(self, confl):
         """First-UIP learning from the conflicting clause `confl`.  Every
         variable met is bumped while assigned, so it leaves the queue and
-        `_backtrack` queues it again at its new activity."""
+        `_backtrack` queues it again at its new activity.  Returns the
+        learned clause, the backtrack level and, when hints are kept, the
+        clauses used, in the order the `hints` sink takes them."""
         trail, level, reason = self.trail, self.level, self.reason
         activity, queued, var_inc = self.activity, self.queued, self.var_inc
         cur = len(self.trail_lim)
@@ -319,7 +352,10 @@ class Solver:
         p = 0                  # no literal yet
         reason_clause = confl
         idx = len(trail) - 1
+        resolved = [] if self.hints is not None else None
         while True:
+            if resolved is not None:
+                resolved.append(reason_clause)
             for q in reason_clause:
                 if q == p:
                     continue
@@ -346,6 +382,7 @@ class Solver:
             reason_clause = reason[abs(p)]
         # local minimization: drop tail literals whose reason is subsumed
         learnt = [-p]
+        used = [] if resolved is not None else None
         for q in tail:
             r = reason[abs(q)]
             if r is not None:
@@ -353,25 +390,51 @@ class Solver:
                     if m != -q and abs(m) not in seen and level[abs(m)] != 0:
                         break
                 else:
+                    if used is not None:
+                        used.append(r)
                     continue
             learnt.append(q)
         if len(learnt) == 1:
             bt_level = 0
         else:
             bt_level = max(level[abs(q)] for q in learnt[1:])
-        return learnt, bt_level
+        if used is not None:
+            used += reversed(resolved)
+        return learnt, bt_level, used
 
-    def _emit(self, lits):
+    def _emit(self, lits, used=()):
+        """Append an addition to the proof sink; with hints, keep the clause
+        list `lits` and its antecedents `used` until `flush_hints`."""
         if self.proof is not None:
             self.proof.append(("a", tuple(lits)))
+            if self.hints is not None:
+                self._unflushed.append((self._next_line, lits, used))
+                self._next_line += 1
+
+    def flush_hints(self):
+        """Number the antecedents of the lines emitted since the last flush
+        and append them to the `hints` sink, one entry per line."""
+        numbers = self._numbers
+        if numbers is None:
+            kept, nums = self._inputs or ((), ())
+            numbers = self._numbers = dict(zip(map(id, kept), nums))
+            self._inputs = None
+        for num, clause, used in self._unflushed:
+            try:
+                hint = array("i", map(numbers.__getitem__, map(id, used)))
+            except KeyError:       # an antecedent came from add_clause
+                hint = ()
+            self.hints.append(hint or ())
+            numbers[id(clause)] = num
+        self._unflushed.clear()
 
     def _emit_empty(self):
         if not self._empty_emitted:
             self._empty_emitted = True
             self._emit(())
 
-    def _learn(self, learnt, bt_level):
-        self._emit(learnt)
+    def _learn(self, learnt, bt_level, used):
+        self._emit(learnt, used)
         level = self.level
         if len(learnt) > 1:
             # watch a max-level literal at position 1 so the watch pair is
@@ -439,8 +502,7 @@ class Solver:
                     self.ok = False
                     self._emit_empty()
                     return self._result(UNSAT)
-                learnt, bt_level = self._analyze(confl)
-                self._learn(learnt, bt_level)
+                self._learn(*self._analyze(confl))
                 if budget is not None and conflicts_here >= budget:
                     self._backtrack(0)
                     return self._result(INDETERMINATE)
@@ -472,21 +534,28 @@ class Solver:
             self._enqueue(lit, None)
 
 
-def solve(formula, proof=None, conflict_budget=None):
-    """One-shot solve; an UNSAT verdict leaves a DRAT refutation in `proof`."""
-    solver = Solver(formula, proof=proof, conflict_budget=conflict_budget)
-    return solver.solve()
+def solve(formula, **settings):
+    """One-shot solve; the keyword settings go to `Solver`.  An UNSAT
+    verdict leaves a DRAT refutation in the `proof` sink, and its hints in
+    the `hints` sink if one is given."""
+    solver = Solver(formula, **settings)
+    result = solver.solve()
+    if result.verdict == UNSAT and settings.get("hints") is not None:
+        solver.flush_hints()
+    return result
 
 
-def solve_incremental(formula, cube_list, proof=None, conflict_budget=None):
+def solve_incremental(formula, cube_list, **settings):
     """Solve the formula under each cube in order with one incremental solver.
 
     Learned clauses and heuristic state persist across cubes.  Each
     refuted cube contributes the clause negating it, both to the proof
     and to the clause database.  A model decides the formula, so solving
     stops after the first SAT cube: there is one result per cube solved.
+    The keyword settings (proof and hints sinks, conflict budget) go to
+    `Solver`; the hints sink is filled when the last cube solved is UNSAT.
     """
-    solver = Solver(formula, proof=proof, conflict_budget=conflict_budget)
+    solver = Solver(formula, **settings)
     results = []
     for cube in cube_list:
         result = solver.solve(assumptions=cube)
@@ -495,6 +564,9 @@ def solve_incremental(formula, cube_list, proof=None, conflict_budget=None):
             break
         if result.verdict == UNSAT:
             solver.add_refuted(cube)
+    refuted = results and results[-1].verdict == UNSAT
+    if refuted and settings.get("hints") is not None:
+        solver.flush_hints()
     return results
 
 

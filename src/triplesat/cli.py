@@ -161,19 +161,25 @@ def cmd_solve(args):
 
 def cmd_check(args):
     formula = _load_formula(args.formula)
-    proof = drat.parse_drat(_read(args.proof))
+    linenos = []          # step index -> 1-based line of the proof file
+    proof = drat.parse_drat(_read(args.proof), linenos=linenos)
     pivots = tuple(args.symmetry_pivot or ())
     result = drat.check_proof(formula, proof, refutation=args.refutation,
                               symmetry_pivots=pivots, any_pivot=args.any_pivot)
     for index, message in result.warnings:
-        print("c warning line %d: %s" % (index, message))
-    for name, count in result.stats.items():
-        print("c %s %d" % (name, count))
+        print("c warning line %d: %s" % (linenos[index], message))
+    _print_check_stats(result)
     if result:
         print("s VERIFIED")
         return 0
-    print("s NOT VERIFIED (line %s: %s)" % (result.line, result.reason))
+    line = linenos[result.line] if result.line is not None else None
+    print("s NOT VERIFIED (line %s: %s)" % (line, result.reason))
     return 1
+
+
+def _print_check_stats(result, prefix=""):
+    for name, count in result.stats.items():
+        print("c %s%s %d" % (prefix, name, count))
 
 
 def cmd_pack_cubes(args):
@@ -209,6 +215,8 @@ def cmd_pipeline(args):
     # solving stops at the first SAT cube, so fewer may have been solved
     print("c cubes: %d, solved: %d" % (len(result.cube_results),
                                        len(result.report.cube_stats)))
+    if result.check is not None:
+        _print_check_stats(result.check, prefix="check ")
     if args.output_dir:
         os.makedirs(args.output_dir, exist_ok=True)
         _write(os.path.join(args.output_dir, "cubes.csv"),

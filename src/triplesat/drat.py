@@ -15,10 +15,25 @@ A deletion rebuilds level 0 only when the clause is the reason of a
 level-0 literal or level 0 is in conflict.  `check_proof` returns
 counters in `CheckResult.stats`: lemmas checked, RUP calls, RAT partner
 checks, level-0 rebuilds and propagations (literals put on the trail).
+
+Hints.  `check_proof` may be given, per proof line, the numbers of the
+clauses a lemma was derived from, as LRAT does (Cruz-Filipe, Heule, Hunt,
+Kaufmann, Schneider-Kamp, CADE 2017).  Number `i < len(formula.clauses)`
+names input clause `i`; number `len(formula.clauses) + s` names the clause
+added by proof step `s`.  The checker first propagates the negated lemma
+over the named live clauses only, and accepts when one of them becomes
+false under its own level-0 assignment.  Any other result (a number that
+names a deleted clause, a later one, or nothing; no conflict) falls back
+to the watched search and the RAT and symmetry-pivot path.  Hints can
+therefore only skip work: outcomes, lines, reasons and warnings are the
+same with or without them.  They are data, checked like everything else,
+so this module still shares no code with the solver that wrote them.
+`merge_hints` carries each cube's hints into the merged proof's frame.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 
@@ -37,10 +52,13 @@ class CheckResult:
         return self.accepted
 
 
-def parse_drat(text):
+def parse_drat(text, linenos=None):
     """Parse ASCII DRAT: 0-terminated integer clauses, `d` prefix for deletions.
 
-    Malformed lines raise cnf.DimacsError carrying the line number.
+    Malformed lines raise cnf.DimacsError carrying the line number.  With
+    a `linenos` list, the 1-based file line of each step is appended to it,
+    so a step index (`CheckResult.line`, a warning's index) can be shown
+    as the line a user sees.
     """
     proof = []
     for lineno, line in numbered_lines(text):
@@ -52,6 +70,8 @@ def parse_drat(text):
             kind = "d"
             stripped = stripped[1:]
         proof.append((kind, parse_clause_line(stripped, lineno)))
+        if linenos is not None:
+            linenos.append(lineno)
     return proof
 
 
@@ -92,13 +112,17 @@ class _Checker:
     until a deletion rebuilds level 0.  A query pushes its literals on top
     of the trail, propagates, and truncates back; deleted clauses leave
     the watch lists lazily.
+
+    The occurrence lists (`occ`, literal -> clause ids) and the live ids
+    per literal set (`by_key`) serve only RAT partner checks and
+    deletions, so they are built on first use and kept up from then on.
     """
 
     def __init__(self, formula):
         self.clauses = []
         self.alive = []
-        self.occ = defaultdict(list)      # literal -> clause ids, append-only
-        self.by_key = defaultdict(list)
+        self._occ = None
+        self._by_key = None
         self.stats = dict.fromkeys(("lemmas", "rup_calls", "rat_partner_checks",
                                     "rebuilds", "propagations"), 0)
         for clause in formula.clauses:
@@ -110,10 +134,32 @@ class _Checker:
         lits = list(dict.fromkeys(clause))
         self.clauses.append(lits)
         self.alive.append(True)
-        for lit in lits:
-            self.occ[lit].append(idx)
-        self.by_key[frozenset(lits)].append(idx)
+        if self._occ is not None:
+            for lit in lits:
+                self._occ[lit].append(idx)
+        if self._by_key is not None:
+            self._by_key[frozenset(lits)].append(idx)
         return idx
+
+    @property
+    def occ(self):
+        """Literal -> ids of every clause stored with it, dead ones too."""
+        if self._occ is None:
+            self._occ = defaultdict(list)
+            for idx, lits in enumerate(self.clauses):
+                for lit in lits:
+                    self._occ[lit].append(idx)
+        return self._occ
+
+    @property
+    def by_key(self):
+        """Literal set -> ids of its live clauses, in storing order."""
+        if self._by_key is None:
+            self._by_key = defaultdict(list)
+            for idx, lits in enumerate(self.clauses):
+                if self.alive[idx]:
+                    self._by_key[frozenset(lits)].append(idx)
+        return self._by_key
 
     def _rebuild(self):
         """Level 0 from scratch: watch every live clause, assert the units."""
@@ -251,6 +297,67 @@ class _Checker:
         del trail[mark:]
         return conflict
 
+    def hinted_conflict(self, clause, hint, frame):
+        """True iff the negated `clause`, propagated over only the clauses
+        that `hint` names, makes one of them false.
+
+        `frame[num]` is the clause id of hint number `num`, or None for a
+        deletion step.  Passes over the named clauses repeat while one of
+        them turns unit.  A number out of range or naming a dead clause, or
+        a literal of `clause` true at level 0, gives False.  Level 0 is
+        left as it was.  When level 0 is in conflict, its assignment is
+        still implied by the live clauses, so the passes start from it.
+        """
+        clauses, alive = self.clauses, self.alive
+        top = len(frame)
+        pending = []
+        for num in hint:
+            if not 0 <= num < top:
+                return False
+            idx = frame[num]
+            if idx is None or not alive[idx]:
+                return False
+            pending.append(clauses[idx])
+        value = self.value
+        assigned = []
+        try:
+            for lit in clause:
+                val = value.get(lit)
+                if val is None:
+                    value[lit] = False
+                    value[-lit] = True
+                    assigned.append(lit)
+                elif val:
+                    return False
+            progress = True
+            while progress and pending:
+                progress = False
+                waiting = []
+                for lits in pending:
+                    free = 0
+                    for lit in lits:
+                        val = value.get(lit)
+                        if val is None:
+                            if free:
+                                waiting.append(lits)
+                                break
+                            free = lit
+                        elif val:
+                            break          # satisfied: it can do nothing more
+                    else:
+                        if not free:
+                            return True
+                        value[free] = True
+                        value[-free] = False
+                        assigned.append(free)
+                        progress = True
+                pending = waiting
+            return False
+        finally:
+            for lit in assigned:
+                del value[lit]
+                del value[-lit]
+
     def is_rup(self, clause):
         self.stats["rup_calls"] += 1
         return self.propagates_to_conflict([-l for l in clause])
@@ -271,7 +378,7 @@ class _Checker:
 
 
 def check_proof(formula, proof, refutation=False, symmetry_pivots=(),
-                any_pivot=False):
+                any_pivot=False, hints=None):
     """Forward-check a DRAT proof against a formula.
 
     Additions must have RAT on the first literal (all pivots are tried
@@ -280,27 +387,45 @@ def check_proof(formula, proof, refutation=False, symmetry_pivots=(),
     A unit on a literal in `symmetry_pivots` that fails the RAT check is
     accepted iff the current formula is flip-symmetric at that point.
     With refutation=True the proof must add the empty clause.
+
+    `hints`, when given, holds per proof step the clause numbers its
+    addition was derived from (see the module docstring; a missing or
+    empty entry means none).  They are tried before the search and only
+    change `stats`, which then also counts `hinted` and `searched`
+    additions.  `CheckResult.line` and warnings carry 0-based step indices.
     """
     state = _Checker(formula)
     stats = state.stats
     warnings = []
     empty_added = any(not clause for clause in formula.clauses)
+    frame = None
+    if hints is not None:
+        stats["hinted"] = stats["searched"] = 0
+        frame = list(range(len(formula.clauses)))   # hint number -> clause id
     for index, (kind, clause) in enumerate(proof):
         if kind == "d":
             if not state.delete(clause):
                 warnings.append((index, "deleted clause %s not present" % (clause,)))
+            if frame is not None:
+                frame.append(None)
             continue
         if kind != "a":
             return CheckResult(False, index, "unknown line kind %r" % kind, warnings,
                                stats)
         stats["lemmas"] += 1
-        if not clause:
+        hint = hints[index] if frame is not None and index < len(hints) else ()
+        if hint and state.hinted_conflict(clause, hint, frame):
+            stats["hinted"] += 1
+        elif not clause:
+            if frame is not None:
+                stats["searched"] += 1
             if not state.is_rup(()):
                 return CheckResult(False, index,
                                    "empty clause is not a propagation conflict",
                                    warnings, stats)
-            empty_added = True
         else:
+            if frame is not None:
+                stats["searched"] += 1
             pivots = clause if any_pivot else clause[:1]
             ok = any(state.is_rat(clause, pivot) for pivot in pivots)
             if not ok and len(clause) == 1 and clause[0] in symmetry_pivots:
@@ -312,6 +437,10 @@ def check_proof(formula, proof, refutation=False, symmetry_pivots=(),
                 return CheckResult(False, index,
                                    "clause %s is not RAT on pivot %d"
                                    % (clause, clause[0]), warnings, stats)
+        if not clause:
+            empty_added = True
+        if frame is not None:
+            frame.append(len(state.clauses))
         state.add(clause)
     if refutation and not empty_added:
         return CheckResult(False, None, "refutation does not add the empty clause",
@@ -320,11 +449,47 @@ def check_proof(formula, proof, refutation=False, symmetry_pivots=(),
 
 
 def merge_proofs(transform_proof, cube_proofs, tautology_proof):
-    """Concatenate in the mandated order: transform, cubes (by index), tautology."""
+    """Concatenate in the mandated order: transform, cubes (by index), tautology.
+
+    `merge_hints` gives the merged proof's hints, in the same frame."""
     merged = list(transform_proof)
     for index, cube_proof in enumerate(cube_proofs):
         if cube_proof is None:
             raise ValueError("missing cube proof at index %d" % index)
         merged.extend(cube_proof)
     merged.extend(tautology_proof)
+    return merged
+
+
+def merge_hints(original, work, transform_proof, cube_proofs, cube_hints):
+    """Hints for `merge_proofs(transform_proof, cube_proofs, ...)` against
+    `original`, one entry per line; the tautology lines that follow get none.
+
+    Each cube's hints are in the frame of a solver run on `work`, the
+    formula left by the transformation (see `cdcl`): number `i <
+    len(work.clauses)` is work clause `i`, and `len(work.clauses) + k` the
+    cube proof's line `k`.  They are renumbered into `check_proof`'s frame
+    over `original`: a work clause becomes the original clause with its
+    literals, or the transformation line that added it (the symmetry
+    pivot's unit); a cube line is shifted by the lines before its cube.  A
+    work clause whose literals match more than one candidate maps to -1,
+    so a hint naming it fails and its lemma is searched.
+    """
+    number = {}          # clause -> its merged-frame number, -1 if ambiguous
+    for num, clause in enumerate(original.clauses):
+        number[clause] = -1 if clause in number else num
+    base = len(original.clauses)
+    for step, (kind, clause) in enumerate(transform_proof):
+        if kind == "a":
+            number[clause] = -1 if clause in number else base + step
+    work_nums = [number.get(clause, -1) for clause in work.clauses]
+    merged = [()] * len(transform_proof)
+    for proof, hints in zip(cube_proofs, cube_hints, strict=True):
+        if len(hints) != len(proof):
+            raise ValueError("%d hints for a cube proof of %d lines"
+                             % (len(hints), len(proof)))
+        start = base + len(merged)
+        lookup = (work_nums + list(range(start, start + len(proof)))).__getitem__
+        merged.extend(array("i", map(lookup, hint)) if hint else ()
+                      for hint in hints)
     return merged

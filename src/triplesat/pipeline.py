@@ -13,6 +13,11 @@ Cubes are solved in index order until the first SAT one, whose model
 decides the formula; the cubes after it are left unsolved, and the
 worker pool's pending ones are cancelled.  `cube_results` holds one
 entry per cube: its verdict, or None when it went unsolved.
+
+Each cube's solver also records every lemma's antecedents (`cdcl`'s
+hints), which come back with the cube's proof, from workers too.
+`drat.merge_hints` renumbers them into the merged proof's frame, and the
+gate check tries them before its own search; they change no verdict.
 """
 
 from __future__ import annotations
@@ -152,14 +157,15 @@ def _policy(cutoff):
 # ----------------------------------------------------------------- solve phase
 
 
-def solve_one_cube(formula, cube, config):
+def solve_one_cube(formula, cube, config, hints=None):
     """Solve formula AND cube with `cdcl.solve_incremental` on `[cube]`.
 
     Two-level mode first re-splits the cube under `config.second_cutoff`
     and puts each non-empty sub-cube, prefixed with the cube, before it, so
     the last entry closes the cube.  Returns (SolveResult of the last call,
     proof, split seconds, solve seconds); the result's counters cover every
-    call on the cube's solver.
+    call on the cube's solver.  A `hints` list gets the proof's hints, in
+    the frame of a solver on `formula`.
     """
     start = time.perf_counter()
     cube_list = [cube]
@@ -175,8 +181,15 @@ def solve_one_cube(formula, cube, config):
     start = time.perf_counter()
     proof = []
     results = cdcl.solve_incremental(formula, cube_list, proof=proof,
-                                     conflict_budget=config.conflict_budget)
+                                     conflict_budget=config.conflict_budget,
+                                     hints=hints)
     return results[-1], proof, split_elapsed, time.perf_counter() - start
+
+
+def _solve_hinted(formula, cube, config):
+    """`solve_one_cube`'s outcome with its proof's hints appended."""
+    hints = []
+    return (*solve_one_cube(formula, cube, config, hints=hints), hints)
 
 
 def _until_sat(outcomes):
@@ -239,7 +252,7 @@ def run(config):
     report.cube_sizes = [len(cube) for cube in cube_list]
 
     start = time.perf_counter()
-    solve = functools.partial(solve_one_cube, work, config=config)
+    solve = functools.partial(_solve_hinted, work, config=config)
     if config.workers == 1:
         outcomes = _until_sat(map(solve, cube_list))
     else:
@@ -249,7 +262,7 @@ def run(config):
             pool.shutdown(cancel_futures=True)
     report.phase_times["solve"] = time.perf_counter() - start
 
-    for index, (cube, (solved, _, split_s, solve_s)) in enumerate(
+    for index, (cube, (solved, _, split_s, solve_s, _)) in enumerate(
             zip(cube_list, outcomes)):
         report.cube_stats.append({
             "index": index, "size": len(cube), "split_time": split_s,
@@ -283,13 +296,15 @@ def run(config):
         taut_result = cdcl.solve(negate_cubes(cube_list), proof=taut_proof)
         if taut_result.verdict != cdcl.UNSAT:
             raise RuntimeError("cube partition is not a tautology")
-        merged = drat.merge_proofs(transform_proof, [o[1] for o in outcomes],
-                                   taut_proof)
+        cube_proofs = [o[1] for o in outcomes]
+        merged = drat.merge_proofs(transform_proof, cube_proofs, taut_proof)
+        hints = drat.merge_hints(original, work, transform_proof, cube_proofs,
+                                 [o[4] for o in outcomes])
         pivots = (pivot,) if pivot is not None else ()
         # the one gate for UNSAT: it checks every cube lemma, and a RUP
         # lemma stays RUP when earlier cubes' lemmas precede it
         check = drat.check_proof(original, merged, refutation=True,
-                                 symmetry_pivots=pivots)
+                                 symmetry_pivots=pivots, hints=hints)
         if not check:
             raise RuntimeError("merged proof rejected at line %s: %s"
                                % (check.line, check.reason))

@@ -189,6 +189,49 @@ def test_incremental_budget_marks_cube_and_continues():
     assert len(results) == 2
 
 
+def test_hints_leave_the_search_unchanged(rng):
+    """Solving with a hints sink takes the same steps, emits the same
+    proof and, on UNSAT, one hint entry per proof line."""
+    for _ in range(150):
+        formula = random_formula(rng, max_vars=9)
+        top = formula.num_vars + 2
+        cube_list = [tuple(v if rng.random() < 0.5 else -v
+                           for v in rng.sample(range(1, top + 1), rng.randint(0, 2)))
+                     for _ in range(3)]
+        budget = rng.choice((None, 2))
+        plain, hinted, hints = [], [], []
+        want = solve_incremental(formula, cube_list, proof=plain,
+                                 conflict_budget=budget)
+        got = solve_incremental(formula, cube_list, proof=hinted,
+                                conflict_budget=budget, hints=hints)
+        assert got == want and hinted == plain
+        # filled only when the last cube solved is refuted
+        assert len(hints) == (len(plain) if want[-1].verdict == UNSAT else 0)
+
+
+def test_hints_flush_per_refutation():
+    formula = ap3_formula(9)
+    with pytest.raises(ValueError, match="needs a proof sink"):
+        Solver(formula, hints=[])
+    hints = []
+    assert solve(Formula([(1, 2)]), proof=[], hints=hints).verdict == SAT
+    assert solve(formula, proof=[], hints=hints, conflict_budget=1).verdict == \
+        INDETERMINATE
+    assert hints == []
+    proof = []
+    solver = Solver(formula, proof=proof, hints=hints)
+    assert solver.solve(assumptions=[1]).verdict == UNSAT
+    solver.add_refuted([1])
+    solver.flush_hints()
+    assert len(hints) == len(proof) and hints[-1] == ()
+    first = len(hints)
+    assert solver.solve().verdict == UNSAT
+    solver.flush_hints()
+    # a second flush adds only the lines emitted since the first
+    assert len(hints) == len(proof) > first
+    assert drat.check_proof(formula, proof, refutation=True, hints=hints)
+
+
 def test_backbone_unit():
     assert backbone(Formula([(1,), (1, 2)])) == {1}
 

@@ -225,6 +225,29 @@ def test_check_prints_counters(tmp_path, capsys):
     assert lines[-1] == "s VERIFIED"
 
 
+def test_check_reports_proof_file_lines(tmp_path, capsys):
+    """Rejections and warnings name the line of the proof file, counting
+    comment and blank lines, not the index of the proof step."""
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
+    rejected = tmp_path / "rejected.drat"
+    rejected.write_text("c first\nc second\n2 3 0\n-2 0\n")
+    assert main(["check", "--formula", str(cnf), "--proof", str(rejected)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "s NOT VERIFIED (line 4: clause (-2,) is not RAT on pivot -2)"
+    absent = tmp_path / "absent.drat"
+    absent.write_text("c x\n\n2 3 0\nd 7 0\n")
+    assert main(["check", "--formula", str(cnf), "--proof", str(absent)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "c warning line 4: deleted clause (7,) not present"
+    assert out[-1] == "s VERIFIED"
+    # a refutation missing its empty clause names no line
+    assert main(["check", "--formula", str(cnf), "--proof", str(absent),
+                 "--refutation"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "s NOT VERIFIED (line None: refutation does not add the empty clause)")
+
+
 def test_pack_cubes_non_ascii_is_an_error_with_its_line(tmp_path, capsys):
     tree = tmp_path / "bad.tree"
     tree.write_bytes(b"3\ncutoff\n\xff\n")
@@ -253,8 +276,11 @@ def test_pipeline_cli(tmp_path, capsys):
     code = main(["pipeline", "--n", "300", "--cutoff", "depth:3",
                  "--output-dir", str(outdir)])
     assert code == 0
-    # the first cube is SAT, so the other seven go unsolved
-    assert "c cubes: 8, solved: 1" in capsys.readouterr().out.splitlines()
+    # the first cube is SAT, so the other seven go unsolved; no proof is
+    # checked, so no check counters are printed
+    out = capsys.readouterr().out.splitlines()
+    assert "c cubes: 8, solved: 1" in out
+    assert not any(line.startswith("c check ") for line in out)
     assert len((outdir / "cubes.csv").read_text().splitlines()) == 2
     assert (outdir / "cubes.csv").exists()
     # the histogram counts all eight cubes, solved or not
@@ -269,6 +295,14 @@ def test_pipeline_cli_unsat(tmp_path, capsys):
     code = main(["pipeline", "--in", str(cnf), "--cutoff", "depth:3",
                  "--output-dir", str(outdir)])
     assert code == 20
+    out = capsys.readouterr().out.splitlines()
+    counters = {line.split()[2]: int(line.split()[3]) for line in out
+                if line.startswith("c check ")}
+    # the merged check's counters; every addition is hinted or searched
+    assert set(counters) == {"lemmas", "rup_calls", "rat_partner_checks",
+                             "rebuilds", "propagations", "hinted", "searched"}
+    assert counters["hinted"] + counters["searched"] == counters["lemmas"] > 0
+    assert counters["hinted"] > counters["searched"]
     assert (outdir / "merged.drat").exists()
     assert main(["check", "--formula", str(cnf),
                  "--proof", str(outdir / "merged.drat"),

@@ -1,13 +1,16 @@
+import random
+import sys
 import time
+from collections import Counter
 
 import pytest
 
-from triplesat import cdcl, pipeline
+from triplesat import cdcl, drat, pipeline
 from triplesat.cnf import DimacsError, Formula
-from triplesat.drat import (check_proof, check_rat, check_rup, merge_proofs,
-                            parse_drat, write_drat)
+from triplesat.drat import (check_proof, check_rat, check_rup, merge_hints,
+                            merge_proofs, parse_drat, write_drat)
 
-from conftest import (FIG1_PROOF, ap3_formula, brute_sat, extension_clauses,
+from conftest import (FIG1_PROOF, REPO, ap3_formula, brute_sat, extension_clauses,
                       random_formula, reference_check_proof)
 
 
@@ -19,6 +22,13 @@ def test_parse_drat():
     assert parse_drat(b"1 2 0\n") == [("a", (1, 2))]
     with pytest.raises(ValueError):
         parse_drat("1 2\n")
+
+
+def test_parse_drat_keeps_file_lines():
+    linenos = []
+    proof = parse_drat("c x\n\n1 2 0\nd 1 2 0\nc y\n0\n", linenos=linenos)
+    assert proof == [("a", (1, 2)), ("d", (1, 2)), ("a", ())]
+    assert linenos == [3, 4, 6]
 
 
 @pytest.mark.parametrize("text, line", [("1 0 2 0\n", 1), ("-1 0\nd 1 x 0\n", 2)],
@@ -450,3 +460,243 @@ def test_check_counters_on_ap3():
     assert all(count > 0 for count in result.stats.values()), result.stats
     assert result.stats["lemmas"] == sum(kind == "a" for kind, _ in proof)
     assert result.stats["rup_calls"] >= result.stats["lemmas"]
+
+
+# ------------------------------------------------------------------ hints
+
+
+def solve_with_hints(formula):
+    """A CDCL refutation of `formula` and its hints, or None if it is SAT."""
+    proof, hints = [], []
+    if cdcl.solve(formula, proof=proof, hints=hints).verdict != cdcl.UNSAT:
+        return None
+    return proof, hints
+
+
+def assert_hints_change_nothing(formula, proof, hints, **kwargs):
+    """The hinted check has the unhinted one's outcome; every addition is
+    counted as hinted or searched."""
+    plain = check_proof(formula, proof, **kwargs)
+    hinted = check_proof(formula, proof, hints=hints, **kwargs)
+    assert _outcome(hinted) == _outcome(plain)
+    stats = hinted.stats
+    assert stats["hinted"] + stats["searched"] == stats["lemmas"]
+    assert stats["lemmas"] == plain.stats["lemmas"]
+    assert set(plain.stats) == set(stats) - {"hinted", "searched"}
+    return hinted
+
+
+def random_3cnf(rng, num_vars=10):
+    return Formula([tuple(v if rng.random() < 0.5 else -v
+                          for v in rng.sample(range(1, num_vars + 1), 3))
+                    for _ in range(rng.randint(42, 50))])
+
+
+def spoiled_hints(rng, formula, proof, hints):
+    """The same hints with one entry spoiled in each of six ways."""
+    top = len(formula.clauses) + len(proof)
+    lemmas = [i for i, hint in enumerate(hints) if hint]
+    index = rng.choice(lemmas)
+    hint = list(hints[index])
+    later = len(formula.clauses) + rng.randrange(index, len(proof))
+    ways = {
+        "out of range": hint + [top + rng.randrange(3)],
+        "negative": hint + [-1 - rng.randrange(3)],
+        "later": hint + [later],
+        "not unit": [rng.randrange(len(formula.clauses)) for _ in hint],
+        "truncated": hint[:len(hint) // 2],
+        "empty": [],
+    }
+    for way, spoiled in ways.items():
+        yield way, hints[:index] + [spoiled] + hints[index + 1:]
+
+
+def test_solver_hints_justify_every_learned_lemma(rng):
+    """On a single solve's refutation every line that has hints is accepted
+    from them; only the lines without (the empty clause) are searched."""
+    refutations = 0
+    while refutations < 150:
+        formula = (random_formula(rng, max_vars=9) if refutations % 2
+                   else random_3cnf(rng))
+        solved = solve_with_hints(formula)
+        if solved is None:
+            continue
+        refutations += 1
+        proof, hints = solved
+        assert len(hints) == len(proof)
+        result = assert_hints_change_nothing(formula, proof, hints, refutation=True)
+        assert result
+        assert result.stats["hinted"] == sum(1 for hint in hints if hint)
+        assert result.stats["rup_calls"] == result.stats["searched"]
+
+
+def test_hints_change_no_outcome_on_solver_proofs(rng):
+    """Real hints, each way of spoiling them, on accepted refutations and on
+    ones with a lemma literal flipped."""
+    refutations = rejected = 0
+    spoiled_ways = Counter()
+    while refutations < 120:
+        formula = random_3cnf(rng)
+        solved = solve_with_hints(formula)
+        if solved is None or not any(solved[1]):
+            continue
+        refutations += 1
+        proof, hints = solved
+        for candidate in (proof, _flip_one_literal(rng, proof)):
+            result = assert_hints_change_nothing(formula, candidate, hints,
+                                                 refutation=True)
+            rejected += not result
+            for way, spoiled in spoiled_hints(rng, formula, candidate, hints):
+                assert_hints_change_nothing(formula, candidate, spoiled,
+                                            refutation=True)
+                spoiled_ways[way] += 1
+    assert rejected > 20
+    assert len(spoiled_ways) == 6
+
+
+def test_hints_naming_deleted_clauses_fail_quietly():
+    # (3) is RUP through (-1 2) and (-2 3); with (-1 2) deleted the hint
+    # names a dead clause, and the search rejects the lemma as before
+    formula = Formula([(1,), (-1, 2), (-2, 3), (-3, 4, 5)])
+    hints = [(), [1, 2]]
+    result = assert_hints_change_nothing(formula, [("d", (-1, 2)), ("a", (3,))],
+                                         hints)
+    assert not result and result.line == 1
+    assert result.stats["hinted"] == 0
+    # a hint may name a deletion step, which adds no clause
+    result = assert_hints_change_nothing(
+        formula, [("d", (-3, 4, 5)), ("a", (3,))], [(), [4]])
+    assert result and result.stats["hinted"] == 0
+    # a lemma true at level 0 is left to the search
+    result = assert_hints_change_nothing(formula, [("a", (3,))], [[1, 2]])
+    assert result and result.stats["hinted"] == 0
+
+
+def test_hints_may_name_earlier_lemmas():
+    formula = Formula([(1, 2, 5), (-1, 2, 5), (-2, 3), (-3, 4, 6)])
+    proof = [("a", (2, 5)), ("a", (3, 5)), ("a", (3, 5, 6))]
+    result = assert_hints_change_nothing(formula, proof, [(0, 1), (4, 2), (5,)])
+    assert result and result.stats["hinted"] == 3
+    # naming the lemma itself, or one not yet added, fails
+    result = assert_hints_change_nothing(formula, proof, [(0, 1), (5, 2), (6,)])
+    assert result and result.stats["hinted"] == 1
+
+
+def test_hints_change_no_outcome_on_random_proofs(rng):
+    """Random additions and deletions with random numbers as hints, under
+    every pivot policy."""
+    for _ in range(400):
+        formula = random_formula(rng, max_vars=7)
+        top = formula.num_vars + 1
+        proof = []
+        for _ in range(rng.randint(1, 16)):
+            width = rng.randint(0, 3)
+            clause = tuple(v if rng.random() < 0.5 else -v
+                           for v in rng.sample(range(1, top + 1), width))
+            proof.append(("d" if rng.random() < 0.2 else "a", clause))
+        limit = len(formula.clauses) + len(proof) + 2
+        hints = [[rng.randrange(-2, limit) for _ in range(rng.randint(0, 5))]
+                 for _ in proof]
+        for kwargs in ({}, {"any_pivot": True}, {"refutation": True}):
+            assert_hints_change_nothing(formula, proof, hints, **kwargs)
+
+
+def checked_pipeline_run(monkeypatch, config):
+    """Run the pipeline and return (result, the gate check's hints)."""
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("hints"))
+        return check_proof(*args, **kwargs)
+
+    monkeypatch.setattr(drat, "check_proof", recording)
+    result = pipeline.run(config)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    return result, calls[0]
+
+
+def ap3_with_blocked_and_duplicates(n):
+    """ap3_formula(n) plus a blocked pair on a fresh variable, which BCE
+    deletes, and a second copy of its first pair, which makes those two
+    clauses ambiguous in the merged frame; the formula stays flip-symmetric."""
+    formula = ap3_formula(n)
+    return Formula(list(formula.clauses) + [(n + 1, 1), (-n - 1, -1)]
+                   + list(formula.clauses[:2]), n + 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("two_level", [False, True])
+def test_merged_hints_through_deletions_and_pivot(monkeypatch, rng, two_level,
+                                                  workers):
+    """encode() swapped for an UNSAT ap3 formula makes the pipeline run BCE
+    and the symmetry break, so the merged hints cross the transformation's
+    deletions, its pivot unit and duplicate clauses."""
+    original = ap3_with_blocked_and_duplicates(9)
+    monkeypatch.setattr(pipeline, "encode", lambda n: original)
+    config = pipeline.PipelineConfig(n=9, cutoff="depth:3", second_cutoff="depth:2",
+                                     two_level=two_level, workers=workers)
+    result, hints = checked_pipeline_run(monkeypatch, config)
+    proof = result.proof
+    assert result.verdict == cdcl.UNSAT and result.pivot is not None
+    assert [kind for kind, _ in proof[:3]] == ["d", "d", "a"]
+    assert len(hints) < len(proof)
+    padded = list(hints) + [()] * (len(proof) - len(hints))
+    assert not any(padded[:3])
+    ambiguous = sum(-1 in hint for hint in padded)
+    pivots = (result.pivot,)
+    check = assert_hints_change_nothing(original, proof, padded, refutation=True,
+                                        symmetry_pivots=pivots)
+    assert check.stats == result.check.stats
+    # every cube lemma with usable hints is accepted from them
+    assert check.stats["hinted"] == sum(1 for hint in padded
+                                        if hint and -1 not in hint)
+    assert ambiguous > 0
+    for _ in range(10):
+        mutated = _flip_one_literal(rng, proof)
+        assert_hints_change_nothing(original, mutated, padded, refutation=True,
+                                    symmetry_pivots=pivots)
+    for _, spoiled in spoiled_hints(rng, original, proof, padded):
+        assert_hints_change_nothing(original, proof, spoiled, refutation=True,
+                                    symmetry_pivots=pivots)
+
+
+def test_merge_hints_renumbers_into_the_merged_frame():
+    original = Formula([(1, 2), (3, 4), (1, 2), (-1, 5)])
+    work = Formula([(3, 4), (1, 2), (-1, 5), (7,)])
+    transform = [("d", (1, 2)), ("a", (7,))]
+    cube_proofs = [[("a", (5,)), ("a", (6,))], [("a", (8,))]]
+    cube_hints = [[[0, 2], [3, 4]], [(1, 3, 4)]]
+    merged = merge_hints(original, work, transform, cube_proofs, cube_hints)
+    assert [list(hint) for hint in merged] == [
+        [], [],
+        # (3 4) is original 1; (-1 5) original 3; (7) the transform's line 1
+        [1, 3], [5, 6],
+        # (1 2) occurs twice in the original, so it maps to -1
+        [-1, 5, 8]]
+    assert merge_hints(original, work, [], [[("a", ())]], [[()]]) == [()]
+    with pytest.raises(ValueError):
+        merge_hints(original, work, transform, cube_proofs, [[()], [()]])
+
+
+# 2 cubes: their negations and the tautology proof's empty clause are
+# searched, the 1006 learned lemmas hinted
+PINNED_RND_STATS = {"lemmas": 1009, "rup_calls": 3, "rat_partner_checks": 0,
+                    "rebuilds": 0, "propagations": 46, "hinted": 1006,
+                    "searched": 3}
+
+
+def test_rnd_unsat_merged_check_stats():
+    """The benchmark's first seed-11 rnd-unsat input: all but the refuted
+    cubes' negations and the empty clauses are accepted from their hints."""
+    sys.path.insert(0, str(REPO / "bench"))
+    try:
+        from workloads import RND_BASE_SEED, WORKLOADS, random_3sat, relabel
+    finally:
+        sys.path.remove(str(REPO / "bench"))
+    base = random_3sat(130, round(4.8 * 130), RND_BASE_SEED)
+    formula = relabel(base, random.Random(11))
+    result = pipeline.run(pipeline.PipelineConfig(
+        formula=formula, mode="rnd3sat", cutoff=WORKLOADS["rnd-unsat"].cutoff))
+    assert result.verdict == cdcl.UNSAT
+    assert result.check.stats == PINNED_RND_STATS
