@@ -535,14 +535,10 @@ class Solver:
 
 
 def solve(formula, **settings):
-    """One-shot solve; the keyword settings go to `Solver`.  An UNSAT
-    verdict leaves a DRAT refutation in the `proof` sink, and its hints in
-    the `hints` sink if one is given."""
-    solver = Solver(formula, **settings)
-    result = solver.solve()
-    if result.verdict == UNSAT and settings.get("hints") is not None:
-        solver.flush_hints()
-    return result
+    """One-shot solve: `solve_incremental` on the one empty cube, whose
+    result it returns.  An UNSAT verdict leaves a DRAT refutation in the
+    `proof` sink, and its hints in the `hints` sink if one is given."""
+    return solve_incremental(formula, [()], **settings)[-1]
 
 
 def solve_incremental(formula, cube_list, **settings):

@@ -138,20 +138,14 @@ def cmd_solve(args):
     proof = [] if args.proof else None
     if args.cubes:
         formula, cube_list = parse_inccnf(_read(args.cubes))
-        # the closing empty cube is the whole formula, with the cubes
-        # refuted before it: its verdict and proof cover what they leave
-        results = cdcl.solve_incremental(formula, [*cube_list, ()],
-                                         proof=proof,
-                                         conflict_budget=args.conflict_budget)
+    elif getattr(args, "in") is not None:
+        formula, cube_list = _load_formula(getattr(args, "in")), []
     else:
-        if getattr(args, "in") is None:
-            raise ValueError("solve needs --in or --cubes")
-        formula = _load_formula(getattr(args, "in"))
-        results = [cdcl.solve(formula, proof=proof,
-                              conflict_budget=args.conflict_budget)]
-    # solving stops at a SAT cube, and otherwise ends on the whole
-    # formula, so the last result is the verdict
-    result = results[-1]
+        raise ValueError("solve needs --in or --cubes")
+    # the closing empty cube is the whole formula, with the cubes refuted
+    # before it; solving stops at a SAT cube, so the last result decides
+    result = cdcl.solve_incremental(formula, [*cube_list, ()], proof=proof,
+                                    conflict_budget=args.conflict_budget)[-1]
     _print_counters(result)
     code = _print_verdict(result.verdict, result.model)
     if args.proof:

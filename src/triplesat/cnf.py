@@ -15,6 +15,7 @@ whose proofs it checks.
 
 from __future__ import annotations
 
+import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
@@ -178,16 +179,25 @@ def is_flip_symmetric(formula):
 
 def numbered_lines(text):
     """(line number, line) pairs of a str, or of bytes read as ASCII; a
-    non-ASCII byte raises DimacsError carrying its line number."""
+    non-ASCII byte raises DimacsError carrying its line number.  Lines end
+    at `\n` only: a form feed stays in its line, a `\r` is stripped later."""
     if isinstance(text, (bytes, bytearray)):
         try:
             text = text.decode("ascii")
         except UnicodeDecodeError as exc:
-            # the prefix is ASCII; the marker makes the bad byte's line count
-            lineno = len((text[:exc.start] + b"x").decode("ascii").splitlines())
             raise DimacsError("non-ASCII byte 0x%02x" % text[exc.start],
-                              lineno) from None
-    return enumerate(text.splitlines(), start=1)
+                              text.count(b"\n", 0, exc.start) + 1) from None
+    return enumerate(text.split("\n"), start=1)
+
+
+# ASCII digits after an optional minus; `int` also takes "+2", "1_0", "٣"
+_is_integer = re.compile(r"-?[0-9]+").fullmatch
+
+
+def _integer(token, lineno):
+    if not _is_integer(token):
+        raise DimacsError("non-integer token %r" % token, lineno)
+    return int(token)
 
 
 def parse_dimacs(text):
@@ -212,20 +222,16 @@ def parse_dimacs(text):
             parts = stripped.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise DimacsError("malformed header %r" % stripped, lineno)
-            try:
-                num_vars, num_clauses = int(parts[2]), int(parts[3])
-            except ValueError:
+            if not (_is_integer(parts[2]) and _is_integer(parts[3])):
                 raise DimacsError("non-integer header counts %r" % stripped, lineno)
+            num_vars, num_clauses = int(parts[2]), int(parts[3])
             if num_vars < 0 or num_clauses < 0:
                 raise DimacsError("negative header counts", lineno)
             continue
         if num_vars is None:
             raise DimacsError("clause before header", lineno)
         for token in stripped.split():
-            try:
-                lit = int(token)
-            except ValueError:
-                raise DimacsError("non-integer token %r" % token, lineno)
+            lit = _integer(token, lineno)
             if lit == 0:
                 clauses.append(make_clause(current))
                 current = []
@@ -247,12 +253,7 @@ def parse_dimacs(text):
 
 def parse_clause_line(text, lineno):
     """Literals of one `... 0` line; 0 may only appear as the terminator."""
-    lits = []
-    for token in text.split():
-        try:
-            lits.append(int(token))
-        except ValueError:
-            raise DimacsError("non-integer token %r" % token, lineno) from None
+    lits = [_integer(token, lineno) for token in text.split()]
     if not lits or lits[-1] != 0:
         raise DimacsError("missing 0 terminator", lineno)
     if 0 in lits[:-1]:

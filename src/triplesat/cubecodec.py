@@ -5,13 +5,14 @@ only one literal per internal node.  Layout: magic `PTCT`, a version
 byte, varint internal-node and leaf counts, then a preorder token
 stream.  Token 0 is a cutoff leaf, token 1 a refuted leaf, and any token
 t >= 2 is an internal node whose decision literal is zigzag-decoded from
-t - 1; children follow in yes-then-no order.
+t - 1; children follow in yes-then-no order.  The writers walk trees with
+`lookahead.preorder`, the readers build them with `build_preorder`.
 """
 
 from __future__ import annotations
 
 from .cnf import numbered_lines
-from .lookahead import CUTOFF, REFUTED, Leaf, Node, build_preorder
+from .lookahead import CUTOFF, REFUTED, Leaf, Node, build_preorder, preorder
 
 MAGIC = b"PTCT"
 VERSION = 1
@@ -69,24 +70,27 @@ class _Reader:
         return chunk
 
 
+def _nodes(tree):
+    """The nodes of `tree` in `lookahead.preorder`; anything that is not
+    a Leaf or a Node raises CodecError."""
+    for node, _ in preorder(tree):
+        if not isinstance(node, (Leaf, Node)):
+            raise CodecError("not a tree node: %r" % (node,))
+        yield node
+
+
 def encode_tree(tree):
     """Serialize a CubeTree to bytes; preorder, yes-branch first."""
     body = bytearray()
     internal = 0
     leaves = 0
-    stack = [tree]
-    while stack:
-        node = stack.pop()
+    for node in _nodes(tree):
         if isinstance(node, Leaf):
             leaves += 1
             _write_varint(body, _LEAF_TOKENS[node.status])
-        elif isinstance(node, Node):
+        else:
             internal += 1
             _write_varint(body, _zigzag(node.literal) + 1)
-            stack.append(node.no)
-            stack.append(node.yes)
-        else:
-            raise CodecError("not a tree node: %r" % (node,))
     out = bytearray(MAGIC)
     out.append(VERSION)
     _write_varint(out, internal)
@@ -102,18 +106,8 @@ def write_tree_text(tree):
     status word.  This is the `.tree` interchange form; encode_tree is
     the compressed one.
     """
-    lines = []
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            lines.append(node.status)
-        elif isinstance(node, Node):
-            lines.append(str(node.literal))
-            stack.append(node.no)
-            stack.append(node.yes)
-        else:
-            raise CodecError("not a tree node: %r" % (node,))
+    lines = [node.status if isinstance(node, Leaf) else str(node.literal)
+             for node in _nodes(tree)]
     return "\n".join(lines) + "\n"
 
 

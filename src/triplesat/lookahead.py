@@ -2,6 +2,9 @@
 detection, branching-tree construction with cutoff policies, and cube
 file (inccnf) handling.
 
+Trees have one walk, `preorder`, which gives the leaf cubes, the codecs'
+token streams and `tautology_proof`, the tree's closing DRAT lines.
+
 A look-ahead assigns a literal, propagates, and weighs the freshly
 created binary clauses.  Literal weights h(l) are refined over a few
 rounds: each round scales by the current mean and clamps into
@@ -422,18 +425,23 @@ def build_preorder(read_node):
     return root
 
 
-def leaf_cubes(tree):
-    """Depth-first list of (cube, leaf status); yes-branch first."""
-    out = []
+def preorder(tree):
+    """(node, path) of every node in preorder, yes-branch first, where
+    `path` holds the decision literals from the root.  Only a Node's
+    children are walked; an explicit stack bounds depth by memory alone."""
     stack = [(tree, ())]
     while stack:
-        node, prefix = stack.pop()
-        if isinstance(node, Leaf):
-            out.append((prefix, node.status))
-            continue
-        stack.append((node.no, prefix + (-node.literal,)))
-        stack.append((node.yes, prefix + (node.literal,)))
-    return out
+        node, path = stack.pop()
+        yield node, path
+        if isinstance(node, Node):
+            stack.append((node.no, path + (-node.literal,)))
+            stack.append((node.yes, path + (node.literal,)))
+
+
+def leaf_cubes(tree):
+    """Depth-first list of (cube, leaf status); yes-branch first."""
+    return [(path, node.status) for node, path in preorder(tree)
+            if isinstance(node, Leaf)]
 
 
 def cubes(tree):
@@ -441,11 +449,13 @@ def cubes(tree):
     return [cube for cube, _ in leaf_cubes(tree)]
 
 
-def negate_cubes(cube_list):
-    """One clause per cube: the complements of its literals."""
-    if not cube_list:
-        raise ValueError("empty cube list")
-    return Formula([tuple(-l for l in cube) for cube in cube_list])
+def tautology_proof(tree):
+    """DRAT lines deriving the empty clause from the leaf cubes' negations:
+    each internal node's negated path, children before parents (reversed
+    preorder), so each line is RUP on its two children's clauses and the
+    root's is the empty clause.  A one-leaf tree gives none."""
+    paths = [path for node, path in preorder(tree) if isinstance(node, Node)]
+    return [("a", tuple(-lit for lit in path)) for path in reversed(paths)]
 
 
 def write_inccnf(formula, cube_list):

@@ -3,7 +3,9 @@
 UNSAT runs produce a merged proof (transformation proof, cube proofs in
 index order, tautology proof) that is checked once, against the original
 formula; SAT runs produce a repaired model validated against the
-original problem.  Every cube goes through one primitive,
+original problem.  The tautology proof comes from the split tree alone
+(`lookahead.tautology_proof`), so the check decides whether the refuted
+cubes close the tree.  Every cube goes through one primitive,
 `solve_one_cube`, either in this process or over share-nothing worker
 processes.  It solves the cube under assumptions with
 `cdcl.solve_incremental`; in two-level mode it first re-splits the cube
@@ -32,16 +34,16 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import cdcl, drat
-from .cnf import Formula, evaluate, parse_dimacs, SATISFIED
+from .cnf import Formula, evaluate, numbered_lines, parse_dimacs, SATISFIED
 from .encoder import check_partition, encode
 from .lookahead import (CutoffPolicy, HeuristicParams, check_mode, cubes,
-                        negate_cubes, params_for_mode, parse_cutoff, split)
+                        params_for_mode, parse_cutoff, split, tautology_proof)
 from .transform import bce, emit_transform_proof, reconstruct, symmetry_break
 
 
-def _config_lines(lines):
-    """(line number, key, value) of every `key = value` line."""
-    for lineno, line in enumerate(lines, start=1):
+def _config_lines(text):
+    """(line number, key, value) of every `key = value` line of `text`."""
+    for lineno, line in numbered_lines(text):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -56,23 +58,25 @@ def load_config(path):
     """Parse a simple `key=value` config file into a dict of strings.
 
     A key must be one of defaults.cfg or a heuristic parameter, so a
-    misspelt key is an error instead of a silently kept default.
+    misspelt key is an error instead of a silently kept default.  The file
+    is ASCII, like every input (see `cnf.numbered_lines`).
     """
     known = _shipped_defaults().keys() | _HEURISTIC_KEYS.keys()
     values = {}
-    with open(path) as handle:
-        for lineno, key, value in _config_lines(handle):
-            if key not in known:
-                raise ValueError("line %d: unknown key %r; expected one of %s"
-                                 % (lineno, key, ", ".join(sorted(known))))
-            values[key] = value
+    with open(path, "rb") as handle:
+        text = handle.read()
+    for lineno, key, value in _config_lines(text):
+        if key not in known:
+            raise ValueError("line %d: unknown key %r; expected one of %s"
+                             % (lineno, key, ", ".join(sorted(known))))
+        values[key] = value
     return values
 
 
 @functools.cache
 def _shipped_defaults():
     text = importlib.resources.files("triplesat").joinpath("defaults.cfg").read_text()
-    return {key: value for _, key, value in _config_lines(text.splitlines())}
+    return {key: value for _, key, value in _config_lines(text)}
 
 
 def default_config():
@@ -292,17 +296,15 @@ def run(config):
     elif cdcl.INDETERMINATE in verdicts:
         result.verdict = cdcl.INDETERMINATE
     else:
-        taut_proof = []
-        taut_result = cdcl.solve(negate_cubes(cube_list), proof=taut_proof)
-        if taut_result.verdict != cdcl.UNSAT:
-            raise RuntimeError("cube partition is not a tautology")
         cube_proofs = [o[1] for o in outcomes]
-        merged = drat.merge_proofs(transform_proof, cube_proofs, taut_proof)
+        merged = drat.merge_proofs(transform_proof, cube_proofs,
+                                   tautology_proof(tree))
         hints = drat.merge_hints(original, work, transform_proof, cube_proofs,
                                  [o[4] for o in outcomes])
         pivots = (pivot,) if pivot is not None else ()
         # the one gate for UNSAT: it checks every cube lemma, and a RUP
-        # lemma stays RUP when earlier cubes' lemmas precede it
+        # lemma stays RUP when earlier cubes' lemmas precede it, and the
+        # tree's lines close only if every leaf's cube was refuted
         check = drat.check_proof(original, merged, refutation=True,
                                  symmetry_pivots=pivots, hints=hints)
         if not check:

@@ -21,7 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .cnf import (DimacsError, Formula, clause_status, evaluate, is_flip_symmetric,
-                  parse_clause_line, SATISFIED)
+                  numbered_lines, parse_clause_line, SATISFIED)
 from .encoder import occurrence_stats
 
 
@@ -158,7 +158,7 @@ def write_stack(stack):
 def parse_stack(text):
     """Inverse of write_stack; malformed lines raise cnf.DimacsError."""
     stack = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in numbered_lines(text):
         if not line.strip():
             continue
         lits = parse_clause_line(line, lineno)

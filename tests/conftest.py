@@ -82,6 +82,13 @@ def brute_sat(formula):
     return brute_force(formula) is not None
 
 
+def negate_cubes(cube_list):
+    """One clause per cube: the complements of its literals."""
+    if not cube_list:
+        raise ValueError("empty cube list")
+    return Formula([tuple(-l for l in cube) for cube in cube_list])
+
+
 def cubes_cover_all(cube_list):
     """True iff every assignment of the cubes' variables extends some cube,
     i.e. iff negate_cubes(cube_list) is UNSAT.

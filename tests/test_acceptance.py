@@ -14,14 +14,14 @@ from triplesat.cnf import Formula, SATISFIED, evaluate
 from triplesat.cubecodec import decode_tree, encode_tree
 from triplesat.encoder import (check_partition, encode, enumerate_triples,
                                occurrence_stats)
-from triplesat.lookahead import (cubes, leaf_cubes, negate_cubes,
-                                 parse_cutoff, split, write_inccnf,
-                                 MODE_BIN, MODE_PTN, MODE_RND, MODE_VAR)
+from triplesat.lookahead import (cubes, leaf_cubes, parse_cutoff, split,
+                                 write_inccnf, MODE_BIN, MODE_PTN, MODE_RND,
+                                 MODE_VAR)
 from triplesat.transform import bce
 
 from conftest import (FIG1_CLAUSES, FIG1_PROOF, FIG3_CUBES, ap3_formula,
                       brute_force, brute_sat, build_fig3_tree, cubes_cover_all,
-                      random_formula, random_tree)
+                      negate_cubes, random_formula, random_tree)
 
 
 def test_criterion_01_encoder_counts():

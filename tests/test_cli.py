@@ -209,6 +209,21 @@ def test_check_fig1(tmp_path, capsys):
     assert main(["check", "--formula", str(cnf), "--proof", str(bare)]) == 1
 
 
+def test_check_accepts_a_comment_holding_a_form_feed(tmp_path, capsys):
+    cnf = tmp_path / "fig1.cnf"
+    cnf.write_text(FIG1_TEXT)
+    proof = tmp_path / "fig1.drat"
+    proof.write_text("c page\x0cbreak\n-1 0\nd -1 2 4 0\n2 0\n0\n")
+    assert main(["check", "--formula", str(cnf), "--proof", str(proof),
+                 "--refutation"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "s VERIFIED"
+    cnf.write_text("p cnf 3 2\n1 2 0\n-1 3 0\n")
+    proof.write_text("c page\x0cbreak\n2 3 0\n-2 0\n")
+    assert main(["check", "--formula", str(cnf), "--proof", str(proof)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "s NOT VERIFIED (line 3: clause (-2,) is not RAT on pivot -2)")
+
+
 def test_check_prints_counters(tmp_path, capsys):
     cnf = tmp_path / "fig1.cnf"
     cnf.write_text(FIG1_TEXT)

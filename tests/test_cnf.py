@@ -4,8 +4,8 @@ import pytest
 
 from triplesat.cnf import (DimacsError, FALSIFIED, Formula, SATISFIED,
                            UNDETERMINED, evaluate, is_flip_symmetric,
-                           make_clause, parse_dimacs, propagate_clauses,
-                           write_dimacs)
+                           make_clause, parse_clause_line, parse_dimacs,
+                           propagate_clauses, write_dimacs)
 
 from conftest import (FIG1_CLAUSES, brute_sat, is_tautology, random_formula,
                       reference_propagate, resolve)
@@ -67,6 +67,30 @@ def test_non_ascii_bytes_carry_line_numbers(data, line):
     with pytest.raises(DimacsError, match="line %d: non-ASCII" % line) as info:
         parse_dimacs(data)
     assert info.value.line == line
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+                                       "\x85", "\u2028"])
+def test_lines_end_at_newline_only(separator):
+    """`str.splitlines` also breaks at these, which split a comment in two
+    and pushed the line numbers after it one too high."""
+    text = "p cnf 2 1\nc page%sbreak\n1 2 0\n" % separator
+    assert parse_dimacs(text).clauses == ((1, 2),)
+    with pytest.raises(DimacsError, match="line 3: non-integer token 'x'"):
+        parse_dimacs(text.replace("1 2 0", "1 x 0"))
+    if separator.isascii():
+        assert parse_dimacs(text.encode()).clauses == ((1, 2),)
+
+
+@pytest.mark.parametrize("token", ["1_0", "+2", "\u0663", "\uff11", "0x1", "--1"])
+def test_tokens_must_be_dimacs_integers(token):
+    """`int` alone takes the first four: "1_0 +2 0" was the clause (10, 2)."""
+    with pytest.raises(DimacsError, match="line 2: non-integer token"):
+        parse_dimacs("p cnf 10 1\n%s 0\n" % token)
+    with pytest.raises(DimacsError, match="line 4: non-integer token"):
+        parse_clause_line("1 %s 0" % token, 4)
+    with pytest.raises(DimacsError, match="line 1: non-integer header counts"):
+        parse_dimacs("p cnf %s 0\n" % token)
 
 
 def test_write_dimacs_fig1():

@@ -117,6 +117,14 @@ def test_text_rejects_garbage():
         parse_tree_text("banana")
 
 
+def test_writers_reject_a_non_node():
+    for write in (encode_tree, write_tree_text):
+        with pytest.raises(CodecError, match="not a tree node: None"):
+            write(Node(1, Leaf(CUTOFF), None))
+        with pytest.raises(CodecError, match="not a tree node: 7"):
+            write(7)
+
+
 def test_deep_chain_round_trips():
     # deeper than the interpreter's recursion limit
     depth = 5000

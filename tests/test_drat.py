@@ -1,3 +1,4 @@
+import ast
 import random
 import sys
 import time
@@ -640,7 +641,10 @@ def test_merged_hints_through_deletions_and_pivot(monkeypatch, rng, two_level,
     proof = result.proof
     assert result.verdict == cdcl.UNSAT and result.pivot is not None
     assert [kind for kind, _ in proof[:3]] == ["d", "d", "a"]
-    assert len(hints) < len(proof)
+    # the split refutes the root, so the tree is one leaf: it adds no
+    # tautology line, and every line of the proof has its hint entry
+    assert len(result.cube_results) == 1
+    assert len(hints) == len(proof) and proof[-1] == ("a", ())
     padded = list(hints) + [()] * (len(proof) - len(hints))
     assert not any(padded[:3])
     ambiguous = sum(-1 in hint for hint in padded)
@@ -700,3 +704,24 @@ def test_rnd_unsat_merged_check_stats():
         formula=formula, mode="rnd3sat", cutoff=WORKLOADS["rnd-unsat"].cutoff))
     assert result.verdict == cdcl.UNSAT
     assert result.check.stats == PINNED_RND_STATS
+
+
+def test_checker_imports_only_cnf_from_the_package():
+    """The trust boundary: the checker alone decides whether the cubes
+    close the tree, so it shares no code with the solver or the splitter
+    whose output it checks."""
+    tree = ast.parse((REPO / "src" / "triplesat" / "drat.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ("triplesat." if node.level else "") + (node.module or "")
+            module = module.rstrip(".")
+            names = ([module + "." + alias.name for alias in node.names]
+                     if module == "triplesat" else [module])
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        imported.update(name.split(".")[1] for name in names
+                        if name.startswith("triplesat."))
+    assert imported == {"cnf"}

@@ -8,19 +8,21 @@ import pytest
 from triplesat import cnf, lookahead
 from triplesat.cnf import (DimacsError, Formula, Propagator, parse_dimacs,
                            propagate_clauses)
+from triplesat.drat import check_proof
 from triplesat.encoder import encode
 from triplesat.lookahead import (CUTOFF, CutoffPolicy, HeuristicParams, Leaf,
                                  LookaheadEngine, LookaheadError, MODE_BIN,
                                  MODE_PTN, MODE_RND, MODE_VAR, MODES, Node,
                                  PTN_PARAMS, REFUTED, RND_PARAMS, _compute_h,
-                                 _measure, cubes, leaf_cubes, negate_cubes,
-                                 params_for_mode, parse_cutoff, parse_inccnf,
-                                 residual_clauses, split, write_inccnf)
+                                 _measure, cubes, leaf_cubes, params_for_mode,
+                                 parse_cutoff, parse_inccnf, preorder,
+                                 residual_clauses, split, tautology_proof,
+                                 write_inccnf)
 from triplesat.transform import bce, symmetry_break
 
-from conftest import (FIG3_CUBES, brute_sat, cubes_cover_all, random_formula,
-                      random_tree, reference_compute_h, reference_look_ahead,
-                      reference_split, true_literals)
+from conftest import (FIG3_CUBES, brute_sat, cubes_cover_all, negate_cubes,
+                      random_formula, random_tree, reference_compute_h,
+                      reference_look_ahead, reference_split, true_literals)
 
 
 def test_params_validation():
@@ -457,6 +459,49 @@ def test_split_modes_agree_on_coverage():
 
 def test_fig3_cube_order(fig3_tree):
     assert cubes(fig3_tree) == FIG3_CUBES
+
+
+def test_preorder_paths(fig3_tree):
+    walk = list(preorder(fig3_tree))
+    assert [path for node, path in walk if isinstance(node, Leaf)] == FIG3_CUBES
+    assert [path for node, path in walk if isinstance(node, Node)] == [
+        (), (5,), (5, 3), (-5,), (-5, -2), (-5, -2, 3)]
+    assert list(preorder(Leaf(CUTOFF))) == [(Leaf(CUTOFF), ())]
+
+
+def test_tautology_proof_fig3(fig3_tree):
+    # children before parents; the root's line is the empty clause
+    assert tautology_proof(fig3_tree) == [
+        ("a", (5, 2, -3)), ("a", (5, 2)), ("a", (5,)), ("a", (-5, -3)),
+        ("a", (-5,)), ("a", ())]
+    assert tautology_proof(Leaf(REFUTED)) == []
+
+
+def test_tautology_proof_closes_exactly_the_tree(rng):
+    """The tree's lines refute its cubes' negations, and no longer do once
+    any one consistent cube's negation is left out: leaves partition the
+    assignments, so that cube's assignments satisfy the rest.  A cube with
+    a complementary pair covers nothing, so leaving it out may not matter."""
+    trees = [random_tree(rng, max_depth=6, max_var=6) for _ in range(60)]
+    while len(trees) < 90:
+        formula = random_formula(rng, max_vars=8, allow_units=False)
+        trees.append(split(formula, parse_cutoff("depth:4"),
+                           rng.choice(MODES)))
+    dropped = 0
+    for tree in trees:
+        cube_list = cubes(tree)
+        proof = tautology_proof(tree)
+        assert len(proof) == len(cube_list) - 1
+        assert check_proof(negate_cubes(cube_list), proof, refutation=True)
+        for index, cube in enumerate(cube_list):
+            if any(-lit in cube for lit in cube):
+                continue
+            rest = cube_list[:index] + cube_list[index + 1:]
+            formula = Formula([tuple(-lit for lit in c) for c in rest])
+            assert not check_proof(formula, proof, refutation=True)
+            dropped += 1
+    assert sum(len(cubes(tree)) == 1 for tree in trees) > 5
+    assert dropped > 300
 
 
 def test_negate_cubes():

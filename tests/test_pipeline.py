@@ -1,3 +1,5 @@
+import functools
+import itertools
 import multiprocessing
 import random
 from collections import Counter
@@ -5,13 +7,14 @@ from collections import Counter
 import pytest
 
 from triplesat import cdcl, drat, pipeline
-from triplesat.cnf import Formula, SATISFIED, evaluate
+from triplesat.cnf import Formula, SATISFIED, evaluate, propagate_clauses
 from triplesat.encoder import check_partition, encode
-from triplesat.lookahead import cubes, negate_cubes, parse_cutoff, split
+from triplesat.lookahead import MODES, cubes, parse_cutoff, split
 from triplesat.transform import bce, reconstruct, symmetry_break
 
 from conftest import (FIG1_CLAUSES, FIG3_CUBES, ap3_formula, brute_sat,
-                      random_formula, reference_solve_one_cube)
+                      negate_cubes, random_formula, reference_check_proof,
+                      reference_solve_one_cube)
 
 
 def test_config_requires_one_source():
@@ -334,16 +337,19 @@ def every_cube_until_sat(config):
     return cube_list, verdicts[:first + 1], model
 
 
+def random_3sat(rng, num_vars, num_clauses):
+    return Formula([tuple(v if rng.random() < 0.5 else -v
+                          for v in rng.sample(range(1, num_vars + 1), 3))
+                    for _ in range(num_clauses)], num_vars)
+
+
 def sat_formulas(rng, count):
     """Random 3-SAT near the threshold, 8 to 12 variables, that brute force
     finds satisfiable: the first SAT cube is often not the first cube."""
     found = []
     while len(found) < count:
         num_vars = rng.randint(8, 12)
-        formula = Formula([tuple(v if rng.random() < 0.5 else -v
-                                 for v in rng.sample(range(1, num_vars + 1), 3))
-                           for _ in range(int(num_vars * rng.uniform(3.8, 5)))],
-                          num_vars)
+        formula = random_3sat(rng, num_vars, int(num_vars * rng.uniform(3.8, 5)))
         if brute_sat(formula):
             found.append(formula)
     return found
@@ -397,3 +403,71 @@ def test_sat_run_stops_at_the_first_sat_cube(workers, two_level, monkeypatch):
         unsolved += len(cube_list) > len(prefix)
         later_sat += len(prefix) > 1
     assert unsolved and later_sat
+
+
+def random_xor3(rng, num_vars, num_equations):
+    """Random parity constraints on three variables each, 4 clauses apiece.
+    With one equation fewer than variables many are UNSAT, and their
+    splits go past depth 1, which those of random 3-SAT small enough for
+    brute force rarely do."""
+    clauses = []
+    for _ in range(num_equations):
+        variables = rng.sample(range(1, num_vars + 1), 3)
+        odd = rng.random() < 0.5
+        for signs in itertools.product((1, -1), repeat=3):
+            if (signs.count(-1) % 2 == 0) == odd:
+                clauses.append(tuple(s * v for s, v in zip(signs, variables)))
+    return Formula(clauses, num_vars)
+
+
+@functools.cache
+def differential_formulas(mode):
+    """(formula, brute-force verdict): three UNSAT, at most one SAT."""
+    rng = random.Random("tree-proof-%s" % mode)
+    found = []
+    while sum(not sat for _, sat in found) < 3:
+        num_vars = rng.randint(18, 21)
+        formula = random_xor3(rng, num_vars, num_vars - 1)
+        sat = brute_sat(formula)
+        if not (sat and any(known for _, known in found)):
+            found.append((formula, sat))
+    return found
+
+
+@pytest.mark.parametrize("two_level", [False, True])
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("mode", MODES)
+def test_random_runs_match_brute_force(mode, workers, two_level):
+    """The verdict is brute force's, and every UNSAT run's merged proof,
+    closed by the split tree's tautology lines, is accepted by the gate and
+    by the reference checker."""
+    deep = 0
+    for formula, sat in differential_formulas(mode):
+        result = pipeline.run(pipeline.PipelineConfig(
+            formula=formula, mode=mode, cutoff="depth:4",
+            second_cutoff="depth:2", two_level=two_level, workers=workers))
+        assert (result.verdict == cdcl.SAT) == sat
+        if not sat:
+            assert result.check
+            assert reference_check_proof(formula, result.proof, refutation=True)
+            deep += len(result.cube_results) > 2
+    assert deep
+
+
+def test_a_cube_left_unsolved_fails_the_gate(monkeypatch):
+    """Conquer skips one cube while the tautology lines still close the
+    whole tree: the checker, not a solve, finds the cube missing.  Unit
+    propagation alone does not refute the cube, so the line that needs its
+    negation is not RUP without it."""
+    formula = random_3sat(random.Random(3), 40, 192)
+    config = pipeline.PipelineConfig(formula=formula, mode="rnd3sat",
+                                     cutoff="depth:3")
+    assert pipeline.run(config).verdict == cdcl.UNSAT
+    cube_list = cubes(split(formula, parse_cutoff("depth:3"), "rnd3sat"))
+    skipped = cube_list[0]
+    assert len(cube_list) == 3 and len(skipped) == 2
+    assert not propagate_clauses(formula.clauses, skipped)[1]
+    monkeypatch.setattr(pipeline, "cubes",
+                        lambda tree: [c for c in cubes(tree) if c != skipped])
+    with pytest.raises(RuntimeError, match="merged proof rejected"):
+        pipeline.run(config)

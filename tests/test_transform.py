@@ -205,8 +205,10 @@ def test_stack_round_trip():
 
 
 @pytest.mark.parametrize("text, line", [("1 1 2 0\n-3 -3 0 4 0\n", 2),
-                                        ("1 z 0\n", 1), ("\n0\n", 2)],
-                         ids=["interior-zero", "non-integer", "no-blocking-literal"])
+                                        ("1 z 0\n", 1), ("\n0\n", 2),
+                                        ("1 2 0\x0c\n1 z 0\n", 2)],
+                         ids=["interior-zero", "non-integer", "no-blocking-literal",
+                              "form-feed"])
 def test_stack_reports_bad_lines(text, line):
     with pytest.raises(DimacsError) as info:
         parse_stack(text)
