@@ -119,11 +119,17 @@ class Propagator:
                 occ[lit].append(idx)
         self.occ = occ
 
-    def fixpoint(self, seeds):
+    def fixpoint(self, seeds, reduced=None):
         """(true literals, conflict) after asserting `seeds` and the unit
         clauses, then propagating to fixpoint.  On a conflict the literal
         set is whatever was derived before it, which depends on the queue
-        order."""
+        order.
+
+        A list `reduced` receives the index of each clause visited through
+        a false literal while two of its other literals were unassigned,
+        once per such visit, in visiting order.  At a fixpoint without
+        conflict it holds every ternary clause with one false literal and
+        no true one, and perhaps clauses satisfied after their visit."""
         true = set()
         if self.has_empty:
             return true, True
@@ -146,6 +152,8 @@ class Propagator:
                         break
                     if -other not in true:
                         if unit is not None and other != unit:
+                            if reduced is not None:
+                                reduced.append(idx)
                             break  # two unassigned: not a unit
                         unit = other
                 else:
@@ -190,12 +198,14 @@ def numbered_lines(text):
     return enumerate(text.split("\n"), start=1)
 
 
-# ASCII digits after an optional minus; `int` also takes "+2", "1_0", "٣"
-_is_integer = re.compile(r"-?[0-9]+").fullmatch
+# ASCII digits after an optional minus; `int` also takes "+2", "1_0", "٣".
+# The DIMACS, DRAT, tree-listing and cutoff parsers check every integer
+# token with it before `int` reads it.
+is_dimacs_integer = re.compile(r"-?[0-9]+").fullmatch
 
 
 def _integer(token, lineno):
-    if not _is_integer(token):
+    if not is_dimacs_integer(token):
         raise DimacsError("non-integer token %r" % token, lineno)
     return int(token)
 
@@ -222,7 +232,7 @@ def parse_dimacs(text):
             parts = stripped.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
                 raise DimacsError("malformed header %r" % stripped, lineno)
-            if not (_is_integer(parts[2]) and _is_integer(parts[3])):
+            if not (is_dimacs_integer(parts[2]) and is_dimacs_integer(parts[3])):
                 raise DimacsError("non-integer header counts %r" % stripped, lineno)
             num_vars, num_clauses = int(parts[2]), int(parts[3])
             if num_vars < 0 or num_clauses < 0:

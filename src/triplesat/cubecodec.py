@@ -11,7 +11,7 @@ t - 1; children follow in yes-then-no order.  The writers walk trees with
 
 from __future__ import annotations
 
-from .cnf import numbered_lines
+from .cnf import is_dimacs_integer, numbered_lines
 from .lookahead import CUTOFF, REFUTED, Leaf, Node, build_preorder, preorder
 
 MAGIC = b"PTCT"
@@ -122,10 +122,9 @@ def parse_tree_text(text):
             raise CodecError("truncated tree listing")
         if token in (CUTOFF, REFUTED):
             return Leaf(token)
-        try:
-            literal = int(token)
-        except ValueError:
-            raise CodecError("bad tree token %r" % token) from None
+        if not is_dimacs_integer(token):
+            raise CodecError("bad tree token %r" % token)
+        literal = int(token)
         if literal == 0:
             raise CodecError("zero decision literal")
         return Node(literal, None, None)

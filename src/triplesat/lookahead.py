@@ -14,14 +14,13 @@ Each split node derives its residual, its set of free variables, its
 binary-clause count and its h-table once.  All of its look-aheads go
 through one `LookaheadEngine`, the `cnf.Propagator` of the residual,
 and take the h-table as an argument.  The engine propagates each
-literal on a trail of its own and weighs only the ternary clauses that
-contain the negation of a trail literal, in clause order, so weights,
+literal on a trail of its own, and the fixpoint hands over the ternary
+clauses it left with two unassigned literals: only those are weighed, in
+clause order, with no second walk of the occurrence lists, so weights,
 scores and trees are exactly those of propagating and rescanning the
-whole residual per look-ahead.  A literal that propagates nothing (most
-of them) is weighed straight from its complement's occurrence list.  A
-child node settles on its parent's engine: only the root's fixpoint runs
-over the whole formula, and a pending child keeps only its parent's
-residual and occurrence lists.
+whole residual per look-ahead.  A child node settles on its parent's
+engine: only the root's fixpoint runs over the whole formula, and a
+pending child keeps only its parent's residual and occurrence lists.
 
 The h-table's rounds run on flat lists indexed by each free variable's
 position, with the same float operations in the same order as on a
@@ -36,8 +35,8 @@ from typing import Optional
 
 # `propagate_clauses` is not called here: bench/spans.py wraps it where
 # `lookahead` looks it up, so the name must stay importable from here.
-from .cnf import (DimacsError, Formula, Propagator, numbered_lines,
-                  parse_clause_line, propagate_clauses)
+from .cnf import (DimacsError, Formula, Propagator, is_dimacs_integer,
+                  numbered_lines, parse_clause_line, propagate_clauses)
 
 CUTOFF = "cutoff"
 REFUTED = "refuted"
@@ -112,11 +111,9 @@ def parse_cutoff(spec):
         kind, _, value = part.partition(":")
         if not value:
             raise ValueError("malformed cutoff %r" % part)
-        try:
-            value = int(value)
-        except ValueError:
-            raise ValueError("cutoff %r: %r is not an integer"
-                             % (part, value)) from None
+        if not is_dimacs_integer(value):
+            raise ValueError("cutoff %r: %r is not an integer" % (part, value))
+        value = int(value)
         if value < 0:
             raise ValueError("cutoff %r: %d is negative" % (part, value))
         if kind == "bin":
@@ -219,63 +216,34 @@ class LookaheadEngine(Propagator):
 
         The weight sums h(~y) * h(~z) over the newly created binaries
         (y | z); refuted means propagation conflicts, forcing the
-        complement.  A ternary clause turns binary only through a false
-        literal, so only the clauses in the occurrence lists of the
-        negated true literals are weighed, in ascending index: the weight
-        is the same float sum a scan of the whole residual in clause order
-        would give.  When nothing propagates, `_weigh_alone` reads the
-        one occurrence list that matters.
+        complement.  The fixpoint hands over the ternary clauses it left
+        with two unassigned literals.  Such a clause has one false literal
+        or, satisfied since, a true one: two false ones would have made it
+        unit.  They are weighed in ascending index, which the fixpoint's
+        list already is when only `lit` holds, so the weight is the same
+        float sum a scan of the whole residual in clause order would give.
         """
-        true, conflict = self.fixpoint([lit])
+        reduced = []
+        true, conflict = self.fixpoint([lit], reduced)
         if conflict:
             return 0.0, len(true), 0, True
-        if len(true) == 1:
-            return self._weigh_alone(lit, h)
-        clauses, occ = self.clauses, self.occ
-        touched = set()
-        for assigned in true:
-            touched.update(occ.get(-assigned, ()))
-        weight = 0.0
-        new_binaries = 0
-        for idx in sorted(touched):
-            clause = clauses[idx]
-            if len(clause) != 3:
-                continue
-            unassigned = []
-            for other in clause:
-                if other in true:
-                    break
-                if -other not in true:
-                    unassigned.append(other)
-            else:
-                if len(unassigned) == 2:
-                    y, z = unassigned
-                    weight += h.get(-y, 0.0) * h.get(-z, 0.0)
-                    new_binaries += 1
-        return weight, len(true), new_binaries, False
-
-    def _weigh_alone(self, lit, h):
-        """`look_ahead` of a literal that propagates nothing: only `lit`
-        holds, so the clauses weighed are those of its complement's
-        occurrence list, which is already ascending and free of repeats."""
+        if len(true) > 1:
+            reduced = sorted(set(reduced))
         clauses = self.clauses
-        neg = -lit
         weight = 0.0
         new_binaries = 0
-        for idx in self.occ.get(neg, ()):
-            clause = clauses[idx]
-            # the other two literals are unassigned unless one is `lit`,
-            # or the clause repeats `neg`
-            if len(clause) != 3 or lit in clause or clause.count(neg) != 1:
+        for idx in reduced:
+            x, y, z = clauses[idx]
+            if x in true or y in true or z in true:
                 continue
-            y, z, other = clause
-            if y == neg:
-                y, z = z, other
-            elif z == neg:
-                z = other
-            weight += h.get(-y, 0.0) * h.get(-z, 0.0)
+            if -x in true:
+                weight += h[-y] * h[-z]
+            elif -y in true:
+                weight += h[-x] * h[-z]
+            else:
+                weight += h[-x] * h[-y]
             new_binaries += 1
-        return weight, 1, new_binaries, False
+        return weight, len(true), new_binaries, False
 
 
 def _score(mode, pos, neg):
@@ -345,6 +313,13 @@ def check_mode(mode):
                          % (mode, ", ".join(MODES)))
 
 
+def check_preselect(preselect):
+    """Raise ValueError unless `preselect` is a share in (0, 1]; NaN and
+    infinities fail the comparison."""
+    if not 0 < preselect <= 1:
+        raise ValueError("preselect must be in (0, 1], got %r" % (preselect,))
+
+
 def split(formula, cutoff, mode=MODE_PTN, params=None, preselect=1.0):
     """Build a branching tree over `formula` by depth-first expansion.
 
@@ -360,6 +335,7 @@ def split(formula, cutoff, mode=MODE_PTN, params=None, preselect=1.0):
     interpreter's recursion limit.
     """
     check_mode(mode)
+    check_preselect(preselect)
     params = params or params_for_mode(mode)
 
     def settle(propagator, seeds, depth):

@@ -29,15 +29,15 @@ import functools
 import importlib.resources
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import cdcl, drat
 from .cnf import Formula, evaluate, numbered_lines, parse_dimacs, SATISFIED
 from .encoder import check_partition, encode
-from .lookahead import (CutoffPolicy, HeuristicParams, check_mode, cubes,
-                        params_for_mode, parse_cutoff, split, tautology_proof)
+from .lookahead import (CutoffPolicy, HeuristicParams, check_mode,
+                        check_preselect, cubes, params_for_mode, parse_cutoff,
+                        split, tautology_proof)
 from .transform import bce, emit_transform_proof, reconstruct, symmetry_break
 
 
@@ -58,8 +58,9 @@ def load_config(path):
     """Parse a simple `key=value` config file into a dict of strings.
 
     A key must be one of defaults.cfg or a heuristic parameter, so a
-    misspelt key is an error instead of a silently kept default.  The file
-    is ASCII, like every input (see `cnf.numbered_lines`).
+    misspelt key is an error instead of a silently kept default.  A
+    numeric value must cast, so a bad one is reported with its line.  The
+    file is ASCII, like every input (see `cnf.numbered_lines`).
     """
     known = _shipped_defaults().keys() | _HEURISTIC_KEYS.keys()
     values = {}
@@ -69,6 +70,12 @@ def load_config(path):
         if key not in known:
             raise ValueError("line %d: unknown key %r; expected one of %s"
                              % (lineno, key, ", ".join(sorted(known))))
+        cast = _CASTS.get(key, str)
+        try:
+            cast(value)
+        except ValueError:
+            raise ValueError("line %d: %s %r is not a valid %s"
+                             % (lineno, key, value, cast.__name__)) from None
         values[key] = value
     return values
 
@@ -91,6 +98,7 @@ def _default(key, cast=str):
 
 
 _HEURISTIC_KEYS = {"alpha": float, "beta": float, "gamma": float, "iterations": int}
+_CASTS = {"workers": int, "preselect": float, **_HEURISTIC_KEYS}
 
 
 def config_params(values):
@@ -123,6 +131,7 @@ class PipelineConfig:
         if self.workers < 1:
             raise ValueError("worker count must be >= 1")
         check_mode(self.mode)
+        check_preselect(self.preselect)
         for name in ("cutoff", "second_cutoff"):
             try:
                 _policy(getattr(self, name))
@@ -260,6 +269,8 @@ def run(config):
     if config.workers == 1:
         outcomes = _until_sat(map(solve, cube_list))
     else:
+        # imported here, so that a serial run does not load the pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers, initializer=_init_worker,
                                  initargs=(solve,)) as pool:
             outcomes = _until_sat(pool.map(_run_worker, cube_list))

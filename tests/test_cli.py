@@ -271,6 +271,15 @@ def test_pack_cubes_non_ascii_is_an_error_with_its_line(tmp_path, capsys):
     assert "error: line 3: non-ASCII byte 0xff" in capsys.readouterr().err
 
 
+def test_pack_cubes_rejects_a_non_dimacs_literal(tmp_path, capsys):
+    tree = tmp_path / "bad.tree"
+    tree.write_text("3\n1_0\ncutoff\ncutoff\nrefuted\n")
+    packed = tmp_path / "bad.ptct"
+    assert main(["pack-cubes", "--tree", str(tree), "--out", str(packed)]) == 1
+    assert "error: bad tree token '1_0'" in capsys.readouterr().err
+    assert not packed.exists()
+
+
 def test_pack_unpack_round_trip(tmp_path, capsys):
     cnf = tmp_path / "f.cnf"
     main(["encode", "--n", "60", "--out", str(cnf)])
@@ -346,6 +355,42 @@ def test_cli_import_leaves_numpy_out(tmp_path):
                              "print('numpy' in sys.modules)"], cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_pipeline_import_leaves_the_worker_pool_out(tmp_path):
+    # only workers > 1 needs concurrent.futures; it loads on first use
+    done = run_python(["-c", "import sys, triplesat.pipeline; "
+                             "print('concurrent.futures' in sys.modules)"],
+                      cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_split_cli_rejects_bad_preselect(tmp_path, capsys):
+    cnf = tmp_path / "f60.cnf"
+    assert main(["encode", "--n", "60", "--out", str(cnf)]) == 0
+    out = tmp_path / "f60.icnf"
+    for value in ("nan", "0", "-1"):
+        assert main(["split", "--in", str(cnf), "--cutoff", "depth:2",
+                     "--preselect", value, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    for shown in ("nan", "0.0", "-1.0"):
+        assert "error: preselect must be in (0, 1], got %s" % shown in err
+    assert not out.exists()
+
+
+def test_pipeline_cli_config_bad_number_names_key_and_line(tmp_path,
+                                                           captured_config,
+                                                           capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = ptn3sat\nworkers = x\n")
+    assert main(["pipeline", "--n", "40", "--config", str(cfg)]) == 1
+    cfg.write_text("# heuristic\nalpha = 2,5\n")
+    assert main(["pipeline", "--n", "40", "--config", str(cfg)]) == 1
+    assert not captured_config
+    err = capsys.readouterr().err
+    assert "error: line 2: workers 'x' is not a valid int" in err
+    assert "error: line 2: alpha '2,5' is not a valid float" in err
 
 
 def test_pipeline_cli_config_typo_is_an_error(tmp_path, capsys):

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from triplesat.cnf import (DimacsError, FALSIFIED, Formula, SATISFIED,
-                           UNDETERMINED, evaluate, is_flip_symmetric,
+from triplesat.cnf import (DimacsError, FALSIFIED, Formula, Propagator,
+                           SATISFIED, UNDETERMINED, evaluate,
+                           is_flip_symmetric,
                            make_clause, parse_clause_line, parse_dimacs,
                            propagate_clauses, write_dimacs)
 
@@ -159,6 +160,36 @@ def test_unit_propagate_fixpoint_order_independent(rng):
         assert got_conflict == ref_conflict
         if not got_conflict:
             assert got_assign == ref_assign
+
+
+def test_fixpoint_records_the_clauses_it_leaves_binary(rng):
+    """What the look-ahead's weighing relies on: at a fixpoint without
+    conflict, `reduced` holds every ternary clause with exactly one false
+    literal and no true one, and names only clauses with a false literal.
+    Literals are drawn with replacement, so clauses repeat literals and
+    hold both polarities of a variable."""
+    checked = 0
+    for _ in range(600):
+        num_vars = rng.randint(2, 7)
+        clauses = [tuple(rng.choice((1, -1)) * rng.randint(1, num_vars)
+                         for _ in range(rng.choice((1, 2, 3, 3, 3, 4))))
+                   for _ in range(rng.randint(1, 3 * num_vars))]
+        seeds = [rng.choice((1, -1)) * rng.randint(1, num_vars)
+                 for _ in range(rng.randint(0, 3))]
+        reduced = []
+        true, conflict = Propagator(clauses).fixpoint(seeds, reduced)
+        if conflict:
+            continue
+        checked += 1
+        recorded = set(reduced)
+        for idx, clause in enumerate(clauses):
+            false = sum(-lit in true for lit in clause)
+            if len(clause) == 3 and false == 1 and \
+                    not any(lit in true for lit in clause):
+                assert idx in recorded, (clauses, seeds, idx)
+        for idx in recorded:
+            assert any(-lit in true for lit in clauses[idx]), (clauses, seeds)
+    assert checked > 300
 
 
 def test_propagation_conflict_implies_unsat(rng):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from triplesat.cubecodec import (CodecError, MAGIC, VERSION, decode_tree,
@@ -115,6 +117,18 @@ def test_text_rejects_garbage():
         parse_tree_text("cutoff cutoff")  # trailing tokens
     with pytest.raises(CodecError):
         parse_tree_text("banana")
+
+
+@pytest.mark.parametrize("token", ["1_0", "+5", "٣", "-0x3", "5.0"])
+def test_text_takes_dimacs_integers_only(token):
+    # `int` alone reads "1_0" as 10, "+5" as 5 and "٣" as 3
+    listing = "3\n%s\ncutoff\ncutoff\nrefuted\n" % token
+    message = re.escape("bad tree token %r" % token)
+    with pytest.raises(CodecError, match=message):
+        parse_tree_text(listing)
+    if token.isascii():
+        with pytest.raises(CodecError, match=message):
+            parse_tree_text(listing.encode())
 
 
 def test_writers_reject_a_non_node():

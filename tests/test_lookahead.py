@@ -1,4 +1,5 @@
 import inspect
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -57,6 +58,24 @@ def test_parse_cutoff():
         with pytest.raises(ValueError, match="cutoff '%s': -[0-9] is negative" % part):
             parse_cutoff("bin:10,%s" % part)
     assert parse_cutoff("depth:0,bin:0,vars:0").depth_limit == 0
+
+
+def test_parse_cutoff_takes_dimacs_integers_only():
+    # `int` alone reads "+3" as 3, "1_0" as 10 and "٣" as 3
+    for part in ("depth:+3", "bin:1_0", "vars:٣", "depth:²", "bin: 4"):
+        message = "cutoff %r: %r is not an integer" % (
+            part, part.partition(":")[2])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_cutoff("bin:10,%s" % part)
+    with pytest.raises(ValueError, match="cutoff 'depth:-1': -1 is negative"):
+        parse_cutoff("depth:-1")
+
+
+@pytest.mark.parametrize("preselect", [0, 0.0, -1, 1.5, float("nan"),
+                                       float("inf"), -float("inf")])
+def test_split_rejects_preselect_outside_unit_interval(preselect):
+    with pytest.raises(ValueError, match=r"preselect must be in \(0, 1\]"):
+        split(encode(30), parse_cutoff("depth:2"), preselect=preselect)
 
 
 def free_vars(residual):
@@ -232,12 +251,11 @@ def _with_tautologies(rng, formula):
 def test_engine_matches_reference_look_ahead(rng):
     """Differential check of the per-node engine against the full-rescan
     look-ahead, under partial assignments that need not be fixpoints, so
-    residuals keep unit and empty clauses.  Both paths are hit, each with
-    and without weight: a literal that propagates nothing, which
-    `_weigh_alone` weighs from one occurrence list, and one that
-    propagates."""
+    residuals keep unit and empty clauses.  The reference's values cover
+    a literal that propagates nothing and one that propagates, each with
+    and without weight."""
     seen_units = seen_empty = seen_weights = 0
-    seen_paths = Counter()
+    seen_kinds = Counter()
     for case in range(400):
         formula = _with_tautologies(rng, random_formula(
             rng, max_vars=12, allow_units=case % 4 == 0))
@@ -255,26 +273,18 @@ def test_engine_matches_reference_look_ahead(rng):
                      for v in range(1, formula.num_vars + 1)
                      for lit in (v, -v)}
         engine = LookaheadEngine(residual)
-        alone = engine._weigh_alone
-        weighed_alone = []
-        engine._weigh_alone = lambda lit, h: (weighed_alone.append(lit),
-                                              alone(lit, h))[1]
         free = [v for v in range(1, formula.num_vars + 1) if v not in assignment]
         for lit in [l for v in free for l in (v, -v)]:
             got = engine.look_ahead(lit, table)
             want = reference_look_ahead(residual, lit, table)
             assert got[0] == want[0]
             assert got[2:] == want[2:]
-            fast = weighed_alone == [lit]
-            weighed_alone.clear()
-            # the fast path runs exactly when nothing but `lit` holds
-            assert fast == (not want[3] and want[1] == 1)
             if not want[3]:
                 assert got[1] == want[1]
-                seen_paths[fast, got[0] > 0] += 1
+                seen_kinds[want[1] == 1, want[0] > 0] += 1
             seen_weights += got[0] > 0
     assert seen_units and seen_empty and seen_weights
-    assert len(seen_paths) == 4, seen_paths
+    assert len(seen_kinds) == 4, seen_kinds
 
 
 def _best(residual, mode):

@@ -48,6 +48,26 @@ def test_config_rejects_bad_cutoffs():
     assert pipeline.PipelineConfig(n=60, cutoff=parse_cutoff("depth:2"))
 
 
+@pytest.mark.parametrize("preselect", [0.0, -0.5, 1.01, float("nan"),
+                                       float("inf")])
+def test_config_rejects_preselect_outside_unit_interval(preselect):
+    with pytest.raises(ValueError, match=r"preselect must be in \(0, 1\]"):
+        pipeline.PipelineConfig(n=30, preselect=preselect)
+
+
+def test_load_config_checks_numbers_on_their_line(tmp_path):
+    path = tmp_path / "run.cfg"
+    for line, key, value, kind in [("workers = 1.5", "workers", "1.5", "int"),
+                                   ("iterations = four", "iterations", "four",
+                                    "int"),
+                                   ("preselect = half", "preselect", "half",
+                                    "float")]:
+        path.write_text("mode = ptn3sat\n%s\n" % line)
+        with pytest.raises(ValueError, match="line 2: %s %r is not a valid %s"
+                           % (key, value, kind)):
+            pipeline.load_config(str(path))
+
+
 def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# comment\nalpha = 2.5\nmode=rnd3sat\n\n")

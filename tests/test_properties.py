@@ -6,7 +6,9 @@ Derandomized, with no example database, so the suite stays deterministic:
 - writing then parsing gives back what was written;
 - comment lines of any ASCII text leave a parse, and the line numbers it
   reports, unchanged;
-- an accepted DIMACS token is an integer in the DIMACS sense.
+- an accepted DIMACS, tree-listing or cutoff token is an integer in the
+  DIMACS sense;
+- the DRAT checker gives the same outcome with arbitrary hints as without.
 """
 
 import re
@@ -18,9 +20,9 @@ from triplesat.cnf import (DimacsError, Formula, parse_clause_line, parse_dimacs
                            write_dimacs)
 from triplesat.cubecodec import (CodecError, decode_tree, encode_tree,
                                  parse_tree_text, write_tree_text)
-from triplesat.drat import parse_drat, write_drat
-from triplesat.lookahead import (CUTOFF, REFUTED, Leaf, Node, parse_inccnf,
-                                 write_inccnf)
+from triplesat.drat import check_proof, parse_drat, write_drat
+from triplesat.lookahead import (CUTOFF, REFUTED, Leaf, Node, parse_cutoff,
+                                 parse_inccnf, write_inccnf)
 from triplesat.pipeline import default_config, load_config
 from triplesat.transform import EliminationRecord, parse_stack, write_stack
 
@@ -78,11 +80,13 @@ def test_config_file_raises_only_documented_errors(tmp_path, data):
 @given(st.text(st.sampled_from("0123456789-+_x٣² \t"), min_size=1, max_size=8))
 def test_accepted_tokens_are_dimacs_integers(line):
     """`int` alone takes "+2", "1_0" and non-ASCII digits."""
-    for parse in (lambda text: parse_clause_line(text, 1),
-                  lambda text: parse_dimacs("p cnf 99 1\n" + text).clauses[0]):
+    for parse in (lambda text: parse_clause_line(text + " 0", 1),
+                  lambda text: parse_dimacs("p cnf 99 1\n%s 0" % text),
+                  lambda text: parse_tree_text(text + " cutoff cutoff"),
+                  lambda text: parse_cutoff("depth:" + text)):
         try:
-            parse(line + " 0")
-        except DimacsError:
+            parse(line)
+        except ValueError:  # DimacsError, CodecError, or a cutoff's error
             continue
         assert all(re.fullmatch(r"-?[0-9]+", token) for token in line.split())
 
@@ -153,10 +157,16 @@ def test_tree_codecs_round_trip(tree):
     assert decode_tree(encode_tree(tree)) == tree
 
 
+# a numeric setting must cast on its line; the others are any text
+SETTINGS = {"workers": st.integers().map(str),
+            "preselect": st.floats().map(repr)}
+
+
 @PROPERTY
 @given(values=st.fixed_dictionaries({}, optional={
-           key: st.text(st.characters(min_codepoint=33, max_codepoint=126,
-                                      exclude_characters="="), min_size=1)
+           key: SETTINGS.get(key, st.text(st.characters(
+               min_codepoint=33, max_codepoint=126, exclude_characters="="),
+               min_size=1))
            for key in default_config()}),
        comments=st.lists(st.tuples(st.integers(1, 10), ASCII_LINE), max_size=4))
 def test_config_round_trip(tmp_path, values, comments):
@@ -165,3 +175,46 @@ def test_config_round_trip(tmp_path, values, comments):
     path = tmp_path / "run.cfg"
     path.write_text(commented)
     assert load_config(str(path)) == values
+
+
+# ------------------------------------------------------------------ hints
+
+SMALL_LITERALS = st.integers(-4, 4).filter(bool)
+SMALL_CLAUSES = st.lists(SMALL_LITERALS, max_size=3, unique=True).map(tuple)
+
+
+@st.composite
+def hinted_proofs(draw):
+    """A small formula, a proof of additions and deletions (of formula
+    clauses as well as others), and a hint list whose entries may be empty,
+    out of range, negative, or name deleted or later clauses."""
+    formula = Formula(draw(st.lists(SMALL_CLAUSES, min_size=1, max_size=10)))
+    steps = st.one_of(SMALL_CLAUSES.map(lambda c: ("a", c)),
+                      SMALL_CLAUSES.map(lambda c: ("d", c)),
+                      st.sampled_from(formula.clauses).map(lambda c: ("d", c)))
+    proof = draw(st.lists(steps, max_size=8))
+    top = len(formula.clauses) + len(proof)
+    hints = []
+    for index in range(draw(st.integers(0, len(proof) + 2))):
+        # the numbers of the input clauses and added lemmas before the step
+        before = [num for num in range(min(len(formula.clauses) + index, top))
+                  if num < len(formula.clauses)
+                  or proof[num - len(formula.clauses)][0] == "a"]
+        arbitrary = st.lists(st.integers(-2, top + 2), max_size=5)
+        hints.append(draw(st.one_of(arbitrary, st.just(before),
+                                    st.permutations(before))
+                          if before else arbitrary))
+    return formula, proof, hints
+
+
+@PROPERTY
+@given(hinted_proofs(), st.booleans(),
+       st.sampled_from([{}, {"any_pivot": True},
+                        {"symmetry_pivots": (1,)}, {"symmetry_pivots": (-2,)}]))
+def test_hints_change_no_outcome(case, refutation, options):
+    formula, proof, hints = case
+    plain = check_proof(formula, proof, refutation=refutation, **options)
+    hinted = check_proof(formula, proof, refutation=refutation, hints=hints,
+                         **options)
+    assert (hinted.accepted, hinted.line, hinted.reason, hinted.warnings) == \
+        (plain.accepted, plain.line, plain.reason, plain.warnings)
