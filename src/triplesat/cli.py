@@ -69,11 +69,8 @@ def _heuristic_args(parser):
     parser.add_argument("--mode", help=_MODE_HELP)
     parser.add_argument("--cutoff",
                         help="comma-separated bin:N / vars:N / depth:N")
-    parser.add_argument("--preselect", type=float)
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--beta", type=float)
-    parser.add_argument("--gamma", type=float)
-    parser.add_argument("--iterations", type=int)
+    for key in ("preselect", "alpha", "beta", "gamma", "iterations"):
+        parser.add_argument("--" + key, type=pipeline.SETTING_TYPES[key])
 
 
 def _settings(args, keys):
@@ -119,7 +116,7 @@ def cmd_split(args):
     values = _settings(args, ("mode", "cutoff", "preselect", "alpha", "beta",
                               "gamma", "iterations"))
     tree = split(formula, parse_cutoff(values["cutoff"]), values["mode"],
-                 pipeline.config_params(values), float(values["preselect"]))
+                 pipeline.config_params(values), values["preselect"])
     cube_list = cubes(tree)
     _emit(args.out, write_inccnf(formula, cube_list))
     if args.tree:
@@ -199,10 +196,10 @@ def cmd_pipeline(args):
         second_cutoff=values["second_cutoff"],
         two_level=args.two_level,
         apply_bce=True if args.bce else None,
-        workers=int(values["workers"]),
+        workers=values["workers"],
         conflict_budget=args.conflict_budget,
         params=pipeline.config_params(values),
-        preselect=float(values["preselect"]))
+        preselect=values["preselect"])
     result = pipeline.run(config)
     for phase, seconds in result.report.phase_times.items():
         print("c %-10s %8.3fs" % (phase, seconds))
@@ -303,7 +300,7 @@ def build_parser():
     p.add_argument("--two-level", action="store_true")
     p.add_argument("--bce", action="store_true",
                    help="apply blocked clause elimination to DIMACS inputs too")
-    p.add_argument("--workers", type=int)
+    p.add_argument("--workers", type=pipeline.SETTING_TYPES["workers"])
     p.add_argument("--conflict-budget", type=int)
     p.add_argument("--output-dir")
     p.set_defaults(func=cmd_pipeline)

@@ -199,8 +199,7 @@ def numbered_lines(text):
 
 
 # ASCII digits after an optional minus; `int` also takes "+2", "1_0", "٣".
-# The DIMACS, DRAT, tree-listing and cutoff parsers check every integer
-# token with it before `int` reads it.
+# Every integer of an input file, a cutoff or a setting passes it first.
 is_dimacs_integer = re.compile(r"-?[0-9]+").fullmatch
 
 

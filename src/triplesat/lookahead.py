@@ -109,6 +109,7 @@ def parse_cutoff(spec):
         if not part:
             continue
         kind, _, value = part.partition(":")
+        value = value.strip()
         if not value:
             raise ValueError("malformed cutoff %r" % part)
         if not is_dimacs_integer(value):

@@ -32,7 +32,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import cdcl, drat
+from . import cdcl, cnf, drat
 from .cnf import Formula, evaluate, numbered_lines, parse_dimacs, SATISFIED
 from .encoder import check_partition, encode
 from .lookahead import (CutoffPolicy, HeuristicParams, check_mode,
@@ -42,25 +42,32 @@ from .transform import bce, emit_transform_proof, reconstruct, symmetry_break
 
 
 def _config_lines(text):
-    """(line number, key, value) of every `key = value` line of `text`."""
+    """(line number, key, value) of every `key = value` line of `text`, the
+    value cast on its line to its `SETTING_TYPES` type."""
     for lineno, line in numbered_lines(text):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        key, sep, value = stripped.partition("=")
+        key, sep, value = (part.strip() for part in stripped.partition("="))
         if not sep:
             raise ValueError("line %d: expected key=value, got %r"
                              % (lineno, stripped))
-        yield lineno, key.strip(), value.strip()
+        cast = SETTING_TYPES.get(key, str)
+        try:
+            typed = cast(value)
+        except ValueError:
+            raise ValueError("line %d: %s %r is not a valid %s"
+                             % (lineno, key, value, cast.__name__)) from None
+        yield lineno, key, typed
 
 
 def load_config(path):
-    """Parse a simple `key=value` config file into a dict of strings.
+    """Parse a simple `key=value` config file into a dict of settings.
 
     A key must be one of defaults.cfg or a heuristic parameter, so a
     misspelt key is an error instead of a silently kept default.  A
-    numeric value must cast, so a bad one is reported with its line.  The
-    file is ASCII, like every input (see `cnf.numbered_lines`).
+    numeric value is typed on its line.  The file is ASCII, like every
+    input (see `cnf.numbered_lines`).
     """
     known = _shipped_defaults().keys() | _HEURISTIC_KEYS.keys()
     values = {}
@@ -70,12 +77,6 @@ def load_config(path):
         if key not in known:
             raise ValueError("line %d: unknown key %r; expected one of %s"
                              % (lineno, key, ", ".join(sorted(known))))
-        cast = _CASTS.get(key, str)
-        try:
-            cast(value)
-        except ValueError:
-            raise ValueError("line %d: %s %r is not a valid %s"
-                             % (lineno, key, value, cast.__name__)) from None
         values[key] = value
     return values
 
@@ -91,21 +92,29 @@ def default_config():
     return dict(_shipped_defaults())
 
 
-def _default(key, cast=str):
+def _default(key):
     """A PipelineConfig field defaulting to `key` of defaults.cfg, read on
     first use rather than at import."""
-    return field(default_factory=lambda: cast(_shipped_defaults()[key]))
+    return field(default_factory=lambda: _shipped_defaults()[key])
 
 
-_HEURISTIC_KEYS = {"alpha": float, "beta": float, "gamma": float, "iterations": int}
-_CASTS = {"workers": int, "preselect": float, **_HEURISTIC_KEYS}
+def integer(text):
+    """`int`, for a DIMACS integer (`cnf.is_dimacs_integer`) only."""
+    if not cnf.is_dimacs_integer(text):
+        raise ValueError("invalid integer %r" % text)
+    return int(text)
+
+
+_HEURISTIC_KEYS = {"alpha": float, "beta": float, "gamma": float,
+                   "iterations": integer}
+# the type of each numeric setting, from a config file or a flag alike
+SETTING_TYPES = {"workers": integer, "preselect": float, **_HEURISTIC_KEYS}
 
 
 def config_params(values):
     """The heuristic parameters of values["mode"]; any of alpha, beta,
     gamma and iterations present in `values` overrides its own field."""
-    overrides = {key: cast(values[key]) for key, cast in _HEURISTIC_KEYS.items()
-                 if key in values}
+    overrides = {key: values[key] for key in _HEURISTIC_KEYS if key in values}
     return dataclasses.replace(params_for_mode(values["mode"]), **overrides)
 
 
@@ -118,11 +127,11 @@ class PipelineConfig:
     cutoff: str = _default("cutoff")
     second_cutoff: str = _default("second_cutoff")
     two_level: bool = False
-    workers: int = _default("workers", int)
+    workers: int = _default("workers")
     conflict_budget: Optional[int] = None
     apply_bce: Optional[bool] = None  # None: on for encode(n), off for DIMACS
     params: Optional[HeuristicParams] = None  # None: the mode's parameters
-    preselect: float = _default("preselect", float)
+    preselect: float = _default("preselect")
 
     def __post_init__(self):
         sources = [s is not None for s in (self.n, self.formula_path, self.formula)]
@@ -148,8 +157,7 @@ class PhaseReport:
     cube_stats: list = field(default_factory=list)
 
     def histogram(self):
-        counts = Counter(self.cube_sizes)
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter(self.cube_sizes).items()))
 
 
 @dataclass
@@ -341,7 +349,5 @@ def per_cube_csv(report):
 
 
 def histogram_csv(report):
-    lines = ["size,count"]
-    for size, count in report.histogram().items():
-        lines.append("%d,%d" % (size, count))
-    return "\n".join(lines) + "\n"
+    return "size,count\n" + "".join("%d,%d\n" % item
+                                    for item in report.histogram().items())

@@ -389,7 +389,7 @@ def test_pipeline_cli_config_bad_number_names_key_and_line(tmp_path,
     assert main(["pipeline", "--n", "40", "--config", str(cfg)]) == 1
     assert not captured_config
     err = capsys.readouterr().err
-    assert "error: line 2: workers 'x' is not a valid int" in err
+    assert "error: line 2: workers 'x' is not a valid integer" in err
     assert "error: line 2: alpha '2,5' is not a valid float" in err
 
 
@@ -464,6 +464,18 @@ def test_pipeline_cli_config_overrides_one_parameter(tmp_path, captured_config,
     cfg.write_text("alpha = 2.5\n")
     assert main(["pipeline", "--n", "30", "--config", str(cfg)]) == 1
     assert captured_config[0].params == dataclasses.replace(PTN_PARAMS, alpha=2.5)
+
+
+@pytest.mark.parametrize("flags", [["pipeline", "--n", "30", "--workers", "1_0"],
+                                   ["split", "--in", "f.cnf", "--iterations",
+                                    "+4"]])
+def test_cli_integer_flags_are_dimacs_integers(flags, captured_config, capsys):
+    # argparse's `type=int` read "1_0" as 10 and "+4" as 4
+    with pytest.raises(SystemExit) as exc:
+        main(flags)
+    assert exc.value.code == 2
+    assert not captured_config
+    assert "invalid integer value: '%s'" % flags[-1] in capsys.readouterr().err
 
 
 def test_pipeline_cli_rejects_zero_workers(captured_config, capsys):

@@ -62,13 +62,16 @@ def test_parse_cutoff():
 
 def test_parse_cutoff_takes_dimacs_integers_only():
     # `int` alone reads "+3" as 3, "1_0" as 10 and "٣" as 3
-    for part in ("depth:+3", "bin:1_0", "vars:٣", "depth:²", "bin: 4"):
+    for part in ("depth:+3", "bin:1_0", "vars:٣", "depth:²", "bin:4 4"):
         message = "cutoff %r: %r is not an integer" % (
             part, part.partition(":")[2])
         with pytest.raises(ValueError, match=re.escape(message)):
             parse_cutoff("bin:10,%s" % part)
     with pytest.raises(ValueError, match="cutoff 'depth:-1': -1 is negative"):
         parse_cutoff("depth:-1")
+    # spaces around a value are not part of it, as `int` had it
+    policy = parse_cutoff(" depth: 3 ,bin:\t4")
+    assert (policy.depth_limit, policy.min_binaries) == (3, 4)
 
 
 @pytest.mark.parametrize("preselect", [0, 0.0, -1, 1.5, float("nan"),

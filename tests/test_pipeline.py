@@ -2,6 +2,7 @@ import functools
 import itertools
 import multiprocessing
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -57,22 +58,26 @@ def test_config_rejects_preselect_outside_unit_interval(preselect):
 
 def test_load_config_checks_numbers_on_their_line(tmp_path):
     path = tmp_path / "run.cfg"
-    for line, key, value, kind in [("workers = 1.5", "workers", "1.5", "int"),
+    for line, key, value, kind in [("workers = 1.5", "workers", "1.5", "integer"),
+                                   ("workers = 1_0", "workers", "1_0", "integer"),
+                                   ("iterations = +4", "iterations", "+4",
+                                    "integer"),
                                    ("iterations = four", "iterations", "four",
-                                    "int"),
+                                    "integer"),
                                    ("preselect = half", "preselect", "half",
                                     "float")]:
         path.write_text("mode = ptn3sat\n%s\n" % line)
-        with pytest.raises(ValueError, match="line 2: %s %r is not a valid %s"
-                           % (key, value, kind)):
+        with pytest.raises(ValueError, match=re.escape(
+                "line 2: %s %r is not a valid %s" % (key, value, kind))):
             pipeline.load_config(str(path))
 
 
 def test_load_config(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("# comment\nalpha = 2.5\nmode=rnd3sat\n\n")
-    assert pipeline.load_config(str(path)) == {"alpha": "2.5",
-                                               "mode": "rnd3sat"}
+    path.write_text("# comment\nalpha = 2.5\nmode=rnd3sat\nworkers = 3\n\n")
+    assert pipeline.load_config(str(path)) == {"alpha": 2.5,
+                                               "mode": "rnd3sat",
+                                               "workers": 3}
     bad = tmp_path / "bad.cfg"
     bad.write_text("nonsense\n")
     with pytest.raises(ValueError):
@@ -98,6 +103,7 @@ def test_default_config_carries_reference_parameters():
     assert params.iterations == 4
     assert values["cutoff"] == "bin:3000"
     assert values["second_cutoff"] == "vars:3450"
+    assert (values["workers"], values["preselect"]) == (1, 1.0)
 
 
 def test_run_n5_sat():

@@ -80,13 +80,14 @@ def test_config_file_raises_only_documented_errors(tmp_path, data):
 @given(st.text(st.sampled_from("0123456789-+_x٣² \t"), min_size=1, max_size=8))
 def test_accepted_tokens_are_dimacs_integers(line):
     """`int` alone takes "+2", "1_0" and non-ASCII digits."""
-    for parse in (lambda text: parse_clause_line(text + " 0", 1),
-                  lambda text: parse_dimacs("p cnf 99 1\n%s 0" % text),
-                  lambda text: parse_tree_text(text + " cutoff cutoff"),
-                  lambda text: parse_cutoff("depth:" + text)):
+    for parse, error in (
+            (lambda text: parse_clause_line(text + " 0", 1), DimacsError),
+            (lambda text: parse_dimacs("p cnf 99 1\n%s 0" % text), DimacsError),
+            (lambda text: parse_tree_text(text + " cutoff cutoff"), CodecError),
+            (lambda text: parse_cutoff("depth:" + text), ValueError)):
         try:
             parse(line)
-        except ValueError:  # DimacsError, CodecError, or a cutoff's error
+        except error:
             continue
         assert all(re.fullmatch(r"-?[0-9]+", token) for token in line.split())
 
@@ -157,9 +158,8 @@ def test_tree_codecs_round_trip(tree):
     assert decode_tree(encode_tree(tree)) == tree
 
 
-# a numeric setting must cast on its line; the others are any text
-SETTINGS = {"workers": st.integers().map(str),
-            "preselect": st.floats().map(repr)}
+# a numeric setting is read as its type; the others are any text
+SETTINGS = {"workers": st.integers(), "preselect": st.floats(allow_nan=False)}
 
 
 @PROPERTY
