@@ -28,7 +28,7 @@ print("occurring variables after BCE: %d" % occ)
 broken, pivot = symmetry_break(reduced)
 print("flip-symmetry pivot: x%d (fixed to true)" % pivot)
 
-proof = emit_transform_proof(formula, stack, pivot)
+proof = emit_transform_proof(stack, pivot)
 print("transformation proof: %d deletions + 1 unit addition" % (len(proof) - 1))
 
 # deletions of blocked clauses always pass the checker; the unit needs

@@ -9,9 +9,10 @@ cubes, DRAT proof emission, and backbone computation.
 With a `hints` sink beside the proof, every emitted line also gets its
 antecedents, in LRAT style (Cruz-Filipe, Heule, Hunt, Kaufmann,
 Schneider-Kamp, CADE 2017): the clauses conflict analysis used, numbered
-in `drat.check_proof`'s frame.  Number `i < len(formula.clauses)` names
-input clause `i`, and the solver's k-th emitted line is
-`len(formula.clauses) + k`.  Recording them changes no step of the search.
+as `drat.check_proof` numbers clauses.  Input clause `i` is `i`, and the
+solver's k-th emitted line is `len(formula.clauses) + k`; the formula is
+the only way clauses enter, so every clause has a number.  Recording them
+changes no step of the search.
 """
 
 from __future__ import annotations
@@ -86,15 +87,14 @@ class Solver:
     line: for a learned clause an `array('i')` of its antecedents' numbers
     (see the module docstring), in an order that propagates: the reasons
     local minimization used, the reasons resolved in trail order, then
-    the conflict clause.  Refuted cubes' negations, the empty clause and
-    a clause learned from one added by `add_clause` get `()`.  Until
-    `flush_hints` runs, the antecedents wait as clause lists: numbering
-    them needs a map over every input clause, which only a refutation's
-    check uses, so `solve` and `solve_incremental` flush when they end
-    on UNSAT and not otherwise.
+    the conflict clause.  Refuted cubes' negations and the empty clause
+    get `()`.  Until `flush_hints` runs, the antecedents wait as clause
+    lists: numbering them needs a map over every input clause, which only
+    a refutation's check uses, so `solve` and `solve_incremental` flush
+    when they end on UNSAT and not otherwise.
     """
 
-    def __init__(self, formula=None, proof=None, conflict_budget=None, hints=None):
+    def __init__(self, formula, proof=None, conflict_budget=None, hints=None):
         self.clauses = []          # list of lists; watched at positions 0 and 1
         self.cap = 0               # variables 1..cap have slots below
         self.vals = [None]         # literal -> True/False, None if unassigned
@@ -117,16 +117,15 @@ class Solver:
         self._unflushed = []       # (number, clause, antecedent lists) per line
         self._inputs = None        # (input clause lists, their numbers)
         self._numbers = None       # id() of a clause list -> its number
-        self._next_line = len(formula.clauses) if formula is not None else 0
+        self._next_line = len(formula.clauses)
         self._empty_emitted = False
         self.conflict_budget = conflict_budget
         self.taut_vars = set()
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
-        if formula is not None:
-            self._grow(formula.num_vars)
-            self._load(formula.clauses, numbered=True)
+        self._grow(formula.num_vars)
+        self._load(formula.clauses)
 
     # ------------------------------------------------------------------ basics
 
@@ -194,20 +193,15 @@ class Solver:
 
     # ------------------------------------------------------------ clause store
 
-    def add_clause(self, lits):
-        """Add an input (or derived) clause at decision level 0."""
-        self._load((lits,))
-
-    def _load(self, clauses, numbered=False):
-        """Add clauses at decision level 0, each as `add_clause` defines it:
-        literals deduplicated in first-occurrence order, literal 0
-        rejected, every variable touched, tautologies skipped, the rest
-        attached.  Touched variables enter the decision heap together.
-        When `numbered` and hints are kept, clause `i` gets number `i`."""
-        assert not self.trail_lim
+    def _load(self, clauses):
+        """Add the input clauses at decision level 0: literals deduplicated
+        in first-occurrence order, literal 0 rejected, every variable
+        touched, tautologies skipped, the rest attached.  Touched variables
+        enter the decision heap together.  When hints are kept, clause `i`
+        gets number `i`."""
         touched = set()
         kept = []
-        numbers = array("i") if numbered and self.hints is not None else None
+        numbers = array("i") if self.hints is not None else None
         for num, lits in enumerate(clauses):
             clause = list(lits)
             occurring = set(map(abs, clause))
@@ -416,15 +410,12 @@ class Solver:
         and append them to the `hints` sink, one entry per line."""
         numbers = self._numbers
         if numbers is None:
-            kept, nums = self._inputs or ((), ())
+            kept, nums = self._inputs
             numbers = self._numbers = dict(zip(map(id, kept), nums))
             self._inputs = None
         for num, clause, used in self._unflushed:
-            try:
-                hint = array("i", map(numbers.__getitem__, map(id, used)))
-            except KeyError:       # an antecedent came from add_clause
-                hint = ()
-            self.hints.append(hint or ())
+            self.hints.append(array("i", map(numbers.__getitem__, map(id, used)))
+                              or ())
             numbers[id(clause)] = num
         self._unflushed.clear()
 

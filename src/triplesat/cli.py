@@ -101,8 +101,7 @@ def cmd_transform(args):
         reduced, pivot = symmetry_break(reduced)
     _emit(args.out, write_dimacs(reduced))
     if args.proof:
-        _write(args.proof, drat.write_drat(
-            emit_transform_proof(formula, stack, pivot)))
+        _write(args.proof, drat.write_drat(emit_transform_proof(stack, pivot)))
     if args.stack:
         _write(args.stack, write_stack(stack))
     print("c eliminated %d" % len(stack))

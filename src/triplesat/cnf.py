@@ -201,6 +201,9 @@ def numbered_lines(text):
 # ASCII digits after an optional minus; `int` also takes "+2", "1_0", "٣".
 # Every integer of an input file, a cutoff or a setting passes it first.
 is_dimacs_integer = re.compile(r"-?[0-9]+").fullmatch
+# A real setting is in ASCII decimal notation (`8`, `.5`, `1e-3`): `float`
+# also takes "1_5", "+2", "inf", "nan" and non-ASCII digits.
+is_decimal = re.compile(r"-?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?").fullmatch
 
 
 def _integer(token, lineno):

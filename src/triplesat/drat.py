@@ -18,17 +18,18 @@ checks, level-0 rebuilds and propagations (literals put on the trail).
 
 Hints.  `check_proof` may be given, per proof line, the numbers of the
 clauses a lemma was derived from, as LRAT does (Cruz-Filipe, Heule, Hunt,
-Kaufmann, Schneider-Kamp, CADE 2017).  Number `i < len(formula.clauses)`
-names input clause `i`; number `len(formula.clauses) + s` names the clause
-added by proof step `s`.  The checker first propagates the negated lemma
-over the named live clauses only, and accepts when one of them becomes
-false under its own level-0 assignment.  Any other result (a number that
-names a deleted clause, a later one, or nothing; no conflict) falls back
-to the watched search and the RAT and symmetry-pivot path.  Hints can
-therefore only skip work: outcomes, lines, reasons and warnings are the
-same with or without them.  They are data, checked like everything else,
-so this module still shares no code with the solver that wrote them.
-`merge_hints` carries each cube's hints into the merged proof's frame.
+Kaufmann, Schneider-Kamp, CADE 2017).  A number is the checker's clause
+id: input clause `i` is `i`, the k-th clause the proof adds is
+`len(formula.clauses) + k`, and deletions take no number.  The checker
+first propagates the negated lemma over the named live clauses only, and
+accepts when one of them becomes false under its own level-0 assignment.
+Any other result (a number that names a deleted clause, a later one, or
+nothing; no conflict) falls back to the watched search and the RAT and
+symmetry-pivot path.  Hints can therefore only skip work: outcomes,
+lines, reasons and warnings are the same with or without them.  They are
+data, checked like everything else, so this module still shares no code
+with the solver that wrote them.  `merge_hints` carries each cube's hints
+into the merged proof's numbering.
 """
 
 from __future__ import annotations
@@ -297,27 +298,23 @@ class _Checker:
         del trail[mark:]
         return conflict
 
-    def hinted_conflict(self, clause, hint, frame):
+    def hinted_conflict(self, clause, hint):
         """True iff the negated `clause`, propagated over only the clauses
-        that `hint` names, makes one of them false.
+        that `hint` names by id, makes one of them false.
 
-        `frame[num]` is the clause id of hint number `num`, or None for a
-        deletion step.  Passes over the named clauses repeat while one of
-        them turns unit.  A number out of range or naming a dead clause, or
+        Passes over the named clauses repeat while one of them turns unit.
+        A number not below `len(self.clauses)` or naming a dead clause, or
         a literal of `clause` true at level 0, gives False.  Level 0 is
         left as it was.  When level 0 is in conflict, its assignment is
         still implied by the live clauses, so the passes start from it.
         """
         clauses, alive = self.clauses, self.alive
-        top = len(frame)
+        top = len(clauses)
         pending = []
         for num in hint:
-            if not 0 <= num < top:
+            if not (0 <= num < top and alive[num]):
                 return False
-            idx = frame[num]
-            if idx is None or not alive[idx]:
-                return False
-            pending.append(clauses[idx])
+            pending.append(clauses[num])
         value = self.value
         assigned = []
         try:
@@ -388,9 +385,10 @@ def check_proof(formula, proof, refutation=False, symmetry_pivots=(),
     accepted iff the current formula is flip-symmetric at that point.
     With refutation=True the proof must add the empty clause.
 
-    `hints`, when given, holds per proof step the clause numbers its
-    addition was derived from (see the module docstring; a missing or
-    empty entry means none).  They are tried before the search and only
+    `hints`, when given, holds per proof step the ids of the clauses its
+    addition was derived from: input clause `i` is `i` and the k-th added
+    clause `len(formula.clauses) + k` (see the module docstring; a missing
+    or empty entry means none).  They are tried before the search and only
     change `stats`, which then also counts `hinted` and `searched`
     additions.  `CheckResult.line` and warnings carry 0-based step indices.
     """
@@ -398,33 +396,29 @@ def check_proof(formula, proof, refutation=False, symmetry_pivots=(),
     stats = state.stats
     warnings = []
     empty_added = any(not clause for clause in formula.clauses)
-    frame = None
     if hints is not None:
         stats["hinted"] = stats["searched"] = 0
-        frame = list(range(len(formula.clauses)))   # hint number -> clause id
     for index, (kind, clause) in enumerate(proof):
         if kind == "d":
             if not state.delete(clause):
                 warnings.append((index, "deleted clause %s not present" % (clause,)))
-            if frame is not None:
-                frame.append(None)
             continue
         if kind != "a":
             return CheckResult(False, index, "unknown line kind %r" % kind, warnings,
                                stats)
         stats["lemmas"] += 1
-        hint = hints[index] if frame is not None and index < len(hints) else ()
-        if hint and state.hinted_conflict(clause, hint, frame):
+        hint = hints[index] if hints is not None and index < len(hints) else ()
+        if hint and state.hinted_conflict(clause, hint):
             stats["hinted"] += 1
         elif not clause:
-            if frame is not None:
+            if hints is not None:
                 stats["searched"] += 1
             if not state.is_rup(()):
                 return CheckResult(False, index,
                                    "empty clause is not a propagation conflict",
                                    warnings, stats)
         else:
-            if frame is not None:
+            if hints is not None:
                 stats["searched"] += 1
             pivots = clause if any_pivot else clause[:1]
             ok = any(state.is_rat(clause, pivot) for pivot in pivots)
@@ -439,8 +433,6 @@ def check_proof(formula, proof, refutation=False, symmetry_pivots=(),
                                    % (clause, clause[0]), warnings, stats)
         if not clause:
             empty_added = True
-        if frame is not None:
-            frame.append(len(state.clauses))
         state.add(clause)
     if refutation and not empty_added:
         return CheckResult(False, None, "refutation does not add the empty clause",
@@ -451,7 +443,7 @@ def check_proof(formula, proof, refutation=False, symmetry_pivots=(),
 def merge_proofs(transform_proof, cube_proofs, tautology_proof):
     """Concatenate in the mandated order: transform, cubes (by index), tautology.
 
-    `merge_hints` gives the merged proof's hints, in the same frame."""
+    `merge_hints` gives the merged proof's hints."""
     merged = list(transform_proof)
     for index, cube_proof in enumerate(cube_proofs):
         if cube_proof is None:
@@ -465,31 +457,33 @@ def merge_hints(original, work, transform_proof, cube_proofs, cube_hints):
     """Hints for `merge_proofs(transform_proof, cube_proofs, ...)` against
     `original`, one entry per line; the tautology lines that follow get none.
 
-    Each cube's hints are in the frame of a solver run on `work`, the
-    formula left by the transformation (see `cdcl`): number `i <
+    Each cube's hints number clauses as a solver run on `work`, the
+    formula left by the transformation, does (see `cdcl`): `i <
     len(work.clauses)` is work clause `i`, and `len(work.clauses) + k` the
-    cube proof's line `k`.  They are renumbered into `check_proof`'s frame
-    over `original`: a work clause becomes the original clause with its
-    literals, or the transformation line that added it (the symmetry
-    pivot's unit); a cube line is shifted by the lines before its cube.  A
-    work clause whose literals match more than one candidate maps to -1,
-    so a hint naming it fails and its lemma is searched.
+    cube proof's line `k`.  They are renumbered into `check_proof`'s clause
+    ids over `original`, where only additions take numbers: a work clause
+    becomes the original clause with its literals, or the transformation
+    line that added it (the symmetry pivot's unit); a cube line comes after
+    the transformation's additions and the earlier cubes' lines.  A clause
+    present more than once maps to its first copy, which the checker's
+    deletions, taking the last live copy, keep alive longest; a hint that
+    still names a dead clause fails, and its lemma is searched.  Every work
+    clause must be an original clause or a transformation addition.
     """
-    number = {}          # clause -> its merged-frame number, -1 if ambiguous
-    for num, clause in enumerate(original.clauses):
-        number[clause] = -1 if clause in number else num
-    base = len(original.clauses)
-    for step, (kind, clause) in enumerate(transform_proof):
-        if kind == "a":
-            number[clause] = -1 if clause in number else base + step
-    work_nums = [number.get(clause, -1) for clause in work.clauses]
+    stored = (*original.clauses, *(clause for kind, clause in transform_proof
+                                   if kind == "a"))
+    number = {}          # clause -> the id of its first copy
+    for num, clause in enumerate(stored):
+        number.setdefault(clause, num)
+    work_nums = [number[clause] for clause in work.clauses]
     merged = [()] * len(transform_proof)
+    start = len(stored)
     for proof, hints in zip(cube_proofs, cube_hints, strict=True):
         if len(hints) != len(proof):
             raise ValueError("%d hints for a cube proof of %d lines"
                              % (len(hints), len(proof)))
-        start = base + len(merged)
         lookup = (work_nums + list(range(start, start + len(proof)))).__getitem__
         merged.extend(array("i", map(lookup, hint)) if hint else ()
                       for hint in hints)
+        start += len(proof)
     return merged

@@ -102,12 +102,12 @@ class CutoffPolicy:
 
 def parse_cutoff(spec):
     """Parse 'bin:3000', 'vars:3450', 'depth:20', or comma-joined
-    combinations; no value may be negative."""
+    combinations; no part may be empty, no kind repeated and no value
+    negative."""
     policy = CutoffPolicy()
+    seen = set()
     for part in spec.split(","):
         part = part.strip()
-        if not part:
-            continue
         kind, _, value = part.partition(":")
         value = value.strip()
         if not value:
@@ -117,6 +117,9 @@ def parse_cutoff(spec):
         value = int(value)
         if value < 0:
             raise ValueError("cutoff %r: %d is negative" % (part, value))
+        if kind in seen:
+            raise ValueError("cutoff kind %r given twice" % kind)
+        seen.add(kind)
         if kind == "bin":
             policy.min_binaries = value
         elif kind == "vars":

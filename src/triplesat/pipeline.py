@@ -18,7 +18,7 @@ entry per cube: its verdict, or None when it went unsolved.
 
 Each cube's solver also records every lemma's antecedents (`cdcl`'s
 hints), which come back with the cube's proof, from workers too.
-`drat.merge_hints` renumbers them into the merged proof's frame, and the
+`drat.merge_hints` renumbers them into the checker's clause ids, and the
 gate check tries them before its own search; they change no verdict.
 """
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import importlib.resources
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -105,10 +106,17 @@ def integer(text):
     return int(text)
 
 
-_HEURISTIC_KEYS = {"alpha": float, "beta": float, "gamma": float,
+def real(text):
+    """`float`, for finite ASCII decimal notation (`cnf.is_decimal`) only."""
+    if not (cnf.is_decimal(text) and math.isfinite(float(text))):
+        raise ValueError("invalid real %r" % text)
+    return float(text)
+
+
+_HEURISTIC_KEYS = {"alpha": real, "beta": real, "gamma": real,
                    "iterations": integer}
 # the type of each numeric setting, from a config file or a flag alike
-SETTING_TYPES = {"workers": integer, "preselect": float, **_HEURISTIC_KEYS}
+SETTING_TYPES = {"workers": integer, "preselect": real, **_HEURISTIC_KEYS}
 
 
 def config_params(values):
@@ -186,7 +194,7 @@ def solve_one_cube(formula, cube, config, hints=None):
     the last entry closes the cube.  Returns (SolveResult of the last call,
     proof, split seconds, solve seconds); the result's counters cover every
     call on the cube's solver.  A `hints` list gets the proof's hints, in
-    the frame of a solver on `formula`.
+    a solver's numbering of `formula` (see `cdcl`).
     """
     start = time.perf_counter()
     cube_list = [cube]
@@ -262,7 +270,7 @@ def run(config):
         work, stack = bce(work)
     if is_ptn and any(work.clauses):
         work, pivot = symmetry_break(work)
-    transform_proof = emit_transform_proof(original, stack, pivot)
+    transform_proof = emit_transform_proof(stack, pivot)
     report.phase_times["transform"] = time.perf_counter() - start
 
     start = time.perf_counter()

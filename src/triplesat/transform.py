@@ -132,7 +132,7 @@ def symmetry_break(formula):
     return broken, pivot
 
 
-def emit_transform_proof(original, stack, pivot=None):
+def emit_transform_proof(stack, pivot=None):
     """DRAT lines for the transformation: one deletion per eliminated clause,
     then the symmetry-breaking unit addition (if any).
 

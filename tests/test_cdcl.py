@@ -108,19 +108,6 @@ def test_assumption_only_variable_is_never_decided():
     assert second.model == {1: False, 2: True}
 
 
-def test_add_clause_after_solve():
-    solver = Solver(Formula([(1, 2)]))
-    assert solver.solve().verdict == SAT
-    solver.add_clause([-1])
-    solver.add_clause([-2, 9])       # variables beyond num_vars
-    solver.add_clause([-9, 12])
-    result = solver.solve()
-    assert result.verdict == SAT
-    assert [result.model[v] for v in (1, 2, 9, 12)] == [False, True, True, True]
-    solver.add_clause([-12])
-    assert solver.solve().verdict == UNSAT
-
-
 def test_add_refuted_beyond_formula_variables():
     proof = []
     solver = Solver(Formula([(1, 2)]), proof=proof)
@@ -146,10 +133,6 @@ def test_repeated_literals_and_tautologies():
 def test_literal_zero_rejected():
     with pytest.raises(ValueError):
         Solver(Formula([(1, 0)]))
-    solver = Solver(Formula([(1, 2)]))
-    with pytest.raises(ValueError):
-        solver.add_clause([3, 0])
-    assert solver.solve().verdict == SAT
 
 
 def test_incremental_fig1(fig1_formula):

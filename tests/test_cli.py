@@ -3,13 +3,13 @@ import dataclasses
 import pytest
 
 from triplesat import cdcl, pipeline
-from triplesat.cli import main
+from triplesat.cli import build_parser, main
 from triplesat.cnf import Formula, SATISFIED, evaluate, parse_dimacs, write_dimacs
 from triplesat.lookahead import (PTN_PARAMS, RND_PARAMS, parse_inccnf,
                                  write_inccnf)
 from triplesat.transform import parse_stack
 
-from conftest import ap3_formula, run_python
+from conftest import REPO, ap3_formula, run_python
 
 
 FIG1_TEXT = """p cnf 4 8
@@ -370,11 +370,13 @@ def test_split_cli_rejects_bad_preselect(tmp_path, capsys):
     cnf = tmp_path / "f60.cnf"
     assert main(["encode", "--n", "60", "--out", str(cnf)]) == 0
     out = tmp_path / "f60.icnf"
-    for value in ("nan", "0", "-1"):
+    # "nan" is not decimal notation: argparse rejects it (exit 2), see
+    # test_cli_real_flags_are_decimal_notation
+    for value in ("1.5", "0", "-1"):
         assert main(["split", "--in", str(cnf), "--cutoff", "depth:2",
                      "--preselect", value, "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    for shown in ("nan", "0.0", "-1.0"):
+    for shown in ("1.5", "0.0", "-1.0"):
         assert "error: preselect must be in (0, 1], got %s" % shown in err
     assert not out.exists()
 
@@ -390,7 +392,7 @@ def test_pipeline_cli_config_bad_number_names_key_and_line(tmp_path,
     assert not captured_config
     err = capsys.readouterr().err
     assert "error: line 2: workers 'x' is not a valid integer" in err
-    assert "error: line 2: alpha '2,5' is not a valid float" in err
+    assert "error: line 2: alpha '2,5' is not a valid real" in err
 
 
 def test_pipeline_cli_config_typo_is_an_error(tmp_path, capsys):
@@ -478,6 +480,26 @@ def test_cli_integer_flags_are_dimacs_integers(flags, captured_config, capsys):
     assert "invalid integer value: '%s'" % flags[-1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["split", "--in", "f.cnf", "--alpha", "1_5"],
+                                   ["split", "--in", "f.cnf", "--preselect", "١"],
+                                   ["split", "--in", "f.cnf", "--gamma", "nan"],
+                                   ["split", "--in", "f.cnf", "--beta", "1e"]])
+def test_cli_real_flags_are_decimal_notation(flags, capsys):
+    # argparse's `type=float` read "1_5" as 15.0 and "١" as 1.0
+    with pytest.raises(SystemExit) as exc:
+        main(flags)
+    assert exc.value.code == 2
+    assert "invalid real value: '%s'" % flags[-1] in capsys.readouterr().err
+
+
+def test_cli_real_flags_take_decimal_notation():
+    parser = build_parser()
+    for value, want in (("0.5", 0.5), (".5", 0.5), ("8", 8.0), ("1e-3", 0.001)):
+        for flag in ("--preselect", "--alpha", "--beta", "--gamma"):
+            args = parser.parse_args(["split", "--in", "f.cnf", flag, value])
+            assert getattr(args, flag[2:]) == want
+
+
 def test_pipeline_cli_rejects_zero_workers(captured_config, capsys):
     assert main(["pipeline", "--n", "30", "--workers", "0"]) == 1
     assert not captured_config
@@ -497,3 +519,24 @@ def test_error_exit_code(tmp_path, capsys):
     assert main(["solve", "--in", str(tmp_path / "missing.cnf")]) == 1
     assert main(["solve"]) == 1
     assert main(["transform", "--in", str(tmp_path / "missing.cnf")]) == 1
+
+
+def readme_cli_commands():
+    """Each `triplesat ...` line of README's CLI block, continuations joined,
+    as an argument list without the program name."""
+    text = (REPO / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    return [command.split()[1:] for command in commands
+            if command.startswith("triplesat ")]
+
+
+def test_readme_cli_examples_parse():
+    commands = readme_cli_commands()
+    assert {command[0] for command in commands} == {
+        "encode", "transform", "split", "solve", "check", "pack-cubes",
+        "unpack-cubes", "pipeline", "backbone"}
+    parser = build_parser()
+    for command in commands:
+        args = parser.parse_args(command)
+        assert args.command == command[0]

@@ -564,7 +564,7 @@ def test_hints_naming_deleted_clauses_fail_quietly():
                                          hints)
     assert not result and result.line == 1
     assert result.stats["hinted"] == 0
-    # a hint may name a deletion step, which adds no clause
+    # deletions take no number: 4 names the lemma itself, not yet added
     result = assert_hints_change_nothing(
         formula, [("d", (-3, 4, 5)), ("a", (3,))], [(), [4]])
     assert result and result.stats["hinted"] == 0
@@ -581,6 +581,45 @@ def test_hints_may_name_earlier_lemmas():
     # naming the lemma itself, or one not yet added, fails
     result = assert_hints_change_nothing(formula, proof, [(0, 1), (5, 2), (6,)])
     assert result and result.stats["hinted"] == 1
+
+
+def test_solver_numbers_are_the_checkers_clause_ids(rng):
+    """Incremental solves of formulas with units, repeated literals and
+    tautologies, under cubes that name variables beyond the formula's: on
+    UNSAT, proof line k's hint names only clauses below
+    `len(formula.clauses) + k`, and the checker accepts every non-empty
+    hint."""
+    seen = Counter()
+    while seen["refuted"] < 150:
+        base = (random_3cnf(rng) if seen["refuted"] % 2
+                else random_formula(rng, max_vars=8))
+        clauses = list(base.clauses)
+        for _ in range(rng.randint(0, 3)):
+            clause = rng.choice(clauses)
+            extra = rng.choice(clause) * rng.choice((1, -1))   # repeat or clash
+            clauses.insert(rng.randrange(len(clauses) + 1), clause + (extra,))
+        formula = Formula(clauses, base.num_vars)
+        top = formula.num_vars + 2
+        cube_list = [tuple(rng.choice((1, -1)) * v
+                           for v in rng.sample(range(1, top + 1), rng.randint(0, 3)))
+                     for _ in range(rng.randint(1, 4))]
+        proof, hints = [], []
+        results = cdcl.solve_incremental(formula, cube_list, proof=proof, hints=hints)
+        if results[-1].verdict != cdcl.UNSAT:
+            continue
+        seen["refuted"] += 1
+        seen["beyond"] += any(abs(l) > formula.num_vars
+                              for cube in cube_list[:len(results)] for l in cube)
+        seen["repeat"] += any(len(set(c)) < len(c) for c in clauses)
+        seen["tautology"] += any(-l in c for c in clauses for l in c)
+        assert len(hints) == len(proof)
+        for k, hint in enumerate(hints):
+            assert all(0 <= num < len(clauses) + k for num in hint)
+        result = check_proof(formula, proof, hints=hints)
+        assert result
+        assert result.stats["hinted"] == sum(1 for hint in hints if hint)
+        seen["hinted"] += result.stats["hinted"] > 0
+    assert min(seen.values()) > 10, seen
 
 
 def test_hints_change_no_outcome_on_random_proofs(rng):
@@ -619,8 +658,8 @@ def checked_pipeline_run(monkeypatch, config):
 
 def ap3_with_blocked_and_duplicates(n):
     """ap3_formula(n) plus a blocked pair on a fresh variable, which BCE
-    deletes, and a second copy of its first pair, which makes those two
-    clauses ambiguous in the merged frame; the formula stays flip-symmetric."""
+    deletes, and a second copy of its first pair, so that those two clauses
+    are present twice; the formula stays flip-symmetric."""
     formula = ap3_formula(n)
     return Formula(list(formula.clauses) + [(n + 1, 1), (-n - 1, -1)]
                    + list(formula.clauses[:2]), n + 1)
@@ -647,15 +686,14 @@ def test_merged_hints_through_deletions_and_pivot(monkeypatch, rng, two_level,
     assert len(hints) == len(proof) and proof[-1] == ("a", ())
     padded = list(hints) + [()] * (len(proof) - len(hints))
     assert not any(padded[:3])
-    ambiguous = sum(-1 in hint for hint in padded)
+    # a hint names clause 0 or 1, each present twice, by its first copy
+    assert any(num in (0, 1) for hint in padded for num in hint)
     pivots = (result.pivot,)
     check = assert_hints_change_nothing(original, proof, padded, refutation=True,
                                         symmetry_pivots=pivots)
     assert check.stats == result.check.stats
-    # every cube lemma with usable hints is accepted from them
-    assert check.stats["hinted"] == sum(1 for hint in padded
-                                        if hint and -1 not in hint)
-    assert ambiguous > 0
+    # every non-empty hint is accepted
+    assert check.stats["hinted"] == sum(1 for hint in padded if hint)
     for _ in range(10):
         mutated = _flip_one_literal(rng, proof)
         assert_hints_change_nothing(original, mutated, padded, refutation=True,
@@ -672,13 +710,17 @@ def test_merge_hints_renumbers_into_the_merged_frame():
     cube_proofs = [[("a", (5,)), ("a", (6,))], [("a", (8,))]]
     cube_hints = [[[0, 2], [3, 4]], [(1, 3, 4)]]
     merged = merge_hints(original, work, transform, cube_proofs, cube_hints)
+    # only additions take numbers: (7) is clause 4, the cube lines 5, 6, 7
     assert [list(hint) for hint in merged] == [
         [], [],
-        # (3 4) is original 1; (-1 5) original 3; (7) the transform's line 1
-        [1, 3], [5, 6],
-        # (1 2) occurs twice in the original, so it maps to -1
-        [-1, 5, 8]]
-    assert merge_hints(original, work, [], [[("a", ())]], [[()]]) == [()]
+        # (3 4) is original 1; (-1 5) original 3
+        [1, 3], [4, 5],
+        # (1 2) occurs twice in the original: the deletion removes the last
+        # copy, so it maps to the first
+        [0, 4, 7]]
+    assert merge_hints(original, original, [], [[("a", ())]], [[()]]) == [()]
+    with pytest.raises(KeyError):      # (7) is not a clause of the merged proof
+        merge_hints(original, work, [], [[("a", ())]], [[()]])
     with pytest.raises(ValueError):
         merge_hints(original, work, transform, cube_proofs, [[()], [()]])
 

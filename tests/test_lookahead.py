@@ -58,6 +58,14 @@ def test_parse_cutoff():
         with pytest.raises(ValueError, match="cutoff '%s': -[0-9] is negative" % part):
             parse_cutoff("bin:10,%s" % part)
     assert parse_cutoff("depth:0,bin:0,vars:0").depth_limit == 0
+    # a repeated kind does not silently keep its last value
+    for spec, kind in (("depth:3,depth:5", "depth"), ("bin:1,vars:2,bin:1", "bin")):
+        with pytest.raises(ValueError, match="cutoff kind '%s' given twice" % kind):
+            parse_cutoff(spec)
+    # an empty spec or part is not the default policy
+    for spec in ("", ",,", " ", "depth:3,", "depth:3,,bin:4"):
+        with pytest.raises(ValueError, match="malformed cutoff ''"):
+            parse_cutoff(spec)
 
 
 def test_parse_cutoff_takes_dimacs_integers_only():

@@ -65,7 +65,12 @@ def test_load_config_checks_numbers_on_their_line(tmp_path):
                                    ("iterations = four", "iterations", "four",
                                     "integer"),
                                    ("preselect = half", "preselect", "half",
-                                    "float")]:
+                                    "real"),
+                                   ("alpha = 1_5", "alpha", "1_5", "real"),
+                                   ("beta = inf", "beta", "inf", "real"),
+                                   ("gamma = 1e999", "gamma", "1e999", "real"),
+                                   ("preselect = +.5", "preselect", "+.5",
+                                    "real")]:
         path.write_text("mode = ptn3sat\n%s\n" % line)
         with pytest.raises(ValueError, match=re.escape(
                 "line 2: %s %r is not a valid %s" % (key, value, kind))):

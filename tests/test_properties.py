@@ -159,7 +159,8 @@ def test_tree_codecs_round_trip(tree):
 
 
 # a numeric setting is read as its type; the others are any text
-SETTINGS = {"workers": st.integers(), "preselect": st.floats(allow_nan=False)}
+SETTINGS = {"workers": st.integers(),
+            "preselect": st.floats(allow_nan=False, allow_infinity=False)}
 
 
 @PROPERTY
@@ -196,10 +197,10 @@ def hinted_proofs(draw):
     top = len(formula.clauses) + len(proof)
     hints = []
     for index in range(draw(st.integers(0, len(proof) + 2))):
-        # the numbers of the input clauses and added lemmas before the step
-        before = [num for num in range(min(len(formula.clauses) + index, top))
-                  if num < len(formula.clauses)
-                  or proof[num - len(formula.clauses)][0] == "a"]
+        # the ids of the input clauses and of the clauses added before the
+        # step; deletions take no number
+        added = sum(kind == "a" for kind, _ in proof[:index])
+        before = list(range(len(formula.clauses) + added))
         arbitrary = st.lists(st.integers(-2, top + 2), max_size=5)
         hints.append(draw(st.one_of(arbitrary, st.just(before),
                                     st.permutations(before))

@@ -177,12 +177,12 @@ def test_symmetry_break_refuses_asymmetric():
 def test_transform_proof_full_elimination():
     formula = encode(5)
     _, stack = bce(formula)
-    proof = emit_transform_proof(formula, stack)
+    proof = emit_transform_proof(stack)
     assert [kind for kind, _ in proof] == ["d", "d"]
 
 
 def test_transform_proof_pivot_only():
-    proof = emit_transform_proof(encode(20), [], pivot=12)
+    proof = emit_transform_proof([], pivot=12)
     assert proof == [("a", (12,))]
 
 
@@ -190,7 +190,7 @@ def test_transform_proof_counts_full_scale():
     formula = encode(7825)
     reduced, stack = bce(formula)
     reduced, pivot = symmetry_break(reduced)
-    proof = emit_transform_proof(formula, stack, pivot)
+    proof = emit_transform_proof(stack, pivot)
     deletions = [line for line in proof if line[0] == "d"]
     assert len(deletions) == 18944 - 14672 == 4272
     assert proof[-1] == ("a", (pivot,))
