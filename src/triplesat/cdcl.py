@@ -11,8 +11,9 @@ antecedents, in LRAT style (Cruz-Filipe, Heule, Hunt, Kaufmann,
 Schneider-Kamp, CADE 2017): the clauses conflict analysis used, numbered
 as `drat.check_proof` numbers clauses.  Input clause `i` is `i`, and the
 solver's k-th emitted line is `len(formula.clauses) + k`; the formula is
-the only way clauses enter, so every clause has a number.  Recording them
-changes no step of the search.
+the only way clauses enter, so every clause has a number.  Every solve
+with a hints sink gets one hint per proof line, whatever its verdict, and
+recording them changes no step of the search.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ class SolveResult:
     conflicts: int = 0
     decisions: int = 0
     propagations: int = 0
+
+
+def check_budget(budget):
+    """Raise ValueError unless `budget` is None or a conflict count >= 1."""
+    if budget is not None and budget < 1:
+        raise ValueError("conflict budget must be >= 1, got %r" % (budget,))
 
 
 def luby(i):
@@ -88,10 +95,7 @@ class Solver:
     (see the module docstring), in an order that propagates: the reasons
     local minimization used, the reasons resolved in trail order, then
     the conflict clause.  Refuted cubes' negations and the empty clause
-    get `()`.  Until `flush_hints` runs, the antecedents wait as clause
-    lists: numbering them needs a map over every input clause, which only
-    a refutation's check uses, so `solve` and `solve_incremental` flush
-    when they end on UNSAT and not otherwise.
+    get `()`.
     """
 
     def __init__(self, formula, proof=None, conflict_budget=None, hints=None):
@@ -114,11 +118,12 @@ class Solver:
         if hints is not None and proof is None:
             raise ValueError("a hints sink needs a proof sink")
         self.hints = hints         # list sink of each line's antecedents
-        self._unflushed = []       # (number, clause, antecedent lists) per line
-        self._inputs = None        # (input clause lists, their numbers)
-        self._numbers = None       # id() of a clause list -> its number
+        # id() of a held clause list -> its number: safe, as the solver never
+        # drops a clause list it holds (a clause reduction must drop the id)
+        self._numbers = {} if hints is not None else None
         self._next_line = len(formula.clauses)
         self._empty_emitted = False
+        check_budget(conflict_budget)
         self.conflict_budget = conflict_budget
         self.taut_vars = set()
         self.conflicts = 0
@@ -201,7 +206,7 @@ class Solver:
         gets number `i`."""
         touched = set()
         kept = []
-        numbers = array("i") if self.hints is not None else None
+        numbers = self._numbers
         for num, lits in enumerate(clauses):
             clause = list(lits)
             occurring = set(map(abs, clause))
@@ -215,9 +220,7 @@ class Solver:
                     continue
             kept.append(clause)
             if numbers is not None:
-                numbers.append(num)
-        if numbers is not None:
-            self._inputs = kept, numbers
+                numbers[id(clause)] = num
         self._grow(max(touched, default=0))
         self._touch(touched)
         for clause in kept:
@@ -397,27 +400,16 @@ class Solver:
         return learnt, bt_level, used
 
     def _emit(self, lits, used=()):
-        """Append an addition to the proof sink; with hints, keep the clause
-        list `lits` and its antecedents `used` until `flush_hints`."""
+        """Append an addition to the proof sink; with hints, append the
+        numbers of its antecedents `used` and number the clause list `lits`."""
         if self.proof is not None:
             self.proof.append(("a", tuple(lits)))
-            if self.hints is not None:
-                self._unflushed.append((self._next_line, lits, used))
+            numbers = self._numbers
+            if numbers is not None:
+                self.hints.append(array("i", map(numbers.__getitem__, map(id, used)))
+                                  or ())
+                numbers[id(lits)] = self._next_line
                 self._next_line += 1
-
-    def flush_hints(self):
-        """Number the antecedents of the lines emitted since the last flush
-        and append them to the `hints` sink, one entry per line."""
-        numbers = self._numbers
-        if numbers is None:
-            kept, nums = self._inputs
-            numbers = self._numbers = dict(zip(map(id, kept), nums))
-            self._inputs = None
-        for num, clause, used in self._unflushed:
-            self.hints.append(array("i", map(numbers.__getitem__, map(id, used)))
-                              or ())
-            numbers[id(clause)] = num
-        self._unflushed.clear()
 
     def _emit_empty(self):
         if not self._empty_emitted:
@@ -528,7 +520,7 @@ class Solver:
 def solve(formula, **settings):
     """One-shot solve: `solve_incremental` on the one empty cube, whose
     result it returns.  An UNSAT verdict leaves a DRAT refutation in the
-    `proof` sink, and its hints in the `hints` sink if one is given."""
+    `proof` sink."""
     return solve_incremental(formula, [()], **settings)[-1]
 
 
@@ -540,7 +532,7 @@ def solve_incremental(formula, cube_list, **settings):
     and to the clause database.  A model decides the formula, so solving
     stops after the first SAT cube: there is one result per cube solved.
     The keyword settings (proof and hints sinks, conflict budget) go to
-    `Solver`; the hints sink is filled when the last cube solved is UNSAT.
+    `Solver`, which gives a hints sink one hint per proof line.
     """
     solver = Solver(formula, **settings)
     results = []
@@ -551,9 +543,6 @@ def solve_incremental(formula, cube_list, **settings):
             break
         if result.verdict == UNSAT:
             solver.add_refuted(cube)
-    refuted = results and results[-1].verdict == UNSAT
-    if refuted and settings.get("hints") is not None:
-        solver.flush_hints()
     return results
 
 

@@ -242,7 +242,7 @@ def build_parser():
     settings.add_argument("--config", help="key = value file over defaults.cfg")
 
     p = sub.add_parser("encode", help="emit the DIMACS encoding for {1..n}")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=pipeline.integer, required=True)
     p.add_argument("--out")
     p.set_defaults(func=cmd_encode)
 
@@ -267,7 +267,7 @@ def build_parser():
     p.add_argument("--in")
     p.add_argument("--cubes")
     p.add_argument("--proof")
-    p.add_argument("--conflict-budget", type=int)
+    p.add_argument("--conflict-budget", type=pipeline.integer)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check", help="forward-check a DRAT proof")
@@ -275,7 +275,7 @@ def build_parser():
     p.add_argument("--proof", required=True)
     p.add_argument("--refutation", action="store_true")
     p.add_argument("--any-pivot", action="store_true")
-    p.add_argument("--symmetry-pivot", type=int, action="append")
+    p.add_argument("--symmetry-pivot", type=pipeline.integer, action="append")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("pack-cubes", help="compress a tree listing to .ptct")
@@ -291,7 +291,7 @@ def build_parser():
 
     p = sub.add_parser("pipeline", help="run all phases end to end",
                        parents=[settings])
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=pipeline.integer)
     p.add_argument("--in")
     p.add_argument("--mode", help=_MODE_HELP)
     p.add_argument("--cutoff")
@@ -300,14 +300,14 @@ def build_parser():
     p.add_argument("--bce", action="store_true",
                    help="apply blocked clause elimination to DIMACS inputs too")
     p.add_argument("--workers", type=pipeline.SETTING_TYPES["workers"])
-    p.add_argument("--conflict-budget", type=int)
+    p.add_argument("--conflict-budget", type=pipeline.integer)
     p.add_argument("--output-dir")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("backbone", help="compute the backbone of a "
                                         "satisfiable formula")
     p.add_argument("--in", required=True)
-    p.add_argument("--conflict-budget", type=int)
+    p.add_argument("--conflict-budget", type=pipeline.integer)
     p.set_defaults(func=cmd_backbone)
 
     return parser

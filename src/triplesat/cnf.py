@@ -273,9 +273,12 @@ def parse_clause_line(text, lineno):
     return tuple(lits[:-1])
 
 
+def clause_line(lits):
+    """`lits` as one `... 0` line; inverse of parse_clause_line."""
+    return " ".join(map(str, (*lits, 0)))
+
+
 def write_dimacs(formula):
     """Render a Formula as DIMACS text; inverse of parse_dimacs."""
-    lines = ["p cnf %d %d" % (formula.num_vars, len(formula.clauses))]
-    for clause in formula.clauses:
-        lines.append(" ".join(str(l) for l in clause) + (" 0" if clause else "0"))
-    return "\n".join(lines) + "\n"
+    header = "p cnf %d %d" % (formula.num_vars, len(formula.clauses))
+    return "\n".join([header, *map(clause_line, formula.clauses)]) + "\n"

@@ -38,7 +38,8 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .cnf import Formula, is_flip_symmetric, numbered_lines, parse_clause_line
+from .cnf import (Formula, clause_line, is_flip_symmetric, numbered_lines,
+                  parse_clause_line)
 
 
 @dataclass
@@ -77,10 +78,8 @@ def parse_drat(text, linenos=None):
 
 
 def write_drat(proof):
-    lines = []
-    for kind, clause in proof:
-        body = " ".join(str(l) for l in clause) + (" 0" if clause else "0")
-        lines.append(body if kind == "a" else "d " + body)
+    lines = [("" if kind == "a" else "d ") + clause_line(clause)
+             for kind, clause in proof]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -35,8 +35,9 @@ from typing import Optional
 
 # `propagate_clauses` is not called here: bench/spans.py wraps it where
 # `lookahead` looks it up, so the name must stay importable from here.
-from .cnf import (DimacsError, Formula, Propagator, is_dimacs_integer,
-                  numbered_lines, parse_clause_line, propagate_clauses)
+from .cnf import (DimacsError, Formula, Propagator, clause_line,
+                  is_dimacs_integer, numbered_lines, parse_clause_line,
+                  propagate_clauses)
 
 CUTOFF = "cutoff"
 REFUTED = "refuted"
@@ -440,11 +441,8 @@ def tautology_proof(tree):
 
 def write_inccnf(formula, cube_list):
     """Incremental CNF: `p inccnf`, the clauses, then one `a ... 0` line per cube."""
-    lines = ["p inccnf"]
-    for clause in formula.clauses:
-        lines.append(" ".join(str(l) for l in clause) + (" 0" if clause else "0"))
-    for cube in cube_list:
-        lines.append("a " + " ".join(str(l) for l in cube) + (" 0" if cube else "0"))
+    lines = ["p inccnf", *map(clause_line, formula.clauses)]
+    lines += ("a " + clause_line(cube) for cube in cube_list)
     return "\n".join(lines) + "\n"
 
 

@@ -36,9 +36,8 @@ from typing import Optional
 from . import cdcl, cnf, drat
 from .cnf import Formula, evaluate, numbered_lines, parse_dimacs, SATISFIED
 from .encoder import check_partition, encode
-from .lookahead import (CutoffPolicy, HeuristicParams, check_mode,
-                        check_preselect, cubes, params_for_mode, parse_cutoff,
-                        split, tautology_proof)
+from .lookahead import (HeuristicParams, check_mode, check_preselect, cubes,
+                        params_for_mode, parse_cutoff, split, tautology_proof)
 from .transform import bce, emit_transform_proof, reconstruct, symmetry_break
 
 
@@ -147,11 +146,12 @@ class PipelineConfig:
             raise ValueError("exactly one of n / formula_path / formula must be set")
         if self.workers < 1:
             raise ValueError("worker count must be >= 1")
+        cdcl.check_budget(self.conflict_budget)
         check_mode(self.mode)
         check_preselect(self.preselect)
         for name in ("cutoff", "second_cutoff"):
             try:
-                _policy(getattr(self, name))
+                parse_cutoff(getattr(self, name))
             except ValueError as exc:
                 raise ValueError("%s: %s" % (name, exc)) from None
 
@@ -179,10 +179,6 @@ class PipelineResult:
     pivot: Optional[int] = None
 
 
-def _policy(cutoff):
-    return cutoff if isinstance(cutoff, CutoffPolicy) else parse_cutoff(cutoff)
-
-
 # ----------------------------------------------------------------- solve phase
 
 
@@ -201,7 +197,7 @@ def solve_one_cube(formula, cube, config, hints=None):
     if config.two_level:
         restricted = Formula(list(formula.clauses) + [(l,) for l in cube],
                              formula.num_vars)
-        subcubes = cubes(split(restricted, _policy(config.second_cutoff),
+        subcubes = cubes(split(restricted, parse_cutoff(config.second_cutoff),
                                config.mode, config.params, config.preselect))
         # an empty sub-cube is the cube itself, which the last entry solves
         cube_list = [(*cube, *sub) for sub in subcubes if sub] + cube_list
@@ -274,7 +270,7 @@ def run(config):
     report.phase_times["transform"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    tree = split(work, _policy(config.cutoff), config.mode, config.params,
+    tree = split(work, parse_cutoff(config.cutoff), config.mode, config.params,
                  config.preselect)
     cube_list = cubes(tree)
     report.phase_times["split"] = time.perf_counter() - start

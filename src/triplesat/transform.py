@@ -20,8 +20,8 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .cnf import (DimacsError, Formula, clause_status, evaluate, is_flip_symmetric,
-                  numbered_lines, parse_clause_line, SATISFIED)
+from .cnf import (DimacsError, Formula, clause_line, clause_status, evaluate,
+                  is_flip_symmetric, numbered_lines, parse_clause_line, SATISFIED)
 from .encoder import occurrence_stats
 
 
@@ -148,10 +148,8 @@ def emit_transform_proof(stack, pivot=None):
 
 def write_stack(stack):
     """Stack file: one `<blocking-literal> <clause literals> 0` line per record."""
-    lines = []
-    for record in stack:
-        lines.append(" ".join(
-            [str(record.blocking_literal)] + [str(l) for l in record.clause] + ["0"]))
+    lines = [clause_line((record.blocking_literal, *record.clause))
+             for record in stack]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -25,8 +25,7 @@ from triplesat.cnf import (Formula, Propagator, is_flip_symmetric, lit_value,
 from triplesat.drat import CheckResult
 from triplesat.lookahead import (CUTOFF, REFUTED, Leaf, LookaheadError, Node,
                                  _score, build_preorder, check_mode, cubes,
-                                 params_for_mode, split)
-from triplesat.pipeline import _policy
+                                 params_for_mode, parse_cutoff, split)
 from triplesat.transform import EliminationRecord
 
 
@@ -1078,7 +1077,7 @@ def reference_solve_one_cube(formula, cube, config):
     if config.two_level:
         restricted = Formula(list(formula.clauses) + [(l,) for l in cube],
                              formula.num_vars)
-        subcubes = cubes(split(restricted, _policy(config.second_cutoff),
+        subcubes = cubes(split(restricted, parse_cutoff(config.second_cutoff),
                                config.mode, config.params, config.preselect))
     split_elapsed = time.perf_counter() - start
 

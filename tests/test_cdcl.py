@@ -172,9 +172,16 @@ def test_incremental_budget_marks_cube_and_continues():
     assert len(results) == 2
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_conflict_budget_below_one_rejected(budget):
+    # it used to act as a budget of 1: one conflict, then indeterminate
+    with pytest.raises(ValueError, match="conflict budget must be >= 1"):
+        solve(ap3_formula(9), conflict_budget=budget)
+
+
 def test_hints_leave_the_search_unchanged(rng):
     """Solving with a hints sink takes the same steps, emits the same
-    proof and, on UNSAT, one hint entry per proof line."""
+    proof and, whatever the verdicts, one hint entry per proof line."""
     for _ in range(150):
         formula = random_formula(rng, max_vars=9)
         top = formula.num_vars + 2
@@ -188,29 +195,28 @@ def test_hints_leave_the_search_unchanged(rng):
         got = solve_incremental(formula, cube_list, proof=hinted,
                                 conflict_budget=budget, hints=hints)
         assert got == want and hinted == plain
-        # filled only when the last cube solved is refuted
-        assert len(hints) == (len(plain) if want[-1].verdict == UNSAT else 0)
+        assert len(hints) == len(plain)
 
 
-def test_hints_flush_per_refutation():
+def test_hints_one_per_line():
     formula = ap3_formula(9)
     with pytest.raises(ValueError, match="needs a proof sink"):
         Solver(formula, hints=[])
-    hints = []
-    assert solve(Formula([(1, 2)]), proof=[], hints=hints).verdict == SAT
-    assert solve(formula, proof=[], hints=hints, conflict_budget=1).verdict == \
-        INDETERMINATE
-    assert hints == []
-    proof = []
+    # a SAT solve and a budget-cut one keep a hint for each line they emit
+    for target, budget, verdict in ((ap3_formula(8), None, SAT),
+                                    (formula, 1, INDETERMINATE)):
+        proof, hints = [], []
+        result = solve(target, proof=proof, hints=hints, conflict_budget=budget)
+        assert result.verdict == verdict
+        assert len(hints) == len(proof) == 1 and hints[0]
+        assert drat.check_proof(target, proof, hints=hints).stats["hinted"] == 1
+    proof, hints = [], []
     solver = Solver(formula, proof=proof, hints=hints)
     assert solver.solve(assumptions=[1]).verdict == UNSAT
     solver.add_refuted([1])
-    solver.flush_hints()
     assert len(hints) == len(proof) and hints[-1] == ()
     first = len(hints)
     assert solver.solve().verdict == UNSAT
-    solver.flush_hints()
-    # a second flush adds only the lines emitted since the first
     assert len(hints) == len(proof) > first
     assert drat.check_proof(formula, proof, refutation=True, hints=hints)
 
@@ -221,6 +227,14 @@ def test_backbone_unit():
 
 def test_backbone_derived():
     assert backbone(Formula([(1, 2), (1, -2)])) == {1}
+
+
+def test_backbone_records_one_hint_per_line():
+    formula = Formula([(1, 2), (1, -2), (3, 4, 5), (-3, 4)])
+    proof, hints = [], []
+    assert backbone(formula, proof=proof, hints=hints) == {1}
+    assert len(hints) == len(proof) == 2
+    assert drat.check_proof(formula, proof, hints=hints).stats["hinted"] > 0
 
 
 def test_backbone_unsat_rejected(fig1_formula):

@@ -480,6 +480,32 @@ def test_cli_integer_flags_are_dimacs_integers(flags, captured_config, capsys):
     assert "invalid integer value: '%s'" % flags[-1] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["encode", "--n", "1_0"],
+                                   ["encode", "--n", "١٠"],
+                                   ["pipeline", "--n", "+5"],
+                                   ["pipeline", "--n", "30", "--conflict-budget",
+                                    "1_0"],
+                                   ["solve", "--in", "f.cnf", "--conflict-budget",
+                                    "+5"],
+                                   ["backbone", "--in", "f.cnf",
+                                    "--conflict-budget", "٣"],
+                                   ["check", "--formula", "f.cnf", "--proof",
+                                    "p.drat", "--symmetry-pivot", "1_0"]])
+def test_cli_count_flags_are_dimacs_integers(flags, capsys):
+    # argparse's `type=int` read "1_0" and "١٠" as 10, "+5" as 5
+    with pytest.raises(SystemExit) as exc:
+        main(flags)
+    assert exc.value.code == 2
+    assert "invalid integer value: '%s'" % flags[-1] in capsys.readouterr().err
+
+
+def test_solve_cli_rejects_zero_conflict_budget(tmp_path, capsys):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(FIG1_TEXT)
+    assert main(["solve", "--in", str(cnf), "--conflict-budget", "0"]) == 1
+    assert "error: conflict budget must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [["split", "--in", "f.cnf", "--alpha", "1_5"],
                                    ["split", "--in", "f.cnf", "--preselect", "١"],
                                    ["split", "--in", "f.cnf", "--gamma", "nan"],

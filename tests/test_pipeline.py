@@ -46,7 +46,15 @@ def test_config_rejects_bad_cutoffs():
     with pytest.raises(ValueError,
                        match="second_cutoff: cutoff 'vars:-3': -3 is negative"):
         pipeline.PipelineConfig(n=60, second_cutoff="vars:-3")
-    assert pipeline.PipelineConfig(n=60, cutoff=parse_cutoff("depth:2"))
+    assert pipeline.PipelineConfig(n=60, cutoff="depth:2")
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_config_rejects_conflict_budget_below_one(budget):
+    # a budget of 0 or less used to run one conflict per cube
+    with pytest.raises(ValueError, match="conflict budget must be >= 1"):
+        pipeline.PipelineConfig(n=30, conflict_budget=budget)
+    assert pipeline.PipelineConfig(n=30, conflict_budget=1)
 
 
 @pytest.mark.parametrize("preselect", [0.0, -0.5, 1.01, float("nan"),
