@@ -470,17 +470,8 @@ def test_pipeline_cli_config_overrides_one_parameter(tmp_path, captured_config,
 
 @pytest.mark.parametrize("flags", [["pipeline", "--n", "30", "--workers", "1_0"],
                                    ["split", "--in", "f.cnf", "--iterations",
-                                    "+4"]])
-def test_cli_integer_flags_are_dimacs_integers(flags, captured_config, capsys):
-    # argparse's `type=int` read "1_0" as 10 and "+4" as 4
-    with pytest.raises(SystemExit) as exc:
-        main(flags)
-    assert exc.value.code == 2
-    assert not captured_config
-    assert "invalid integer value: '%s'" % flags[-1] in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flags", [["encode", "--n", "1_0"],
+                                    "+4"],
+                                   ["encode", "--n", "1_0"],
                                    ["encode", "--n", "١٠"],
                                    ["pipeline", "--n", "+5"],
                                    ["pipeline", "--n", "30", "--conflict-budget",
@@ -491,11 +482,12 @@ def test_cli_integer_flags_are_dimacs_integers(flags, captured_config, capsys):
                                     "--conflict-budget", "٣"],
                                    ["check", "--formula", "f.cnf", "--proof",
                                     "p.drat", "--symmetry-pivot", "1_0"]])
-def test_cli_count_flags_are_dimacs_integers(flags, capsys):
-    # argparse's `type=int` read "1_0" and "١٠" as 10, "+5" as 5
+def test_cli_integer_flags_are_dimacs_integers(flags, captured_config, capsys):
+    # argparse's `type=int` read "1_0" and "١٠" as 10, "+4" as 4
     with pytest.raises(SystemExit) as exc:
         main(flags)
     assert exc.value.code == 2
+    assert not captured_config
     assert "invalid integer value: '%s'" % flags[-1] in capsys.readouterr().err
 
 
