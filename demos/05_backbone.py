@@ -7,9 +7,9 @@ that arithmetic mechanically, then compute complete backbones at a
 scale where every model can be enumerated.
 """
 
-from triplesat.cdcl import arithmetic_witness_check, backbone, is_pythagorean
+from triplesat.cdcl import backbone
 from triplesat.cnf import Formula
-from triplesat.encoder import encode
+from triplesat.encoder import arithmetic_witness_check, encode, is_pythagorean
 
 print("(5180, 5865, 7825) is a triple:", is_pythagorean(5180, 5865, 7825))
 print("(625, 7800, 7825) is a triple: ", is_pythagorean(625, 7800, 7825))

@@ -23,7 +23,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 
-from .cnf import Propagator, lit_value
+from .cnf import lit_value
 
 SAT = "SAT"
 UNSAT = "UNSAT"
@@ -578,22 +578,3 @@ def backbone(formula, **kwargs):
         else:
             raise RuntimeError("conflict budget exhausted during backbone search")
     return confirmed
-
-
-def is_pythagorean(a, b, c):
-    return a * a + b * b == c * c
-
-
-def arithmetic_witness_check():
-    """Verify the two triples pinning variable 7825 and their joint conflict.
-
-    (5180, 5865, 7825) forces 7825 into the negative part once 5180 and
-    5865 are positive; (625, 7800, 7825) forces it positive once 625 and
-    7800 are negative.  Unit propagation on the two constraints under
-    those four facts must conflict.
-    """
-    if not (is_pythagorean(5180, 5865, 7825) and is_pythagorean(625, 7800, 7825)):
-        return False
-    constraints = [(-5180, -5865, -7825), (625, 7800, 7825)]
-    _, conflict = Propagator(constraints).fixpoint([5180, 5865, -625, -7800])
-    return conflict

@@ -119,7 +119,7 @@ def cmd_split(args):
     cube_list = cubes(tree)
     _emit(args.out, write_inccnf(formula, cube_list))
     if args.tree:
-        _write(args.tree, cubecodec.write_tree_text(tree))
+        _write(args.tree, cubecodec.encode_tree(tree))
     print("c %d cubes" % len(cube_list))
     return 0
 
@@ -170,12 +170,6 @@ def cmd_check(args):
 def _print_check_stats(result, prefix=""):
     for name, count in result.stats.items():
         print("c %s%s %d" % (prefix, name, count))
-
-
-def cmd_pack_cubes(args):
-    tree = cubecodec.parse_tree_text(_read(args.tree))
-    _write(args.out, cubecodec.encode_tree(tree))
-    return 0
 
 
 def cmd_unpack_cubes(args):
@@ -259,7 +253,7 @@ def build_parser():
                        parents=[settings])
     p.add_argument("--in", required=True)
     p.add_argument("--out")
-    p.add_argument("--tree")
+    p.add_argument("--tree", help="write the split tree as .ptct")
     _heuristic_args(p)
     p.set_defaults(func=cmd_split)
 
@@ -277,11 +271,6 @@ def build_parser():
     p.add_argument("--any-pivot", action="store_true")
     p.add_argument("--symmetry-pivot", type=pipeline.integer, action="append")
     p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("pack-cubes", help="compress a tree listing to .ptct")
-    p.add_argument("--tree", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_pack_cubes)
 
     p = sub.add_parser("unpack-cubes", help="expand a .ptct tree to inccnf")
     p.add_argument("--in", required=True)

@@ -34,20 +34,6 @@ class DimacsError(ValueError):
         self.line = line
 
 
-def make_clause(literals):
-    """Build a clause: deduplicate literals, keep first-occurrence order."""
-    seen = set()
-    out = []
-    for lit in literals:
-        lit = int(lit)
-        if lit == 0:
-            raise ValueError("literal 0 is reserved")
-        if lit not in seen:
-            seen.add(lit)
-            out.append(lit)
-    return tuple(out)
-
-
 @dataclass
 class Formula:
     clauses: list = field(default_factory=list)
@@ -216,7 +202,8 @@ def parse_dimacs(text):
     """Parse DIMACS CNF (str or bytes) into a Formula.
 
     The header clause count is re-verified; mismatches, out-of-range
-    literals and unterminated clauses are reported with line numbers.
+    literals and unterminated clauses are reported with line numbers.  A
+    literal repeated in a clause is kept once, where it first occurs.
     """
     num_vars = None
     num_clauses = None
@@ -245,7 +232,7 @@ def parse_dimacs(text):
         for token in stripped.split():
             lit = _integer(token, lineno)
             if lit == 0:
-                clauses.append(make_clause(current))
+                clauses.append(tuple(dict.fromkeys(current)))
                 current = []
                 continue
             if abs(lit) > num_vars:

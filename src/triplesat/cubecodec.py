@@ -5,13 +5,17 @@ only one literal per internal node.  Layout: magic `PTCT`, a version
 byte, varint internal-node and leaf counts, then a preorder token
 stream.  Token 0 is a cutoff leaf, token 1 a refuted leaf, and any token
 t >= 2 is an internal node whose decision literal is zigzag-decoded from
-t - 1; children follow in yes-then-no order.  The writers walk trees with
-`lookahead.preorder`, the readers build them with `build_preorder`.
+t - 1; children follow in yes-then-no order.  `encode_tree` walks a tree
+with `lookahead.preorder`, and `decode_tree` builds one with
+`lookahead.build_preorder`.
+
+This is the package's one tree file: `triplesat split --tree` writes it,
+`triplesat unpack-cubes` expands it to the inccnf cubes, and
+`lookahead.leaf_cubes` of `decode_tree` gives every leaf's status.
 """
 
 from __future__ import annotations
 
-from .cnf import is_dimacs_integer, numbered_lines
 from .lookahead import CUTOFF, REFUTED, Leaf, Node, build_preorder, preorder
 
 MAGIC = b"PTCT"
@@ -70,70 +74,27 @@ class _Reader:
         return chunk
 
 
-def _nodes(tree):
-    """The nodes of `tree` in `lookahead.preorder`; anything that is not
-    a Leaf or a Node raises CodecError."""
-    for node, _ in preorder(tree):
-        if not isinstance(node, (Leaf, Node)):
-            raise CodecError("not a tree node: %r" % (node,))
-        yield node
-
-
 def encode_tree(tree):
-    """Serialize a CubeTree to bytes; preorder, yes-branch first."""
+    """Serialize a CubeTree to bytes; preorder, yes-branch first.  Anything
+    in it that is not a Leaf or a Node raises CodecError."""
     body = bytearray()
     internal = 0
     leaves = 0
-    for node in _nodes(tree):
+    for node, _ in preorder(tree):
         if isinstance(node, Leaf):
             leaves += 1
             _write_varint(body, _LEAF_TOKENS[node.status])
-        else:
+        elif isinstance(node, Node):
             internal += 1
             _write_varint(body, _zigzag(node.literal) + 1)
+        else:
+            raise CodecError("not a tree node: %r" % (node,))
     out = bytearray(MAGIC)
     out.append(VERSION)
     _write_varint(out, internal)
     _write_varint(out, leaves)
     out.extend(body)
     return bytes(out)
-
-
-def write_tree_text(tree):
-    """Human-readable preorder listing, one token per line, yes-branch first.
-
-    Internal nodes print their decision literal; leaves print their
-    status word.  This is the `.tree` interchange form; encode_tree is
-    the compressed one.
-    """
-    lines = [node.status if isinstance(node, Leaf) else str(node.literal)
-             for node in _nodes(tree)]
-    return "\n".join(lines) + "\n"
-
-
-def parse_tree_text(text):
-    """Inverse of write_tree_text; `text` is a str, or bytes read as ASCII
-    (a non-ASCII byte raises cnf.DimacsError carrying its line number)."""
-    tokens = (token for _, line in numbered_lines(text) for token in line.split())
-
-    def read_node():
-        token = next(tokens, None)
-        if token is None:
-            raise CodecError("truncated tree listing")
-        if token in (CUTOFF, REFUTED):
-            return Leaf(token)
-        if not is_dimacs_integer(token):
-            raise CodecError("bad tree token %r" % token)
-        literal = int(token)
-        if literal == 0:
-            raise CodecError("zero decision literal")
-        return Node(literal, None, None)
-
-    tree = build_preorder(read_node)
-    trailing = sum(1 for _ in tokens)
-    if trailing:
-        raise CodecError("%d trailing tokens" % trailing)
-    return tree
 
 
 def decode_tree(data):

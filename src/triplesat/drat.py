@@ -83,23 +83,6 @@ def write_drat(proof):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def check_rup(formula, clause):
-    """True iff propagating the negated literals of `clause` in F conflicts."""
-    return _Checker(formula).is_rup(clause)
-
-
-def check_rat(formula, clause, pivot):
-    """Resolution-asymmetric-tautology check with an explicit pivot.
-
-    Every resolvent of `clause` with a partner containing the pivot's
-    complement must be an asymmetric tautology; vacuously true without
-    partners, and any RUP clause passes outright.
-    """
-    if pivot not in clause:
-        raise ValueError("pivot %d not in clause %s" % (pivot, (clause,)))
-    return _Checker(formula).is_rat(clause, pivot)
-
-
 class _Checker:
     """Incremental current-formula state for forward proof checking.
 

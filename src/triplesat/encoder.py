@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .cnf import Formula
+from .cnf import Formula, Propagator
 
 
 def enumerate_triples(n):
@@ -36,6 +36,25 @@ def enumerate_triples(n):
                 triples.append((t * a, t * b, t * c))
     triples.sort(key=lambda t: (t[2], t[1], t[0]))
     return triples
+
+
+def is_pythagorean(a, b, c):
+    return a * a + b * b == c * c
+
+
+def arithmetic_witness_check():
+    """Verify the two triples pinning variable 7825 and their joint conflict.
+
+    (5180, 5865, 7825) forces 7825 into the negative part once 5180 and
+    5865 are positive; (625, 7800, 7825) forces it positive once 625 and
+    7800 are negative.  Unit propagation on the two constraints under
+    those four facts must conflict.
+    """
+    if not (is_pythagorean(5180, 5865, 7825) and is_pythagorean(625, 7800, 7825)):
+        return False
+    constraints = [(-5180, -5865, -7825), (625, 7800, 7825)]
+    _, conflict = Propagator(constraints).fixpoint([5180, 5865, -625, -7800])
+    return conflict
 
 
 def encode(n):

@@ -2,8 +2,9 @@
 detection, branching-tree construction with cutoff policies, and cube
 file (inccnf) handling.
 
-Trees have one walk, `preorder`, which gives the leaf cubes, the codecs'
-token streams and `tautology_proof`, the tree's closing DRAT lines.
+Trees have one walk, `preorder`, which gives the leaf cubes, the `.ptct`
+codec's token stream (`cubecodec.encode_tree`) and `tautology_proof`, the
+tree's closing DRAT lines.
 
 A look-ahead assigns a literal, propagates, and weighs the freshly
 created binary clauses.  Literal weights h(l) are refined over a few
@@ -449,6 +450,7 @@ def write_inccnf(formula, cube_list):
 def parse_inccnf(text):
     """Inverse of write_inccnf; returns (Formula, list of cubes).
 
+    A line is a cube when its first whitespace-separated token is `a`.
     Malformed lines raise cnf.DimacsError carrying the line number.
     """
     clauses = []
@@ -463,7 +465,7 @@ def parse_inccnf(text):
                 raise DimacsError("malformed inccnf header %r" % stripped, lineno)
             saw_header = True
             continue
-        is_cube = stripped.startswith("a ") or stripped == "a"
+        is_cube = stripped.split(None, 1)[0] == "a"
         body = stripped[1:] if is_cube else stripped
         lits = parse_clause_line(body, lineno)
         if is_cube:

@@ -65,9 +65,9 @@ def load_config(path):
     """Parse a simple `key=value` config file into a dict of settings.
 
     A key must be one of defaults.cfg or a heuristic parameter, so a
-    misspelt key is an error instead of a silently kept default.  A
-    numeric value is typed on its line.  The file is ASCII, like every
-    input (see `cnf.numbered_lines`).
+    misspelt key is an error instead of a silently kept default, and a key
+    may appear once.  A numeric value is typed on its line.  The file is
+    ASCII, like every input (see `cnf.numbered_lines`).
     """
     known = _shipped_defaults().keys() | _HEURISTIC_KEYS.keys()
     values = {}
@@ -77,6 +77,8 @@ def load_config(path):
         if key not in known:
             raise ValueError("line %d: unknown key %r; expected one of %s"
                              % (lineno, key, ", ".join(sorted(known))))
+        if key in values:
+            raise ValueError("line %d: key %r given twice" % (lineno, key))
         values[key] = value
     return values
 

@@ -29,7 +29,6 @@ from .encoder import occurrence_stats
 class EliminationRecord:
     clause: tuple
     blocking_literal: int
-    order_index: int
 
 
 def bce(formula):
@@ -82,7 +81,7 @@ def bce(formula):
         alive[idx] = False
         for lit in clause:
             occ[lit].discard(idx)
-        stack.append(EliminationRecord(clause, blocking, len(stack)))
+        stack.append(EliminationRecord(clause, blocking))
         for lit in clause:
             for j in occ[-lit]:
                 if not pending[j] and idx in witness[offsets[j]:offsets[j + 1]]:
@@ -162,5 +161,5 @@ def parse_stack(text):
         lits = parse_clause_line(line, lineno)
         if not lits:
             raise DimacsError("stack line has no blocking literal", lineno)
-        stack.append(EliminationRecord(lits[1:], lits[0], len(stack)))
+        stack.append(EliminationRecord(lits[1:], lits[0]))
     return stack

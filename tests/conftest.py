@@ -21,8 +21,8 @@ import pytest
 from triplesat import cdcl
 from triplesat.cdcl import INDETERMINATE, SAT, UNSAT, SolveResult, luby
 from triplesat.cnf import (Formula, Propagator, is_flip_symmetric, lit_value,
-                           make_clause, propagate_clauses)
-from triplesat.drat import CheckResult
+                           propagate_clauses)
+from triplesat.drat import CheckResult, _Checker
 from triplesat.lookahead import (CUTOFF, REFUTED, Leaf, LookaheadError, Node,
                                  _score, build_preorder, check_mode, cubes,
                                  params_for_mode, parse_cutoff, split)
@@ -163,7 +163,27 @@ def resolve(c1, c2, var):
         raise ValueError("variable %d does not occur positively in %s" % (var, (c1,)))
     if -var not in c2:
         raise ValueError("variable %d does not occur negatively in %s" % (var, (c2,)))
-    return make_clause([l for l in c1 if l != var] + [l for l in c2 if l != -var])
+    return tuple(dict.fromkeys([l for l in c1 if l != var] +
+                               [l for l in c2 if l != -var]))
+
+
+def check_rup(formula, clause):
+    """True iff propagating the negated literals of `clause` in F conflicts:
+    one RUP query of the checker that `drat.check_proof` runs."""
+    return _Checker(formula).is_rup(clause)
+
+
+def check_rat(formula, clause, pivot):
+    """Resolution-asymmetric-tautology check with an explicit pivot, by the
+    checker that `drat.check_proof` runs.
+
+    Every resolvent of `clause` with a partner containing the pivot's
+    complement must be an asymmetric tautology; vacuously true without
+    partners, and any RUP clause passes outright.
+    """
+    if pivot not in clause:
+        raise ValueError("pivot %d not in clause %s" % (pivot, (clause,)))
+    return _Checker(formula).is_rat(clause, pivot)
 
 
 def extension_clauses(x, a, b):
@@ -218,7 +238,7 @@ def reference_bce(formula):
         alive[idx] = False
         for lit in lit_sets[idx]:
             occ[lit].discard(idx)
-        stack.append(EliminationRecord(clause, blocking, len(stack)))
+        stack.append(EliminationRecord(clause, blocking))
         for lit in lit_sets[idx]:
             for j in occ[-lit]:
                 if alive[j] and j not in pending:

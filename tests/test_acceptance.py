@@ -12,16 +12,17 @@ import pytest
 from triplesat import cdcl, drat, pipeline
 from triplesat.cnf import Formula, SATISFIED, evaluate
 from triplesat.cubecodec import decode_tree, encode_tree
-from triplesat.encoder import (check_partition, encode, enumerate_triples,
-                               occurrence_stats)
+from triplesat.encoder import (arithmetic_witness_check, check_partition,
+                               encode, enumerate_triples, occurrence_stats)
 from triplesat.lookahead import (cubes, leaf_cubes, parse_cutoff, split,
                                  write_inccnf, MODE_BIN, MODE_PTN, MODE_RND,
                                  MODE_VAR)
 from triplesat.transform import bce
 
 from conftest import (FIG1_CLAUSES, FIG1_PROOF, FIG3_CUBES, ap3_formula,
-                      brute_force, brute_sat, build_fig3_tree, cubes_cover_all,
-                      negate_cubes, random_formula, random_tree)
+                      brute_force, brute_sat, build_fig3_tree, check_rat,
+                      cubes_cover_all, negate_cubes, random_formula,
+                      random_tree)
 
 
 def test_criterion_01_encoder_counts():
@@ -66,7 +67,7 @@ def test_criterion_05_backbone_arithmetic():
     triples = set(enumerate_triples(7825))
     assert (5180, 5865, 7825) in triples
     assert (625, 7800, 7825) in triples
-    assert cdcl.arithmetic_witness_check()
+    assert arithmetic_witness_check()
 
 
 def test_criterion_06_oracle_equivalence():
@@ -97,7 +98,7 @@ def test_criterion_07_rat_soundness():
         width = rng.randint(1, 3)
         clause = tuple(v if rng.random() < 0.5 else -v
                        for v in rng.sample(range(1, 13), width))
-        if not drat.check_rat(formula, clause, clause[0]):
+        if not check_rat(formula, clause, clause[0]):
             continue
         collected += 1
         before = brute_sat(formula)

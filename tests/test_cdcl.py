@@ -1,10 +1,10 @@
 import pytest
 
 from triplesat import drat
-from triplesat.cdcl import (INDETERMINATE, SAT, UNSAT, Solver,
-                            arithmetic_witness_check, backbone, is_pythagorean,
-                            luby, solve, solve_incremental)
+from triplesat.cdcl import (INDETERMINATE, SAT, UNSAT, Solver, backbone, luby,
+                            solve, solve_incremental)
 from triplesat.cnf import Formula, SATISFIED, evaluate, propagate_clauses
+from triplesat.encoder import arithmetic_witness_check, is_pythagorean
 
 from conftest import ap3_formula, brute_force, brute_sat, random_formula
 

@@ -5,7 +5,10 @@ import pytest
 from triplesat import cdcl, pipeline
 from triplesat.cli import build_parser, main
 from triplesat.cnf import Formula, SATISFIED, evaluate, parse_dimacs, write_dimacs
-from triplesat.lookahead import (PTN_PARAMS, RND_PARAMS, parse_inccnf,
+from triplesat.cubecodec import decode_tree, encode_tree
+from triplesat.encoder import encode
+from triplesat.lookahead import (CUTOFF, PTN_PARAMS, REFUTED, RND_PARAMS, Leaf,
+                                 Node, parse_cutoff, parse_inccnf, split,
                                  write_inccnf)
 from triplesat.transform import parse_stack
 
@@ -69,7 +72,7 @@ def test_split_solve_check_unsat(tmp_path, capsys):
     cnf = tmp_path / "w.cnf"
     cnf.write_text(write_dimacs(ap3_formula(9)))
     icnf = tmp_path / "w.icnf"
-    tree = tmp_path / "w.tree"
+    tree = tmp_path / "w.ptct"
     assert main(["split", "--in", str(cnf), "--cutoff", "depth:3",
                  "--out", str(icnf), "--tree", str(tree)]) == 0
     proof = tmp_path / "w.drat"
@@ -263,36 +266,42 @@ def test_check_reports_proof_file_lines(tmp_path, capsys):
         "s NOT VERIFIED (line None: refutation does not add the empty clause)")
 
 
-def test_pack_cubes_non_ascii_is_an_error_with_its_line(tmp_path, capsys):
-    tree = tmp_path / "bad.tree"
-    tree.write_bytes(b"3\ncutoff\n\xff\n")
-    assert main(["pack-cubes", "--tree", str(tree),
-                 "--out", str(tmp_path / "bad.ptct")]) == 1
-    assert "error: line 3: non-ASCII byte 0xff" in capsys.readouterr().err
-
-
-def test_pack_cubes_rejects_a_non_dimacs_literal(tmp_path, capsys):
-    tree = tmp_path / "bad.tree"
-    tree.write_text("3\n1_0\ncutoff\ncutoff\nrefuted\n")
-    packed = tmp_path / "bad.ptct"
-    assert main(["pack-cubes", "--tree", str(tree), "--out", str(packed)]) == 1
-    assert "error: bad tree token '1_0'" in capsys.readouterr().err
-    assert not packed.exists()
-
-
 def test_pack_unpack_round_trip(tmp_path, capsys):
+    """`split --tree` writes the .ptct certificate: `unpack-cubes` gives back
+    the cube file `split --out` wrote, and the file decodes to split's tree."""
+    formula = encode(60)
     cnf = tmp_path / "f.cnf"
-    main(["encode", "--n", "60", "--out", str(cnf)])
+    cnf.write_text(write_dimacs(formula))
     icnf = tmp_path / "f.icnf"
-    tree = tmp_path / "f.tree"
-    main(["split", "--in", str(cnf), "--cutoff", "depth:3",
-          "--out", str(icnf), "--tree", str(tree)])
     packed = tmp_path / "f.ptct"
-    assert main(["pack-cubes", "--tree", str(tree), "--out", str(packed)]) == 0
+    assert main(["split", "--in", str(cnf), "--cutoff", "depth:3",
+                 "--out", str(icnf), "--tree", str(packed)]) == 0
     again = tmp_path / "f2.icnf"
     assert main(["unpack-cubes", "--in", str(packed), "--formula", str(cnf),
                  "--out", str(again)]) == 0
-    assert again.read_text() == icnf.read_text()
+    assert again.read_bytes() == icnf.read_bytes()
+    values = pipeline.default_config()
+    tree = split(formula, parse_cutoff("depth:3"), values["mode"],
+                 pipeline.config_params(values), values["preselect"])
+    assert decode_tree(packed.read_bytes()) == tree
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda data: b"XXXX" + data[4:], "bad magic"),
+    (lambda data: data[:-1], "truncated stream"),
+    (lambda data: data + b"\x00", "1 trailing bytes")])
+def test_unpack_cubes_rejects_a_corrupt_tree(tmp_path, capsys, corrupt,
+                                             message):
+    cnf = tmp_path / "f.cnf"
+    cnf.write_text(FIG1_TEXT)
+    packed = tmp_path / "f.ptct"
+    packed.write_bytes(corrupt(encode_tree(Node(3, Leaf(CUTOFF),
+                                                Leaf(REFUTED)))))
+    out = tmp_path / "f.icnf"
+    assert main(["unpack-cubes", "--in", str(packed), "--formula", str(cnf),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert not out.exists()
 
 
 def test_pipeline_cli(tmp_path, capsys):
@@ -393,6 +402,15 @@ def test_pipeline_cli_config_bad_number_names_key_and_line(tmp_path,
     err = capsys.readouterr().err
     assert "error: line 2: workers 'x' is not a valid integer" in err
     assert "error: line 2: alpha '2,5' is not a valid real" in err
+
+
+def test_pipeline_cli_config_repeated_key_is_an_error(tmp_path, captured_config,
+                                                     capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = rnd3sat\nmode = ptn3sat\n")
+    assert main(["pipeline", "--n", "40", "--config", str(cfg)]) == 1
+    assert not captured_config
+    assert "error: line 2: key 'mode' given twice" in capsys.readouterr().err
 
 
 def test_pipeline_cli_config_typo_is_an_error(tmp_path, capsys):
@@ -552,8 +570,8 @@ def readme_cli_commands():
 def test_readme_cli_examples_parse():
     commands = readme_cli_commands()
     assert {command[0] for command in commands} == {
-        "encode", "transform", "split", "solve", "check", "pack-cubes",
-        "unpack-cubes", "pipeline", "backbone"}
+        "encode", "transform", "split", "solve", "check", "unpack-cubes",
+        "pipeline", "backbone"}
     parser = build_parser()
     for command in commands:
         args = parser.parse_args(command)

@@ -4,8 +4,7 @@ import pytest
 
 from triplesat.cnf import (DimacsError, FALSIFIED, Formula, Propagator,
                            SATISFIED, UNDETERMINED, evaluate,
-                           is_flip_symmetric,
-                           make_clause, parse_clause_line, parse_dimacs,
+                           is_flip_symmetric, parse_clause_line, parse_dimacs,
                            propagate_clauses, write_dimacs)
 
 from conftest import (FIG1_CLAUSES, brute_sat, is_tautology, random_formula,
@@ -107,12 +106,11 @@ def test_round_trip_random(rng):
         assert again.num_vars == formula.num_vars
 
 
-def test_make_clause_dedup_and_validation():
-    assert make_clause([1, 2, 1, -3]) == (1, 2, -3)
-    with pytest.raises(ValueError):
-        make_clause([0])
-    assert is_tautology(make_clause([1, -1]))
-    assert not is_tautology(make_clause([1, 2]))
+def test_parse_dimacs_keeps_a_repeated_literal_once():
+    formula = parse_dimacs("p cnf 3 3\n1 2 1 -3 0\n1 -1 1 0\n2 2 0\n")
+    assert formula.clauses == ((1, 2, -3), (1, -1), (2,))
+    assert is_tautology(formula.clauses[1])
+    assert not is_tautology(formula.clauses[0])
 
 
 def test_unit_propagate_fig1_conflict(fig1_formula):

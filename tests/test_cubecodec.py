@@ -1,10 +1,7 @@
-import re
-
 import pytest
 
 from triplesat.cubecodec import (CodecError, MAGIC, VERSION, decode_tree,
-                                 encode_tree, parse_tree_text,
-                                 write_tree_text)
+                                 encode_tree)
 from triplesat.lookahead import CUTOFF, REFUTED, Leaf, Node, cubes, leaf_cubes
 
 from conftest import FIG3_CUBES, random_tree
@@ -103,40 +100,11 @@ def test_compression_beats_literal_lists(rng):
     assert wins > 10
 
 
-def test_text_round_trip(rng, fig3_tree):
-    assert parse_tree_text(write_tree_text(fig3_tree)) == fig3_tree
-    for _ in range(100):
-        tree = random_tree(rng)
-        assert parse_tree_text(write_tree_text(tree)) == tree
-
-
-def test_text_rejects_garbage():
-    with pytest.raises(CodecError):
-        parse_tree_text("5 cutoff")  # missing no-branch
-    with pytest.raises(CodecError):
-        parse_tree_text("cutoff cutoff")  # trailing tokens
-    with pytest.raises(CodecError):
-        parse_tree_text("banana")
-
-
-@pytest.mark.parametrize("token", ["1_0", "+5", "٣", "-0x3", "5.0"])
-def test_text_takes_dimacs_integers_only(token):
-    # `int` alone reads "1_0" as 10, "+5" as 5 and "٣" as 3
-    listing = "3\n%s\ncutoff\ncutoff\nrefuted\n" % token
-    message = re.escape("bad tree token %r" % token)
-    with pytest.raises(CodecError, match=message):
-        parse_tree_text(listing)
-    if token.isascii():
-        with pytest.raises(CodecError, match=message):
-            parse_tree_text(listing.encode())
-
-
 def test_writers_reject_a_non_node():
-    for write in (encode_tree, write_tree_text):
-        with pytest.raises(CodecError, match="not a tree node: None"):
-            write(Node(1, Leaf(CUTOFF), None))
-        with pytest.raises(CodecError, match="not a tree node: 7"):
-            write(7)
+    with pytest.raises(CodecError, match="not a tree node: None"):
+        encode_tree(Node(1, Leaf(CUTOFF), None))
+    with pytest.raises(CodecError, match="not a tree node: 7"):
+        encode_tree(7)
 
 
 def test_deep_chain_round_trips():
@@ -151,7 +119,4 @@ def test_deep_chain_round_trips():
     packed = decode_tree(encode_tree(tree))
     assert cubes(packed) == [cube for cube, _ in expected]
     assert leaf_cubes(packed) == expected
-    text = write_tree_text(tree)
-    listed = parse_tree_text(text)
-    assert leaf_cubes(listed) == expected
-    assert write_tree_text(listed) == text
+    assert encode_tree(packed) == encode_tree(tree)

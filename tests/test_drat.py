@@ -8,11 +8,12 @@ import pytest
 
 from triplesat import cdcl, drat, pipeline
 from triplesat.cnf import DimacsError, Formula
-from triplesat.drat import (check_proof, check_rat, check_rup, merge_hints,
-                            merge_proofs, parse_drat, write_drat)
+from triplesat.drat import (check_proof, merge_hints, merge_proofs, parse_drat,
+                            write_drat)
 
-from conftest import (FIG1_PROOF, REPO, ap3_formula, brute_sat, extension_clauses,
-                      random_formula, reference_check_proof)
+from conftest import (FIG1_PROOF, REPO, ap3_formula, brute_sat, check_rat,
+                      check_rup, extension_clauses, random_formula,
+                      reference_check_proof)
 
 
 FIG1_PROOF_TEXT = "-1 0\nd -1 2 4 0\n2 0\n0\n"

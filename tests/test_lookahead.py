@@ -582,14 +582,24 @@ def test_inccnf_round_trip(rng):
         assert again_cubes == cube_list
 
 
+@pytest.mark.parametrize("line, cube", [("a\t1 0", (1,)), ("a  1 0", (1,)),
+                                        ("a\t0", ())])
+def test_inccnf_cube_is_a_line_whose_first_token_is_a(line, cube):
+    """Tokens split on any whitespace, as in every other DIMACS line."""
+    formula, cube_list = parse_inccnf("p inccnf\n1 2 0\n%s\n" % line)
+    assert formula.clauses == ((1, 2),)
+    assert cube_list == [cube]
+
+
 def test_inccnf_requires_header():
     with pytest.raises(ValueError):
         parse_inccnf("1 2 0\na 1 0\n")
 
 
 @pytest.mark.parametrize("text, line", [("p inccnf\n1 0 2 0\n", 2),
-                                        ("p inccnf\n1 2 0\na 1 y 0\n", 3)],
-                         ids=["interior-zero", "non-integer"])
+                                        ("p inccnf\n1 2 0\na 1 y 0\n", 3),
+                                        ("p inccnf\na1 0\n", 2)],
+                         ids=["interior-zero", "non-integer", "a-glued-to-1"])
 def test_inccnf_reports_bad_lines(text, line):
     with pytest.raises(DimacsError) as info:
         parse_inccnf(text)

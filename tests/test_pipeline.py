@@ -99,6 +99,10 @@ def test_load_config(tmp_path):
     typo.write_text("# comment\nmode = ptn3sat\ncutof = depth:1\n")
     with pytest.raises(ValueError, match="line 3: unknown key 'cutof'"):
         pipeline.load_config(str(typo))
+    twice = tmp_path / "twice.cfg"
+    twice.write_text("mode = rnd3sat\nmode = ptn3sat\n")
+    with pytest.raises(ValueError, match="line 2: key 'mode' given twice"):
+        pipeline.load_config(str(twice))
 
 
 def test_load_config_rejects_var_decay(tmp_path):

@@ -6,8 +6,7 @@ Derandomized, with no example database, so the suite stays deterministic:
 - writing then parsing gives back what was written;
 - comment lines of any ASCII text leave a parse, and the line numbers it
   reports, unchanged;
-- an accepted DIMACS, tree-listing or cutoff token is an integer in the
-  DIMACS sense;
+- an accepted DIMACS or cutoff token is an integer in the DIMACS sense;
 - the DRAT checker gives the same outcome with arbitrary hints as without.
 """
 
@@ -18,8 +17,7 @@ from hypothesis import strategies as st
 
 from triplesat.cnf import (DimacsError, Formula, parse_clause_line, parse_dimacs,
                            write_dimacs)
-from triplesat.cubecodec import (CodecError, decode_tree, encode_tree,
-                                 parse_tree_text, write_tree_text)
+from triplesat.cubecodec import CodecError, decode_tree, encode_tree
 from triplesat.drat import check_proof, parse_drat, write_drat
 from triplesat.lookahead import (CUTOFF, REFUTED, Leaf, Node, parse_cutoff,
                                  parse_inccnf, write_inccnf)
@@ -34,8 +32,8 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
 # separators that str.splitlines would break at, and non-integer tokens
 FRAGMENTS = [b"p cnf ", b"p inccnf", b"c", b"d ", b"a ", b"0", b"1", b"2", b"7",
              b"-", b"+", b"_", b" ", b"\n", b"\r", b"\x0b", b"\x0c", b"\x1c",
-             b"\x85", b"\xff", b"x", b"=", b"#", b"mode", b" = ", CUTOFF.encode(),
-             REFUTED.encode(), b"PTCT", b"\x01", b"\x80"]
+             b"\x85", b"\xff", b"x", b"=", b"#", b"mode", b" = ", b"PTCT",
+             b"\x01", b"\x80"]
 INPUTS = st.one_of(st.binary(max_size=200),
                    st.lists(st.sampled_from(FRAGMENTS), max_size=40).map(b"".join))
 LINE_ERROR = re.compile(r"line \d+: ")
@@ -64,7 +62,7 @@ def only_documented_errors(parse, data):
 @given(INPUTS)
 def test_line_parsers_raise_only_documented_errors(data):
     for parse in (parse_dimacs, parse_drat, parse_inccnf, parse_stack,
-                  parse_tree_text, decode_tree):
+                  decode_tree):
         only_documented_errors(parse, data)
 
 
@@ -83,7 +81,6 @@ def test_accepted_tokens_are_dimacs_integers(line):
     for parse, error in (
             (lambda text: parse_clause_line(text + " 0", 1), DimacsError),
             (lambda text: parse_dimacs("p cnf 99 1\n%s 0" % text), DimacsError),
-            (lambda text: parse_tree_text(text + " cutoff cutoff"), CodecError),
             (lambda text: parse_cutoff("depth:" + text), ValueError)):
         try:
             parse(line)
@@ -144,8 +141,7 @@ def test_inccnf_round_trip(clauses, cube_list, comments):
 @given(st.lists(st.tuples(LITERALS, st.lists(LITERALS, max_size=4).map(tuple)),
                 max_size=6))
 def test_stack_round_trip(records):
-    stack = [EliminationRecord(clause, blocking, index)
-             for index, (blocking, clause) in enumerate(records)]
+    stack = [EliminationRecord(clause, blocking) for blocking, clause in records]
     assert parse_stack(write_stack(stack)) == stack
     assert parse_stack(write_stack(stack).encode()) == stack
 
@@ -153,8 +149,6 @@ def test_stack_round_trip(records):
 @PROPERTY
 @given(TREES)
 def test_tree_codecs_round_trip(tree):
-    assert parse_tree_text(write_tree_text(tree)) == tree
-    assert parse_tree_text(write_tree_text(tree).encode()) == tree
     assert decode_tree(encode_tree(tree)) == tree
 
 

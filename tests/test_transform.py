@@ -43,13 +43,12 @@ def test_bce_single_clause():
 
 def test_bce_stack_records_are_ordered():
     _, stack = bce(encode(30))
-    assert [r.order_index for r in stack] == list(range(len(stack)))
     for record in stack:
         assert record.blocking_literal in record.clause
 
 
 def records(stack):
-    return [(r.clause, r.blocking_literal, r.order_index) for r in stack]
+    return [(r.clause, r.blocking_literal) for r in stack]
 
 
 @pytest.mark.parametrize("n", [30, 300, 1000, 7825])
@@ -153,7 +152,7 @@ def test_reconstruct_empty_stack():
 def test_reconstruct_single_step():
     # clause (1 2) eliminated on literal 1; assignment falsifying it
     from triplesat.transform import EliminationRecord
-    stack = [EliminationRecord((1, 2), 1, 0)]
+    stack = [EliminationRecord((1, 2), 1)]
     repaired = reconstruct({1: False, 2: False}, stack)
     assert repaired == {1: True, 2: False}
 
