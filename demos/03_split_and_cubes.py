@@ -6,9 +6,21 @@ from collections import Counter
 
 from triplesat.cubecodec import decode_tree, encode_tree
 from triplesat.encoder import encode
-from triplesat.lookahead import (branch_scores, cubes, leaf_cubes,
-                                 parse_cutoff, split, write_inccnf)
+from triplesat.lookahead import (LookaheadEngine, _compute_h, _measure, cubes,
+                                 leaf_cubes, params_for_mode, parse_cutoff,
+                                 residual_clauses, split, write_inccnf)
 from triplesat.transform import bce
+
+
+def branch_scores(formula, assignment, mode):
+    """Score table {variable: score} for one mode under `assignment`
+    {variable: bool}, as split measures a node's candidates."""
+    true = {var if value else -var for var, value in assignment.items()}
+    residual = residual_clauses(formula.clauses, true)
+    free = {abs(l) for c in residual for l in c}
+    h = _compute_h(residual, free, params_for_mode(mode))
+    return _measure(LookaheadEngine(residual), h, sorted(free), mode)[2]
+
 
 formula, _ = bce(encode(300))
 print("splitting the reduced n=300 encoding (%d clauses)" % len(formula.clauses))

@@ -18,6 +18,8 @@ from __future__ import annotations
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import neg
 
 SATISFIED = "satisfied"
 FALSIFIED = "falsified"
@@ -40,8 +42,8 @@ class Formula:
     num_vars: int = 0
 
     def __post_init__(self):
-        self.clauses = tuple(tuple(c) for c in self.clauses)
-        top = max((abs(l) for c in self.clauses for l in c), default=0)
+        self.clauses = tuple(map(tuple, self.clauses))
+        top = max(map(abs, chain.from_iterable(self.clauses)), default=0)
         if self.num_vars < top:
             self.num_vars = top
 
@@ -165,9 +167,18 @@ def propagate_clauses(clauses, assumptions=()):
 
 
 def is_flip_symmetric(formula):
-    """True iff complementing every literal permutes the clause multiset."""
+    """True iff complementing every literal permutes the clause multiset.
+
+    Clause tuples are counted first: when each tuple occurs as often as its
+    literal-wise negation, the formula is flip-symmetric.  Otherwise a
+    flipped clause may list its literals in another order, or repeat one,
+    and the count of literal sets decides.
+    """
+    counts = Counter(formula.clauses)
+    if all(counts[tuple(map(neg, lits))] == k for lits, k in counts.items()):
+        return True
     counts = Counter(map(frozenset, formula.clauses))
-    return all(counts[frozenset(-l for l in lits)] == k
+    return all(counts[frozenset(map(neg, lits))] == k
                for lits, k in counts.items())
 
 

@@ -76,12 +76,15 @@ class _Reader:
 
 def encode_tree(tree):
     """Serialize a CubeTree to bytes; preorder, yes-branch first.  Anything
-    in it that is not a Leaf or a Node raises CodecError."""
+    in it that is not a Node or a cutoff or refuted Leaf raises CodecError."""
     body = bytearray()
     internal = 0
     leaves = 0
     for node, _ in preorder(tree):
         if isinstance(node, Leaf):
+            if node.status not in (CUTOFF, REFUTED):
+                raise CodecError("leaf status %r is neither %r nor %r"
+                                 % (node.status, CUTOFF, REFUTED))
             leaves += 1
             _write_varint(body, _LEAF_TOKENS[node.status])
         elif isinstance(node, Node):

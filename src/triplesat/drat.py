@@ -55,7 +55,8 @@ class CheckResult:
 
 
 def parse_drat(text, linenos=None):
-    """Parse ASCII DRAT: 0-terminated integer clauses, `d` prefix for deletions.
+    """Parse ASCII DRAT: 0-terminated integer clauses; a line is a deletion
+    when its first whitespace-separated token is `d`.
 
     Malformed lines raise cnf.DimacsError carrying the line number.  With
     a `linenos` list, the 1-based file line of each step is appended to it,
@@ -67,11 +68,9 @@ def parse_drat(text, linenos=None):
         stripped = line.strip()
         if not stripped or stripped.startswith("c"):
             continue
-        kind = "a"
-        if stripped.startswith("d"):
-            kind = "d"
-            stripped = stripped[1:]
-        proof.append((kind, parse_clause_line(stripped, lineno)))
+        kind = "d" if stripped.split(None, 1)[0] == "d" else "a"
+        body = stripped[1:] if kind == "d" else stripped
+        proof.append((kind, parse_clause_line(body, lineno)))
         if linenos is not None:
             linenos.append(lineno)
     return proof

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain, repeat
 
 from .cnf import Formula, Propagator
 
@@ -58,11 +59,17 @@ def arithmetic_witness_check():
 
 
 def encode(n):
-    """Formula asserting a triple-free 2-partition of {1..n}; var bound is n."""
+    """Formula asserting a triple-free 2-partition of {1..n}; var bound is n.
+
+    Every literal is taken from one table of 2n+1 ints (`lits[-v]` is -v by
+    negative indexing), so all clauses, and every later copy of them, share
+    one int object per literal value.
+    """
+    lits = [*range(n + 1), *range(-n, 0)]
     clauses = []
     for a, b, c in enumerate_triples(n):
-        clauses.append((a, b, c))
-        clauses.append((-a, -b, -c))
+        clauses.append((lits[a], lits[b], lits[c]))
+        clauses.append((lits[-a], lits[-b], lits[-c]))
     return Formula(clauses, num_vars=n)
 
 
@@ -90,10 +97,8 @@ def occurrence_stats(formula):
     Returns (occurring variable count, Counter var -> occurrences, most
     frequent variable or None).  Ties go to the smallest variable index.
     """
-    counts = Counter()
-    for clause in formula.clauses:
-        for var in {abs(l) for l in clause}:
-            counts[var] += 1
+    counts = Counter(chain.from_iterable(
+        map(set, map(map, repeat(abs), formula.clauses))))
     if not counts:
         return 0, counts, None
     best = min(counts, key=lambda v: (-counts[v], v))

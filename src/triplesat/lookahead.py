@@ -301,17 +301,6 @@ def _measure(engine, h, candidates, mode):
     return best_var, failed, scores
 
 
-def branch_scores(formula, assignment, mode, params=None):
-    """Score table {variable: score} for one mode under `assignment`
-    {variable: bool}; inspection helper."""
-    params = params or params_for_mode(mode)
-    true = {var if value else -var for var, value in assignment.items()}
-    residual = residual_clauses(formula.clauses, true)
-    free = {abs(l) for c in residual for l in c}
-    h = _compute_h(residual, free, params)
-    return _measure(LookaheadEngine(residual), h, sorted(free), mode)[2]
-
-
 def check_mode(mode):
     """Raise ValueError unless `mode` is one of MODES."""
     if mode not in MODES:

@@ -25,7 +25,7 @@ from .cnf import (DimacsError, Formula, clause_line, clause_status, evaluate,
 from .encoder import occurrence_stats
 
 
-@dataclass
+@dataclass(slots=True)
 class EliminationRecord:
     clause: tuple
     blocking_literal: int
@@ -45,48 +45,83 @@ def bce(formula):
     clause whose witnesses all live cannot be blocked; so when a clause D
     is eliminated, only the live neighbours of D that hold D as a witness
     are re-queued.
+
+    Occurrence lists are keyed by literal, never sized by the largest
+    variable, and keep eliminated clauses, which `alive` skips.  A cursor
+    walks the clauses in index order; a heap holds only re-queued clauses,
+    which are all below the cursor, so popping them first keeps the order.
+    A clause of three distinct literals tests a partner with two `in`
+    checks on the partner's tuple; any other clause builds a clash set.
     """
-    clauses = [tuple(c) for c in formula.clauses]
-    occ = defaultdict(set)
+    clauses = formula.clauses
+    occ = defaultdict(list)
     offsets = [0]    # witness[offsets[idx]:offsets[idx + 1]] are clause idx's
     for idx, clause in enumerate(clauses):
         for lit in clause:
-            occ[lit].add(idx)
+            occ[lit].append(idx)
         offsets.append(offsets[-1] + len(clause))
     witness = [-1] * offsets[-1]
     alive = [True] * len(clauses) + [False]   # alive[-1] is False: no witness yet
-    heap = list(range(len(clauses)))          # sorted, so already a heap
-    pending = [True] * len(clauses)
+    pending = [True] * len(clauses)           # not popped since it was queued
+    requeued = []                             # a heap, all below the cursor
+    cursor = 0
     stack = []
 
-    while heap:
-        idx = heapq.heappop(heap)
+    def find_witness(slot, lit, idx, p, q):
+        """Store in witness[slot] the first live clause other than idx that
+        holds -lit but neither p nor q; False if there is none."""
+        for j in occ[-lit]:
+            if alive[j] and j != idx:
+                partner = clauses[j]
+                if p not in partner and q not in partner:
+                    witness[slot] = j
+                    return True
+        return False
+
+    while True:
+        if requeued:
+            idx = heapq.heappop(requeued)
+        elif cursor < len(clauses):
+            idx = cursor
+            cursor += 1
+        else:
+            break
         pending[idx] = False
         clause = clauses[idx]
         slot = offsets[idx]
         blocking = None
-        for lit in clause:
-            if not alive[witness[slot]]:
-                clash = {-m for m in clause if m != lit}
-                for j in occ[-lit]:
-                    if j != idx and clash.isdisjoint(clauses[j]):
-                        witness[slot] = j
+        if len(clause) == 3 and clause[0] != clause[1] != clause[2] != clause[0]:
+            x, y, z = clause
+            if not (alive[witness[slot]] or find_witness(slot, x, idx, -y, -z)):
+                blocking = x
+            elif not (alive[witness[slot + 1]]
+                      or find_witness(slot + 1, y, idx, -x, -z)):
+                blocking = y
+            elif not (alive[witness[slot + 2]]
+                      or find_witness(slot + 2, z, idx, -x, -y)):
+                blocking = z
+        else:
+            for lit in clause:
+                if not alive[witness[slot]]:
+                    clash = {-m for m in clause if m != lit}
+                    for j in occ[-lit]:
+                        if alive[j] and j != idx and clash.isdisjoint(clauses[j]):
+                            witness[slot] = j
+                            break
+                    else:
+                        blocking = lit
                         break
-                else:
-                    blocking = lit
-                    break
-            slot += 1
+                slot += 1
         if blocking is None:
             continue
         alive[idx] = False
-        for lit in clause:
-            occ[lit].discard(idx)
         stack.append(EliminationRecord(clause, blocking))
         for lit in clause:
             for j in occ[-lit]:
-                if not pending[j] and idx in witness[offsets[j]:offsets[j + 1]]:
+                if (alive[j] and not pending[j]
+                        and idx in witness[offsets[j]:offsets[j + 1]]):
                     pending[j] = True
-                    heapq.heappush(heap, j)
+                    heapq.heappush(requeued, j)
 
     reduced = [c for i, c in enumerate(clauses) if alive[i]]
     return Formula(reduced, formula.num_vars), stack

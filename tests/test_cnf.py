@@ -288,3 +288,30 @@ def test_flip_symmetry_matches_two_counters():
         assert is_flip_symmetric(formula) == expected
         outcomes[expected] += 1
     assert min(outcomes[True], outcomes[False]) >= 400, outcomes
+
+    # near misses of the clause-tuple count: some flipped clauses list their
+    # literals in another order, so only the literal-set count can decide
+    def tuples_match(formula):
+        return Counter(formula.clauses) == \
+            Counter(tuple(-l for l in c) for c in formula.clauses)
+
+    decided = Counter()
+    for _ in range(1500):
+        half = list(random_formula(rng, max_vars=5, max_clauses=6).clauses)
+        flipped = [tuple(-l for l in c) for c in half]
+        for at in rng.sample(range(len(flipped)), rng.randint(1, len(flipped))):
+            flipped[at] = tuple(rng.sample(flipped[at], len(flipped[at])))
+        clauses = half + flipped
+        if rng.randrange(2):
+            at = rng.randrange(len(clauses))
+            clause = list(clauses[at])
+            clause[-1] = -clause[-1]
+            clauses[at] = tuple(clause)
+        rng.shuffle(clauses)
+        formula = Formula(clauses)
+        if tuples_match(formula):
+            continue
+        expected = two_counters(formula)
+        assert is_flip_symmetric(formula) == expected
+        decided[expected] += 1
+    assert min(decided[True], decided[False]) >= 200, decided

@@ -105,6 +105,9 @@ def test_writers_reject_a_non_node():
         encode_tree(Node(1, Leaf(CUTOFF), None))
     with pytest.raises(CodecError, match="not a tree node: 7"):
         encode_tree(7)
+    for status in ("open", None, ["cutoff"]):
+        with pytest.raises(CodecError, match="leaf status"):
+            encode_tree(Node(1, Leaf(CUTOFF), Leaf(status)))
 
 
 def test_deep_chain_round_trips():

@@ -33,8 +33,9 @@ def test_parse_drat_keeps_file_lines():
     assert linenos == [3, 4, 6]
 
 
-@pytest.mark.parametrize("text, line", [("1 0 2 0\n", 1), ("-1 0\nd 1 x 0\n", 2)],
-                         ids=["interior-zero", "non-integer"])
+@pytest.mark.parametrize("text, line", [("1 0 2 0\n", 1), ("-1 0\nd 1 x 0\n", 2),
+                                        ("-1 0\nd1 0\n", 2)],
+                         ids=["interior-zero", "non-integer", "glued-deletion"])
 def test_parse_drat_reports_bad_lines(text, line):
     with pytest.raises(DimacsError) as info:
         parse_drat(text)

@@ -20,6 +20,16 @@ def brute_triples(n):
     return sorted(out, key=lambda t: (t[2], t[1], t[0]))
 
 
+def test_encode_shares_one_int_per_literal():
+    """Every literal slot of the encoding holds the one int object of its
+    value, so the copies made by bce, symmetry breaking and split share
+    them too."""
+    formula = encode(1000)
+    slots = [lit for clause in formula.clauses for lit in clause]
+    assert len(slots) == 6 * len(enumerate_triples(1000))
+    assert len({id(lit) for lit in slots}) == len(set(slots))
+
+
 def test_no_triples_below_five():
     assert enumerate_triples(4) == []
     assert enumerate_triples(1) == []

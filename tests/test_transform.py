@@ -1,5 +1,7 @@
 import hashlib
 import random
+import time
+import tracemalloc
 
 import pytest
 
@@ -58,6 +60,27 @@ def test_bce_matches_reference_on_encoding(n):
     expected_reduced, expected_stack = reference_bce(formula)
     assert reduced.clauses == expected_reduced.clauses
     assert records(stack) == records(expected_stack)
+
+
+def test_bce_does_not_size_by_variable_numbers():
+    """Occurrences are keyed by literal, so a formula naming variable 10^8
+    reduces in milliseconds and a few kilobytes, not per variable."""
+    big = 100000000
+    formula = Formula([(1, 2, big), (-1, -2, -big), (1, -2, 3), (-1, 2, -3),
+                       (big, 3), (-big, -3)])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        reduced, stack = bce(formula)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected_reduced, expected_stack = reference_bce(formula)
+    assert reduced.clauses == expected_reduced.clauses
+    assert records(stack) == records(expected_stack)
+    assert elapsed < 0.5
+    assert peak < 1 << 16
 
 
 def random_messy_formula(rng):
