@@ -48,10 +48,6 @@ def _emit(path, text):
         sys.stdout.write(text)
 
 
-def _load_formula(path):
-    return parse_dimacs(_read(path))
-
-
 def _print_verdict(verdict, model=None):
     if verdict == cdcl.SAT:
         print("s SATISFIABLE")
@@ -94,7 +90,7 @@ def cmd_encode(args):
 
 
 def cmd_transform(args):
-    formula = _load_formula(getattr(args, "in"))
+    formula = parse_dimacs(_read(getattr(args, "in")))
     reduced, stack = bce(formula)
     pivot = None
     if args.break_symmetry:
@@ -111,7 +107,7 @@ def cmd_transform(args):
 
 
 def cmd_split(args):
-    formula = _load_formula(getattr(args, "in"))
+    formula = parse_dimacs(_read(getattr(args, "in")))
     values = _settings(args, ("mode", "cutoff", "preselect", "alpha", "beta",
                               "gamma", "iterations"))
     tree = split(formula, parse_cutoff(values["cutoff"]), values["mode"],
@@ -134,10 +130,8 @@ def cmd_solve(args):
     proof = [] if args.proof else None
     if args.cubes:
         formula, cube_list = parse_inccnf(_read(args.cubes))
-    elif getattr(args, "in") is not None:
-        formula, cube_list = _load_formula(getattr(args, "in")), []
     else:
-        raise ValueError("solve needs --in or --cubes")
+        formula, cube_list = parse_dimacs(_read(getattr(args, "in"))), []
     # the closing empty cube is the whole formula, with the cubes refuted
     # before it; solving stops at a SAT cube, so the last result decides
     result = cdcl.solve_incremental(formula, [*cube_list, ()], proof=proof,
@@ -150,7 +144,7 @@ def cmd_solve(args):
 
 
 def cmd_check(args):
-    formula = _load_formula(args.formula)
+    formula = parse_dimacs(_read(args.formula))
     linenos = []          # step index -> 1-based line of the proof file
     proof = drat.parse_drat(_read(args.proof), linenos=linenos)
     pivots = tuple(args.symmetry_pivot or ())
@@ -174,7 +168,7 @@ def _print_check_stats(result, prefix=""):
 
 def cmd_unpack_cubes(args):
     tree = cubecodec.decode_tree(_read(getattr(args, "in")))
-    formula = _load_formula(args.formula)
+    formula = parse_dimacs(_read(args.formula))
     _emit(args.out, write_inccnf(formula, cubes(tree)))
     return 0
 
@@ -188,7 +182,6 @@ def cmd_pipeline(args):
         cutoff=values["cutoff"],
         second_cutoff=values["second_cutoff"],
         two_level=args.two_level,
-        apply_bce=True if args.bce else None,
         workers=values["workers"],
         conflict_budget=args.conflict_budget,
         params=pipeline.config_params(values),
@@ -214,7 +207,7 @@ def cmd_pipeline(args):
 
 
 def cmd_backbone(args):
-    formula = _load_formula(getattr(args, "in"))
+    formula = parse_dimacs(_read(getattr(args, "in")))
     literals = cdcl.backbone(formula, conflict_budget=args.conflict_budget)
     for lit in sorted(literals, key=abs):
         print(lit)
@@ -258,8 +251,9 @@ def build_parser():
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("solve", help="CDCL solve, optionally over a cube file")
-    p.add_argument("--in")
-    p.add_argument("--cubes")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in")
+    source.add_argument("--cubes")
     p.add_argument("--proof")
     p.add_argument("--conflict-budget", type=pipeline.integer)
     p.set_defaults(func=cmd_solve)
@@ -286,8 +280,6 @@ def build_parser():
     p.add_argument("--cutoff")
     p.add_argument("--second-cutoff")
     p.add_argument("--two-level", action="store_true")
-    p.add_argument("--bce", action="store_true",
-                   help="apply blocked clause elimination to DIMACS inputs too")
     p.add_argument("--workers", type=pipeline.SETTING_TYPES["workers"])
     p.add_argument("--conflict-budget", type=pipeline.integer)
     p.add_argument("--output-dir")

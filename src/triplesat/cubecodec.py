@@ -76,7 +76,8 @@ class _Reader:
 
 def encode_tree(tree):
     """Serialize a CubeTree to bytes; preorder, yes-branch first.  Anything
-    in it that is not a Node or a cutoff or refuted Leaf raises CodecError."""
+    in it but a Node of nonzero int literal or a cutoff or refuted Leaf
+    raises CodecError (a zero literal would write the refuted-leaf token)."""
     body = bytearray()
     internal = 0
     leaves = 0
@@ -88,6 +89,9 @@ def encode_tree(tree):
             leaves += 1
             _write_varint(body, _LEAF_TOKENS[node.status])
         elif isinstance(node, Node):
+            if type(node.literal) is not int or node.literal == 0:
+                raise CodecError("decision literal %r is not a nonzero int"
+                                 % (node.literal,))
             internal += 1
             _write_varint(body, _zigzag(node.literal) + 1)
         else:

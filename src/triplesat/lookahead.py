@@ -440,7 +440,8 @@ def parse_inccnf(text):
     """Inverse of write_inccnf; returns (Formula, list of cubes).
 
     A line is a cube when its first whitespace-separated token is `a`.
-    Malformed lines raise cnf.DimacsError carrying the line number.
+    Malformed lines raise cnf.DimacsError carrying the line number, as do
+    a missing or second header and a clause or cube before the header.
     """
     clauses = []
     cube_list = []
@@ -450,17 +451,18 @@ def parse_inccnf(text):
         if not stripped or stripped.startswith("c"):
             continue
         if stripped.startswith("p"):
+            if saw_header:
+                raise DimacsError("duplicate header", lineno)
             if stripped.split() != ["p", "inccnf"]:
                 raise DimacsError("malformed inccnf header %r" % stripped, lineno)
             saw_header = True
             continue
-        is_cube = stripped.split(None, 1)[0] == "a"
-        body = stripped[1:] if is_cube else stripped
-        lits = parse_clause_line(body, lineno)
-        if is_cube:
-            cube_list.append(lits)
+        if not saw_header:
+            raise DimacsError("clause or cube before header", lineno)
+        if stripped.split(None, 1)[0] == "a":
+            cube_list.append(parse_clause_line(stripped[1:], lineno))
         else:
-            clauses.append(lits)
+            clauses.append(parse_clause_line(stripped, lineno))
     if not saw_header:
-        raise DimacsError("missing `p inccnf` header")
+        raise DimacsError("missing `p inccnf` header", 1)
     return Formula(clauses), cube_list

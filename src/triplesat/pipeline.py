@@ -1,5 +1,10 @@
 """End-to-end orchestration: encode, transform, split, solve, validate.
 
+The transform phase runs blocked clause elimination on every input, then
+breaks the flip symmetry of an `encode(n)` input only: a DIMACS or
+in-memory formula keeps a plain DRAT proof, which a checker accepts
+without symmetry pivots.
+
 UNSAT runs produce a merged proof (transformation proof, cube proofs in
 index order, tautology proof) that is checked once, against the original
 formula; SAT runs produce a repaired model validated against the
@@ -138,7 +143,6 @@ class PipelineConfig:
     two_level: bool = False
     workers: int = _default("workers")
     conflict_budget: Optional[int] = None
-    apply_bce: Optional[bool] = None  # None: on for encode(n), off for DIMACS
     params: Optional[HeuristicParams] = None  # None: the mode's parameters
     preselect: float = _default("preselect")
 
@@ -260,13 +264,9 @@ def run(config):
     report.phase_times["encode"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    stack = []
+    work, stack = bce(original)
     pivot = None
-    work = original
-    do_bce = is_ptn if config.apply_bce is None else config.apply_bce
-    if do_bce:
-        work, stack = bce(work)
-    if is_ptn and any(work.clauses):
+    if is_ptn:
         work, pivot = symmetry_break(work)
     transform_proof = emit_transform_proof(stack, pivot)
     report.phase_times["transform"] = time.perf_counter() - start

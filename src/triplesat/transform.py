@@ -152,16 +152,18 @@ def reconstruct(assignment, stack, formula=None):
 def symmetry_break(formula):
     """Add a unit clause on the most frequent variable of a flip-symmetric formula.
 
-    The formula's clause multiset must be invariant under complementing
-    all literals (verified; a ValueError is raised otherwise), which makes
-    the unit addition satisfiability-equivalent.  Ties on occurrence
-    counts go to the smallest variable index.
+    Returns (broken formula, pivot).  The formula's clause multiset must be
+    invariant under complementing all literals (verified; a ValueError is
+    raised otherwise), which makes the unit addition satisfiability-
+    equivalent.  Ties on occurrence counts go to the smallest variable
+    index.  With no variable occurring there is nothing to break: the
+    result is (formula, None).
     """
     if not is_flip_symmetric(formula):
         raise ValueError("formula is not flip-symmetric; refusing to break symmetry")
-    occurring, _, pivot = occurrence_stats(formula)
-    if not occurring:
-        raise ValueError("formula has no occurring variables")
+    pivot = occurrence_stats(formula)[2]
+    if pivot is None:
+        return formula, None
     broken = Formula(list(formula.clauses) + [(pivot,)], formula.num_vars)
     return broken, pivot
 

@@ -536,6 +536,19 @@ def test_cli_real_flags_take_decimal_notation():
             assert getattr(args, flag[2:]) == want
 
 
+@pytest.mark.parametrize("flags", [["solve"],
+                                   ["solve", "--in", "f.cnf", "--cubes", "f.icnf"],
+                                   ["pipeline", "--n", "30", "--bce"]],
+                         ids=["solve-no-input", "solve-two-inputs", "pipeline-bce"])
+def test_cli_usage_errors_exit_2(flags, captured_config, capsys):
+    """solve reads exactly one of --in and --cubes; BCE takes no switch."""
+    with pytest.raises(SystemExit) as exc:
+        main(flags)
+    assert exc.value.code == 2
+    assert not captured_config
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_pipeline_cli_rejects_zero_workers(captured_config, capsys):
     assert main(["pipeline", "--n", "30", "--workers", "0"]) == 1
     assert not captured_config
@@ -553,7 +566,6 @@ def test_backbone_cli(tmp_path, capsys):
 
 def test_error_exit_code(tmp_path, capsys):
     assert main(["solve", "--in", str(tmp_path / "missing.cnf")]) == 1
-    assert main(["solve"]) == 1
     assert main(["transform", "--in", str(tmp_path / "missing.cnf")]) == 1
 
 

@@ -108,6 +108,10 @@ def test_writers_reject_a_non_node():
     for status in ("open", None, ["cutoff"]):
         with pytest.raises(CodecError, match="leaf status"):
             encode_tree(Node(1, Leaf(CUTOFF), Leaf(status)))
+    # zigzag(0) + 1 is the refuted-leaf token
+    for literal in (0, 1.0, "1", True, None):
+        with pytest.raises(CodecError, match="decision literal"):
+            encode_tree(Node(literal, Leaf(CUTOFF), Leaf(CUTOFF)))
 
 
 def test_deep_chain_round_trips():

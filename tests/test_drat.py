@@ -10,6 +10,7 @@ from triplesat import cdcl, drat, pipeline
 from triplesat.cnf import DimacsError, Formula
 from triplesat.drat import (check_proof, merge_hints, merge_proofs, parse_drat,
                             write_drat)
+from triplesat.transform import bce
 
 from conftest import (FIG1_PROOF, REPO, ap3_formula, brute_sat, check_rat,
                       check_rup, extension_clauses, random_formula,
@@ -744,6 +745,8 @@ def test_rnd_unsat_merged_check_stats():
         sys.path.remove(str(REPO / "bench"))
     base = random_3sat(130, round(4.8 * 130), RND_BASE_SEED)
     formula = relabel(base, random.Random(11))
+    # the pipeline's BCE eliminates nothing here, so the pin is its traffic
+    assert bce(formula)[1] == []
     result = pipeline.run(pipeline.PipelineConfig(
         formula=formula, mode="rnd3sat", cutoff=WORKLOADS["rnd-unsat"].cutoff))
     assert result.verdict == cdcl.UNSAT

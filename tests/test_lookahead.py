@@ -592,14 +592,19 @@ def test_inccnf_cube_is_a_line_whose_first_token_is_a(line, cube):
 
 
 def test_inccnf_requires_header():
-    with pytest.raises(ValueError):
-        parse_inccnf("1 2 0\na 1 0\n")
+    for text in ("1 2 0\na 1 0\n", "", "c only a comment\n"):
+        with pytest.raises(DimacsError) as info:
+            parse_inccnf(text)
+        assert info.value.line == 1
 
 
 @pytest.mark.parametrize("text, line", [("p inccnf\n1 0 2 0\n", 2),
                                         ("p inccnf\n1 2 0\na 1 y 0\n", 3),
-                                        ("p inccnf\na1 0\n", 2)],
-                         ids=["interior-zero", "non-integer", "a-glued-to-1"])
+                                        ("p inccnf\na1 0\n", 2),
+                                        ("1 2 0\np inccnf\na 1 0\n", 1),
+                                        ("p inccnf\n1 0\np inccnf\n", 3)],
+                         ids=["interior-zero", "non-integer", "a-glued-to-1",
+                              "clause-before-header", "second-header"])
 def test_inccnf_reports_bad_lines(text, line):
     with pytest.raises(DimacsError) as info:
         parse_inccnf(text)

@@ -149,11 +149,26 @@ def test_run_ap3_instances():
     assert evaluate(ap3_formula(8), sat.model) == SATISFIED
 
 
-def test_run_generic_with_bce():
-    result = pipeline.run(pipeline.PipelineConfig(formula=ap3_formula(9),
-                                                  cutoff="depth:3",
-                                                  apply_bce=True))
-    assert result.verdict == cdcl.UNSAT
+def test_run_generic_with_bce(tmp_path):
+    """A DIMACS input gets BCE too: clauses over fresh variables 10 and 11
+    are blocked.  The UNSAT proof deletes them and is plain DRAT; the SAT
+    model is repaired to satisfy them."""
+    from triplesat.cnf import parse_dimacs, write_dimacs
+    blocked = [(10, 1), (10, -1), (-10, 11, 2)]
+    for n, verdict in ((9, cdcl.UNSAT), (8, cdcl.SAT)):
+        path = tmp_path / ("ap3-%d.cnf" % n)
+        formula = Formula(ap3_formula(n).clauses + tuple(blocked))
+        path.write_text(write_dimacs(formula))
+        original = parse_dimacs(path.read_bytes())
+        result = pipeline.run(pipeline.PipelineConfig(formula_path=str(path),
+                                                      cutoff="depth:3"))
+        assert result.verdict == verdict
+        assert result.pivot is None
+        if verdict == cdcl.UNSAT:
+            assert set(result.proof[:3]) == {("d", clause) for clause in blocked}
+            assert drat.check_proof(original, result.proof, refutation=True)
+        else:
+            assert evaluate(original, result.model) == SATISFIED
 
 
 def test_run_formula_path(tmp_path):
@@ -364,10 +379,8 @@ def every_cube_until_sat(config):
     """(cube list, verdicts up to the first SAT cube, that cube's model as
     the run reports it) from solving every cube of the run's split on its
     own with `solve_one_cube`."""
-    stack = []
-    work = config.formula
+    work, stack = bce(config.formula if config.n is None else encode(config.n))
     if config.n is not None:
-        work, stack = bce(encode(config.n))
         work, _ = symmetry_break(work)
     cube_list = cubes(split(work, parse_cutoff(config.cutoff), config.mode,
                             config.params, config.preselect))

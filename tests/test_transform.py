@@ -191,6 +191,11 @@ def test_symmetry_break_pivot_small():
     assert reduced.clauses[-1] == (12,)
 
 
+def test_symmetry_break_leaves_a_formula_without_variables():
+    for formula in (Formula([]), Formula([()])):
+        assert symmetry_break(formula) == (formula, None)
+
+
 def test_symmetry_break_refuses_asymmetric():
     with pytest.raises(ValueError):
         symmetry_break(Formula([(1, 2)]))
