@@ -125,7 +125,6 @@ class Solver:
         self._empty_emitted = False
         check_budget(conflict_budget)
         self.conflict_budget = conflict_budget
-        self.taut_vars = set()
         self.conflicts = 0
         self.decisions = 0
         self.propagations = 0
@@ -216,7 +215,6 @@ class Solver:
             if len(occurring) < len(clause):   # a repeat or a tautology
                 clause = list(dict.fromkeys(clause))
                 if len(occurring) < len(clause):
-                    self.taut_vars |= occurring
                     continue
             kept.append(clause)
             if numbers is not None:
@@ -450,10 +448,8 @@ class Solver:
         return None
 
     def _model(self):
-        model = {abs(lit): lit > 0 for lit in self.trail}
-        for var in self.taut_vars:
-            model.setdefault(var, False)
-        return model
+        """The trail as a dict; at SAT, every touched variable is on it."""
+        return {abs(lit): lit > 0 for lit in self.trail}
 
     def _result(self, verdict, model=None):
         return SolveResult(verdict, model, self.conflicts, self.decisions,
@@ -558,9 +554,7 @@ def backbone(formula, **kwargs):
     if first.verdict != SAT:
         raise ValueError("backbone undefined: formula is not satisfiable (%s)"
                          % first.verdict)
-    occurring = {abs(l) for c in formula.clauses for l in c}
-    candidates = {(v if val else -v) for v, val in first.model.items()
-                  if v in occurring}
+    candidates = {(v if val else -v) for v, val in first.model.items()}
     confirmed = set()
     while True:
         todo = sorted(candidates - confirmed, key=abs)

@@ -189,6 +189,8 @@ def cmd_pipeline(args):
     result = pipeline.run(config)
     for phase, seconds in result.report.phase_times.items():
         print("c %-10s %8.3fs" % (phase, seconds))
+    if result.pivot is not None:
+        print("c symmetry pivot %d" % result.pivot)
     # solving stops at the first SAT cube, so fewer may have been solved
     print("c cubes: %d, solved: %d" % (len(result.cube_results),
                                        len(result.report.cube_stats)))
@@ -274,8 +276,9 @@ def build_parser():
 
     p = sub.add_parser("pipeline", help="run all phases end to end",
                        parents=[settings])
-    p.add_argument("--n", type=pipeline.integer)
-    p.add_argument("--in")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--n", type=pipeline.integer)
+    source.add_argument("--in")
     p.add_argument("--mode", help=_MODE_HELP)
     p.add_argument("--cutoff")
     p.add_argument("--second-cutoff")

@@ -122,11 +122,9 @@ def decode_tree(data):
         if token in _LEAF_STATUS:
             seen[1] += 1
             return Leaf(_LEAF_STATUS[token])
-        literal = _unzigzag(token - 1)
-        if literal == 0:
-            raise CodecError("zero decision literal")
         seen[0] += 1
-        return Node(literal, None, None)
+        # tokens 0 and 1 are leaves, so the literal is nonzero
+        return Node(_unzigzag(token - 1), None, None)
 
     tree = build_preorder(read_node)
     if (seen[0], seen[1]) != (internal, leaves):

@@ -47,7 +47,6 @@ MODE_PTN = "ptn3sat"
 MODE_RND = "rnd3sat"
 MODE_BIN = "count_bin"
 MODE_VAR = "count_var"
-MODES = (MODE_PTN, MODE_RND, MODE_BIN, MODE_VAR)
 
 
 @dataclass
@@ -68,9 +67,23 @@ class HeuristicParams:
 PTN_PARAMS = HeuristicParams()
 RND_PARAMS = HeuristicParams(alpha=0.1, beta=25.0, gamma=3.3, iterations=4)
 
+# mode -> (the `look_ahead` field whose product over both polarities scores
+# a variable: 0 weight, 1 assigned count, 2 new binaries; default params)
+_MODE_TABLE = {MODE_PTN: (0, PTN_PARAMS), MODE_RND: (0, RND_PARAMS),
+               MODE_BIN: (2, PTN_PARAMS), MODE_VAR: (1, PTN_PARAMS)}
+MODES = tuple(_MODE_TABLE)
+
+
+def check_mode(mode):
+    """Raise ValueError unless `mode` is one of MODES."""
+    if mode not in MODES:
+        raise ValueError("unknown mode %r; expected one of %s"
+                         % (mode, ", ".join(MODES)))
+
 
 def params_for_mode(mode):
-    return RND_PARAMS if mode == MODE_RND else PTN_PARAMS
+    check_mode(mode)
+    return _MODE_TABLE[mode][1]
 
 
 @dataclass
@@ -87,14 +100,13 @@ class Node:
 
 @dataclass
 class CutoffPolicy:
-    """A node becomes a cutoff leaf when any enabled trigger fires."""
+    """A node becomes a cutoff leaf at the depth limit, which the caller
+    checks first, or when any enabled trigger fires."""
     min_binaries: Optional[int] = None   # binary-clause count >= threshold
     max_free_vars: Optional[int] = None  # unassigned occurring vars <= threshold
     depth_limit: int = 64                # mandatory termination bound
 
-    def triggers(self, depth, n_binaries, n_free_vars):
-        if depth >= self.depth_limit:
-            return True
+    def triggers(self, n_binaries, n_free_vars):
         if self.min_binaries is not None and n_binaries >= self.min_binaries:
             return True
         if self.max_free_vars is not None and n_free_vars <= self.max_free_vars:
@@ -252,16 +264,6 @@ class LookaheadEngine(Propagator):
         return weight, len(true), new_binaries, False
 
 
-def _score(mode, pos, neg):
-    if mode in (MODE_PTN, MODE_RND):
-        return pos[0] * neg[0]
-    if mode == MODE_BIN:
-        return pos[2] * neg[2]
-    if mode == MODE_VAR:
-        return pos[1] * neg[1]
-    raise ValueError("unknown mode %r" % mode)
-
-
 def _candidates(free, h, preselect):
     """The variables to look ahead on, ascending: all of `free`, or its
     `preselect` share of highest h(v) * h(~v), ties to the smaller."""
@@ -280,6 +282,7 @@ def _measure(engine, h, candidates, mode):
     smallest of the top-scoring variables that neither polarity refutes,
     or None.  Every refuted literal is failed and its variable unscored.
     """
+    field = _MODE_TABLE[mode][0]
     best_var = None
     best_score = -1.0
     failed = []
@@ -293,19 +296,12 @@ def _measure(engine, h, candidates, mode):
             failed.append(-var)
         if pos[3] or neg[3]:
             continue
-        score = _score(mode, pos, neg)
+        score = pos[field] * neg[field]
         scores[var] = score
         if score > best_score:
             best_score = score
             best_var = var
     return best_var, failed, scores
-
-
-def check_mode(mode):
-    """Raise ValueError unless `mode` is one of MODES."""
-    if mode not in MODES:
-        raise ValueError("unknown mode %r; expected one of %s"
-                         % (mode, ", ".join(MODES)))
 
 
 def check_preselect(preselect):
@@ -346,7 +342,7 @@ def split(formula, cutoff, mode=MODE_PTN, params=None, preselect=1.0):
                 return Leaf(CUTOFF)
             n_bin = sum(1 for c in residual if len(c) == 2)
             free = {abs(l) for c in residual for l in c}
-            if cutoff.triggers(depth, n_bin, len(free)):
+            if cutoff.triggers(n_bin, len(free)):
                 return Leaf(CUTOFF)
             h = _compute_h(residual, free, params)
             engine = LookaheadEngine(residual)

@@ -188,15 +188,15 @@ class PipelineResult:
 # ----------------------------------------------------------------- solve phase
 
 
-def solve_one_cube(formula, cube, config, hints=None):
+def solve_one_cube(formula, cube, config):
     """Solve formula AND cube with `cdcl.solve_incremental` on `[cube]`.
 
     Two-level mode first re-splits the cube under `config.second_cutoff`
     and puts each non-empty sub-cube, prefixed with the cube, before it, so
     the last entry closes the cube.  Returns (SolveResult of the last call,
-    proof, split seconds, solve seconds); the result's counters cover every
-    call on the cube's solver.  A `hints` list gets the proof's hints, in
-    a solver's numbering of `formula` (see `cdcl`).
+    proof, split seconds, solve seconds, hints); the result's counters
+    cover every call on the cube's solver, and the hints are the proof's,
+    in a solver's numbering of `formula` (see `cdcl`).
     """
     start = time.perf_counter()
     cube_list = [cube]
@@ -210,17 +210,11 @@ def solve_one_cube(formula, cube, config, hints=None):
     split_elapsed = time.perf_counter() - start
 
     start = time.perf_counter()
-    proof = []
+    proof, hints = [], []
     results = cdcl.solve_incremental(formula, cube_list, proof=proof,
                                      conflict_budget=config.conflict_budget,
                                      hints=hints)
-    return results[-1], proof, split_elapsed, time.perf_counter() - start
-
-
-def _solve_hinted(formula, cube, config):
-    """`solve_one_cube`'s outcome with its proof's hints appended."""
-    hints = []
-    return (*solve_one_cube(formula, cube, config, hints=hints), hints)
+    return results[-1], proof, split_elapsed, time.perf_counter() - start, hints
 
 
 def _until_sat(outcomes):
@@ -279,7 +273,7 @@ def run(config):
     report.cube_sizes = [len(cube) for cube in cube_list]
 
     start = time.perf_counter()
-    solve = functools.partial(_solve_hinted, work, config=config)
+    solve = functools.partial(solve_one_cube, work, config=config)
     if config.workers == 1:
         outcomes = _until_sat(map(solve, cube_list))
     else:

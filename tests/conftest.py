@@ -23,8 +23,9 @@ from triplesat.cdcl import INDETERMINATE, SAT, UNSAT, SolveResult, luby
 from triplesat.cnf import (Formula, Propagator, is_flip_symmetric, lit_value,
                            propagate_clauses)
 from triplesat.drat import CheckResult, _Checker
-from triplesat.lookahead import (CUTOFF, REFUTED, Leaf, LookaheadError, Node,
-                                 _score, build_preorder, check_mode, cubes,
+from triplesat.lookahead import (CUTOFF, MODE_BIN, MODE_PTN, MODE_RND,
+                                 MODE_VAR, REFUTED, Leaf, LookaheadError, Node,
+                                 build_preorder, check_mode, cubes,
                                  params_for_mode, parse_cutoff, split)
 from triplesat.transform import EliminationRecord
 
@@ -387,6 +388,16 @@ def reference_candidates(residual, table, preselect):
     return sorted(ranked[:keep])
 
 
+def reference_score(mode, pos, neg):
+    if mode in (MODE_PTN, MODE_RND):
+        return pos[0] * neg[0]
+    if mode == MODE_BIN:
+        return pos[2] * neg[2]
+    if mode == MODE_VAR:
+        return pos[1] * neg[1]
+    raise ValueError("unknown mode %r" % mode)
+
+
 def reference_measure(engine, mode, preselect=1.0):
     """Look ahead on both polarities of every candidate variable.
 
@@ -407,7 +418,7 @@ def reference_measure(engine, mode, preselect=1.0):
             failed.append(-var)
         if pos[3] or neg[3]:
             continue
-        score = _score(mode, pos, neg)
+        score = reference_score(mode, pos, neg)
         scores[var] = score
         if score > best_score:
             best_score = score
@@ -491,7 +502,7 @@ def reference_split(formula, cutoff, mode="ptn3sat", params=None, preselect=1.0,
                 return Leaf(CUTOFF)
             n_bin = sum(1 for c in residual if len(c) == 2)
             n_free = len({abs(l) for c in residual for l in c})
-            if cutoff.triggers(depth, n_bin, n_free):
+            if cutoff.triggers(n_bin, n_free):
                 return Leaf(CUTOFF)
             table = reference_compute_h(residual, params)
             best, failed, _ = reference_measure(

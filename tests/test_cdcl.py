@@ -123,7 +123,6 @@ def test_repeated_literals_and_tautologies():
     formula = Formula([(2, 2, 1), (3, -3, 4), (-1,)])
     solver = Solver(formula)
     assert solver.clauses == [[2, 1], [-1]]
-    assert solver.taut_vars == {3, 4}
     result = solver.solve()
     assert result.verdict == SAT
     # the tautology's variables occur nowhere else and default to False

@@ -126,7 +126,7 @@ def scenario_session(formula, proof, rng, budget, hits):
             hits["add_refuted"] += 1
         events.append(outcome(solver.solve()))
     events.append((solver.clauses, solver.activity, solver.phase,
-                   solver.var_inc, sorted(solver.taut_vars)))
+                   solver.var_inc))
     return events
 
 

@@ -342,6 +342,41 @@ def test_pipeline_cli_unsat(tmp_path, capsys):
                  "--refutation"]) == 0
 
 
+def test_readme_staged_walk_through_verifies(tmp_path, capsys):
+    """README's staged commands on a small UNSAT formula: the solve proof
+    leans on the symmetry unit, so it is rejected alone and verifies after
+    the transform proof, under the pivot transform printed."""
+    cnf, t_cnf = tmp_path / "f.cnf", tmp_path / "f.t.cnf"
+    t_proof, icnf, proof = (tmp_path / name for name in
+                            ("f.t.drat", "f.icnf", "f.drat"))
+    cnf.write_text(write_dimacs(ap3_formula(9)))
+    assert main(["transform", "--in", str(cnf), "--out", str(t_cnf),
+                 "--proof", str(t_proof), "--break-symmetry"]) == 0
+    pivot = capsys.readouterr().out.split("c symmetry pivot ")[1].split()[0]
+    assert main(["split", "--in", str(t_cnf), "--cutoff", "depth:2",
+                 "--out", str(icnf)]) == 0
+    assert main(["solve", "--cubes", str(icnf), "--proof", str(proof)]) == 20
+    assert main(["check", "--formula", str(cnf), "--proof", str(proof),
+                 "--refutation"]) == 1
+    both = tmp_path / "f.all.drat"
+    both.write_text(t_proof.read_text() + proof.read_text())
+    capsys.readouterr()
+    assert main(["check", "--formula", str(cnf), "--proof", str(both),
+                 "--refutation", "--symmetry-pivot", pivot]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "s VERIFIED"
+
+
+def test_pipeline_cli_prints_the_symmetry_pivot(tmp_path, capsys):
+    # the pivot transform prints for encode(300); a DIMACS input is not
+    # symmetry-broken, so its run prints none
+    assert main(["pipeline", "--n", "300", "--cutoff", "depth:3"]) == 0
+    assert "c symmetry pivot 120" in capsys.readouterr().out.splitlines()
+    cnf = tmp_path / "w.cnf"
+    cnf.write_text(write_dimacs(ap3_formula(9)))
+    assert main(["pipeline", "--in", str(cnf), "--cutoff", "depth:3"]) == 20
+    assert "symmetry pivot" not in capsys.readouterr().out
+
+
 def test_pipeline_cli_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("cutoff = depth:2\nmode = count_bin\n")
@@ -538,10 +573,14 @@ def test_cli_real_flags_take_decimal_notation():
 
 @pytest.mark.parametrize("flags", [["solve"],
                                    ["solve", "--in", "f.cnf", "--cubes", "f.icnf"],
-                                   ["pipeline", "--n", "30", "--bce"]],
-                         ids=["solve-no-input", "solve-two-inputs", "pipeline-bce"])
+                                   ["pipeline", "--n", "30", "--bce"],
+                                   ["pipeline"],
+                                   ["pipeline", "--n", "30", "--in", "f.cnf"]],
+                         ids=["solve-no-input", "solve-two-inputs", "pipeline-bce",
+                              "pipeline-no-input", "pipeline-two-inputs"])
 def test_cli_usage_errors_exit_2(flags, captured_config, capsys):
-    """solve reads exactly one of --in and --cubes; BCE takes no switch."""
+    """solve reads exactly one of --in and --cubes, pipeline exactly one of
+    --n and --in; BCE takes no switch."""
     with pytest.raises(SystemExit) as exc:
         main(flags)
     assert exc.value.code == 2
@@ -562,6 +601,11 @@ def test_backbone_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1" in out.splitlines()[0]
     assert "backbone size 1" in out
+
+
+def test_encode_cli_rejects_n_below_one(capsys):
+    assert main(["encode", "--n", "0"]) == 1
+    assert capsys.readouterr().err == "error: n must be positive\n"
 
 
 def test_error_exit_code(tmp_path, capsys):

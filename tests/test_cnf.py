@@ -57,6 +57,11 @@ def test_parse_errors_carry_line_numbers():
         parse_dimacs("p cnf 2 1\n1 x 0\n")  # non-integer token
     with pytest.raises(DimacsError):
         parse_dimacs("1 2 0\n")  # no header
+    with pytest.raises(DimacsError, match="line 3: duplicate header"):
+        parse_dimacs("p cnf 2 1\n1 2 0\np cnf 2 1\n")
+    for header in ("p cnf -1 0", "p cnf 2 -1"):
+        with pytest.raises(DimacsError, match="line 2: negative header counts"):
+            parse_dimacs("c counts\n%s\n" % header)
 
 
 @pytest.mark.parametrize("data, line", [(b"\xff", 1),

@@ -111,6 +111,13 @@ def test_check_proof_rejects_bare_empty(fig1_formula):
     assert result.line == 0
 
 
+def test_check_proof_rejects_an_unknown_line_kind(fig1_formula):
+    result = check_proof(fig1_formula, [("a", (-1,)), ("x", (2,))])
+    assert not result
+    assert result.line == 1
+    assert result.reason == "unknown line kind 'x'"
+
+
 def test_check_proof_refutation_needs_empty(fig1_formula):
     assert not check_proof(fig1_formula, [("a", (-1,))], refutation=True)
 

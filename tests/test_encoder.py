@@ -35,6 +35,12 @@ def test_no_triples_below_five():
     assert enumerate_triples(1) == []
 
 
+def test_triples_need_n_at_least_one():
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="n must be positive"):
+            enumerate_triples(n)
+
+
 def test_first_triple():
     assert enumerate_triples(5) == [(3, 4, 5)]
 

@@ -48,7 +48,7 @@ def solve_cubes(formula, cutoff, **settings):
                  config.preselect)
     out = []
     for cube in cubes(tree):
-        result, proof, _, _ = pipeline.solve_one_cube(formula, cube, config)
+        result, proof, *_ = pipeline.solve_one_cube(formula, cube, config)
         out.append((counters(result), proof_digest(proof)))
     return out
 
@@ -88,7 +88,7 @@ def test_solve_one_cube_ptn7825_budget():
     config = pipeline.PipelineConfig(formula=formula, conflict_budget=300)
     out = []
     for cube in ((3900,), (-3900,)):
-        result, proof, _, _ = pipeline.solve_one_cube(formula, cube, config)
+        result, proof, *_ = pipeline.solve_one_cube(formula, cube, config)
         out.append((counters(result), proof_digest(proof)))
     assert out == [
         (("indeterminate", 300, 666, 53151), "729916b617a22b0b"),

@@ -42,6 +42,13 @@ def test_params_presets():
     assert (r.alpha, r.beta, r.gamma) == (0.1, 25.0, 3.3)
 
 
+def test_params_for_mode_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode 'nosuchmode'"):
+        params_for_mode("nosuchmode")
+    assert [params_for_mode(mode) for mode in MODES] == [
+        PTN_PARAMS, RND_PARAMS, PTN_PARAMS, PTN_PARAMS]
+
+
 def test_parse_cutoff():
     policy = parse_cutoff("bin:3000,vars:3450,depth:20")
     assert policy.min_binaries == 3000
@@ -371,6 +378,34 @@ def test_split_matches_reference_split(rng):
                 refuted += sum(status == REFUTED for _, status in want)
     assert rounds["failed_rounds"] >= 50
     assert refuted >= 50
+
+
+def test_vars_cutoff_matches_reference_split(rng):
+    """The paper's second cutoff, alone and beside bin:N: the trees are the
+    reference's, they have cutoff leaves, and in some cases each trigger
+    alone gives another tree."""
+    seen = Counter()
+    for _ in range(20):
+        n = rng.randint(12, 20)
+        formula = Formula([tuple(v if rng.random() < 0.5 else -v
+                                 for v in rng.sample(range(1, n + 1), 3))
+                           for _ in range(int(n * rng.uniform(3, 4.2)))], n)
+        most, least = rng.randint(n // 3, 2 * n // 3), rng.randint(2, 3 * n // 4)
+        specs = {"depth": "depth:64", "vars": "vars:%d" % most,
+                 "bin": "bin:%d" % least,
+                 "bin,vars": "bin:%d,vars:%d" % (least, most)}
+        for mode in MODES:
+            trees = {kind: leaf_cubes(split(formula, parse_cutoff(spec), mode))
+                     for kind, spec in specs.items()}
+            for kind in ("vars", "bin,vars"):
+                cutoff = parse_cutoff(specs[kind])
+                assert trees[kind] == leaf_cubes(
+                    reference_split(formula, cutoff, mode))
+                seen[kind] += any(status == CUTOFF for _, status in trees[kind])
+            seen.update(pair for pair in [("vars", "depth"), ("bin,vars", "vars"),
+                                          ("bin,vars", "bin")]
+                        if trees[pair[0]] != trees[pair[1]])
+    assert len(+seen) == 5, seen
 
 
 def test_split_propagates_the_whole_formula_once(monkeypatch):

@@ -318,7 +318,7 @@ def test_solve_one_cube_matches_reference(two_level, budget):
                for cube in cube_list]
         old = [reference_solve_one_cube(formula, cube, config)
                for cube in cube_list]
-        for cube, (got, _, _, _), (want, _, _, _) in zip(cube_list, new, old):
+        for cube, (got, *_), (want, *_) in zip(cube_list, new, old):
             hits[got.verdict] += 1
             if got.verdict == cdcl.SAT:
                 restricted = list(formula.clauses) + [(l,) for l in cube]
