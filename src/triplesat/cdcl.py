@@ -43,8 +43,13 @@ class SolveResult:
 
 
 def check_budget(budget):
-    """Raise ValueError unless `budget` is None or a conflict count >= 1."""
-    if budget is not None and budget < 1:
+    """Raise ValueError unless `budget` is None or a conflict count: an
+    int, not a bool, of at least 1."""
+    if budget is None:
+        return
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise ValueError("conflict budget must be an int, got %r" % (budget,))
+    if budget < 1:
         raise ValueError("conflict budget must be >= 1, got %r" % (budget,))
 
 
@@ -231,9 +236,11 @@ class Solver:
         them UNSAT: emitted to the proof, then attached.  A no-op once the
         solver is unsatisfiable outright.
         """
+        negation = [-l for l in assumptions]
+        if 0 in negation:
+            raise ValueError("literal 0 is reserved")
         if not self.ok:
             return
-        negation = [-l for l in assumptions]
         self._grow(max(map(abs, negation), default=0))
         self._touch(set(map(abs, negation)))
         self._emit(negation)
@@ -281,9 +288,19 @@ class Solver:
     # -------------------------------------------------------------- propagation
 
     def _propagate(self):
-        """Propagate pending assignments; returns a conflicting clause."""
+        """Propagate pending assignments; returns a conflicting clause.
+
+        A visited clause whose other watch is not true looks for a new
+        watch among its literals from position 2 on.  Most clauses of the
+        paper's instances have three literals, so a 3-literal clause tests
+        `clause[2]` alone, with no loop; a 2-literal one has nothing to
+        look at.  Visited clauses either stay on `neg` (compacted into
+        `watchers[:kept]`, in order) or moved to another list, so at a
+        conflict the visited part ends at `kept + moved` and the unvisited
+        clauses after it stay where they are."""
         trail, watches = self.trail, self.watches
         vals, level, reason = self.vals, self.level, self.reason
+        push = trail.append
         lvl = len(self.trail_lim)
         qhead = self.qhead
         start = qhead
@@ -293,7 +310,8 @@ class Solver:
             qhead += 1
             watchers = watches[neg]
             kept = 0               # watchers[:kept] stay on neg, in order
-            for pos, clause in enumerate(watchers):
+            moved = 0              # visited watchers that left neg
+            for clause in watchers:
                 first = clause[0]
                 if first == neg:
                     first = clause[0] = clause[1]
@@ -303,26 +321,37 @@ class Solver:
                     watchers[kept] = clause
                     kept += 1
                     continue
-                for k in range(2, len(clause)):
-                    other = clause[k]
+                if len(clause) == 3:
+                    other = clause[2]
                     if vals[other] is not False:
                         clause[1] = other
-                        clause[k] = neg
+                        clause[2] = neg
                         watches[other].append(clause)
-                        break
-                else:
-                    watchers[kept] = clause
-                    kept += 1
-                    if val is False:
-                        confl = clause
-                        del watchers[kept:pos + 1]   # the unvisited ones stay
-                        break
-                    vals[first] = True
-                    vals[-first] = False
-                    var = abs(first)
-                    level[var] = lvl
-                    reason[var] = clause
-                    trail.append(first)
+                        moved += 1
+                        continue
+                elif len(clause) > 3:
+                    for k in range(2, len(clause)):
+                        other = clause[k]
+                        if vals[other] is not False:
+                            clause[1] = other
+                            clause[k] = neg
+                            watches[other].append(clause)
+                            moved += 1
+                            break
+                    if clause[1] != neg:
+                        continue
+                watchers[kept] = clause
+                kept += 1
+                if val is False:
+                    confl = clause
+                    del watchers[kept:kept + moved]   # the unvisited ones stay
+                    break
+                vals[first] = True
+                vals[-first] = False
+                var = abs(first)
+                level[var] = lvl
+                reason[var] = clause
+                push(first)
             if confl is not None:
                 break
             del watchers[kept:]
@@ -336,8 +365,10 @@ class Solver:
         """First-UIP learning from the conflicting clause `confl`.  Every
         variable met is bumped while assigned, so it leaves the queue and
         `_backtrack` queues it again at its new activity.  Returns the
-        learned clause, the backtrack level and, when hints are kept, the
-        clauses used, in the order the `hints` sink takes them."""
+        learned clause, the backtrack level (0 for a unit), the position
+        in it of the first literal at that level (0 for a unit) and, when
+        hints are kept, the clauses used, in the order the `hints` sink
+        takes them."""
         trail, level, reason = self.trail, self.level, self.reason
         activity, queued, var_inc = self.activity, self.queued, self.var_inc
         cur = len(self.trail_lim)
@@ -377,9 +408,12 @@ class Solver:
             reason_clause = reason[abs(p)]
         # local minimization: drop tail literals whose reason is subsumed
         learnt = [-p]
+        bt_level = 0           # the highest level in learnt[1:], and
+        watch = 0              # the position of its first literal there
         used = [] if resolved is not None else None
         for q in tail:
-            r = reason[abs(q)]
+            var = abs(q)
+            r = reason[var]
             if r is not None:
                 for m in r:
                     if m != -q and abs(m) not in seen and level[abs(m)] != 0:
@@ -388,14 +422,13 @@ class Solver:
                     if used is not None:
                         used.append(r)
                     continue
+            if level[var] > bt_level:
+                bt_level = level[var]
+                watch = len(learnt)
             learnt.append(q)
-        if len(learnt) == 1:
-            bt_level = 0
-        else:
-            bt_level = max(level[abs(q)] for q in learnt[1:])
         if used is not None:
             used += reversed(resolved)
-        return learnt, bt_level, used
+        return learnt, bt_level, watch, used
 
     def _emit(self, lits, used=()):
         """Append an addition to the proof sink; with hints, append the
@@ -414,14 +447,12 @@ class Solver:
             self._empty_emitted = True
             self._emit(())
 
-    def _learn(self, learnt, bt_level, used):
+    def _learn(self, learnt, bt_level, watch, used):
         self._emit(learnt, used)
-        level = self.level
-        if len(learnt) > 1:
+        if watch > 1:
             # watch a max-level literal at position 1 so the watch pair is
             # exactly the pair that un-assigns last on backtracking
-            k = max(range(1, len(learnt)), key=lambda i: level[abs(learnt[i])])
-            learnt[1], learnt[k] = learnt[k], learnt[1]
+            learnt[1], learnt[watch] = learnt[watch], learnt[1]
         self._backtrack(bt_level)
         self.clauses.append(learnt)
         if len(learnt) == 1:
@@ -462,6 +493,8 @@ class Solver:
         is global; with assumptions it only refutes the cube.
         """
         assumptions = list(assumptions)
+        if 0 in assumptions:
+            raise ValueError("literal 0 is reserved")
         self._grow(max(map(abs, assumptions), default=0))
         self._backtrack(0)
         if not self.ok:

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Optional
 
 # `propagate_clauses` is not called here: bench/spans.py wraps it where
@@ -194,7 +196,9 @@ def _compute_h(residual, free, params):
     alpha, gamma = params.alpha, params.gamma
     ceiling = max(alpha, params.beta)
     for _ in range(params.iterations):
-        mu = sum([h[i] + h[-i] for i in range(1, n + 1)]) / (2 * n) if n else 1.0
+        # summed left to right: float sum() is compensated from Python 3.12
+        total = reduce(add, [h[i] + h[-i] for i in range(1, n + 1)], 0.0)
+        mu = total / (2 * n) if n else 1.0
         ratio = [weight / mu for weight in h]
         raw = [0.0] * size
         for clause in clauses:

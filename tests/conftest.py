@@ -309,7 +309,10 @@ def reference_compute_h(residual, params):
     n = len(occurring)
     means = []
     for _ in range(params.iterations):
-        mu = sum(h[v] + h[-v] for v in occurring) / (2 * n) if n else 1.0
+        total = 0.0
+        for v in occurring:    # left to right, as sum() was before 3.12
+            total += h[v] + h[-v]
+        mu = total / (2 * n) if n else 1.0
         means.append(mu)
         raw = dict.fromkeys(h, 0.0)
         for clause in residual:

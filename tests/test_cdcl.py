@@ -134,6 +134,23 @@ def test_literal_zero_rejected():
         Solver(Formula([(1, 0)]))
 
 
+def test_literal_zero_in_a_cube_rejected():
+    # vals[0] is vals[-0]: a 0 assumption used to be solved as a variable
+    formula = Formula([(1, 2), (-1, 2)])
+    with pytest.raises(ValueError, match="literal 0 is reserved"):
+        solve_incremental(formula, [(0,)])
+    proof = []
+    solver = Solver(formula, proof=proof)
+    with pytest.raises(ValueError, match="literal 0 is reserved"):
+        solver.solve(assumptions=[5, 0])
+    with pytest.raises(ValueError, match="literal 0 is reserved"):
+        solver.add_refuted([0, 9])
+    # no state changed: no slots grown, nothing stored or emitted
+    assert solver.cap == 2 and solver.trail == [] and proof == []
+    assert solver.clauses == [[1, 2], [-1, 2]]
+    assert solver.solve().model == {1: False, 2: True}
+
+
 def test_incremental_fig1(fig1_formula):
     proof = []
     results = solve_incremental(fig1_formula, [(1,), (-1,)], proof=proof)
@@ -176,6 +193,51 @@ def test_conflict_budget_below_one_rejected(budget):
     # it used to act as a budget of 1: one conflict, then indeterminate
     with pytest.raises(ValueError, match="conflict budget must be >= 1"):
         solve(ap3_formula(9), conflict_budget=budget)
+
+
+@pytest.mark.parametrize("budget", [True, False, 2.5, "3"])
+def test_conflict_budget_of_another_type_rejected(budget):
+    # True used to stop after 1 conflict, 2.5 after 3; "3" raised TypeError
+    with pytest.raises(ValueError, match="conflict budget must be an int"):
+        solve(ap3_formula(9), conflict_budget=budget)
+
+
+def _watch_invariant_holds(solver):
+    """Every stored clause of two or more literals is in the watch lists of
+    its literals 0 and 1 once each, and in no other watch list."""
+    watched = {}
+    for lit, clauses in solver.watches.items():
+        for clause in clauses:
+            watched.setdefault(id(clause), []).append(lit)
+    stored = [clause for clause in solver.clauses if len(clause) > 1]
+    return (sum(map(len, watched.values())) == 2 * len(stored)
+            and all(sorted(watched.get(id(clause), ())) == sorted(clause[:2])
+                    for clause in stored))
+
+
+def test_watch_invariant_after_solve_sessions(rng):
+    for case in range(120):
+        num_vars = rng.randint(4, 14)
+        clauses = []
+        for _ in range(rng.randint(num_vars, 5 * num_vars)):
+            # 2, 3 and 4-6 literal clauses, the watch loop's three paths
+            width = rng.choice((2, 3, 3, rng.randint(4, 6)))
+            variables = rng.sample(range(1, num_vars + 1), min(width, num_vars))
+            clauses.append(tuple(v if rng.random() < 0.5 else -v
+                                 for v in variables))
+        budget = rng.choice((None, 1, 3, 10))
+        solver = Solver(Formula(clauses, num_vars), proof=[],
+                        conflict_budget=budget)
+        assert _watch_invariant_holds(solver)
+        for _ in range(rng.randint(1, 5)):
+            cube = [v if rng.random() < 0.5 else -v
+                    for v in rng.sample(range(1, num_vars + 1),
+                                        rng.randint(0, 3))]
+            result = solver.solve(assumptions=cube)
+            assert _watch_invariant_holds(solver), (case, cube)
+            if result.verdict == UNSAT:
+                solver.add_refuted(cube)
+                assert _watch_invariant_holds(solver), (case, cube)
 
 
 def test_hints_leave_the_search_unchanged(rng):

@@ -182,6 +182,20 @@ def test_compute_h_matches_reference_at_paper_size():
         _hex_items(reference_compute_h(residual, PTN_PARAMS).values)
 
 
+def test_compute_h_means_sum_left_to_right():
+    """Each round's mean is a left-to-right float sum, as the reference's
+    explicit loop takes it, on every Python version: on this residual the
+    compensated float `sum()` of Python 3.12 and later gives another
+    table.  (Before 3.12 `sum()` is the same loop, so there this test
+    cannot tell the two apart.)"""
+    formula = symmetry_break(bce(encode(1000))[0])[0]
+    true, conflict = Propagator(formula.clauses).fixpoint([])
+    assert not conflict
+    residual = residual_clauses(formula.clauses, true)
+    assert _hex_items(h_table(residual, PTN_PARAMS)) == \
+        _hex_items(reference_compute_h(residual, PTN_PARAMS).values)
+
+
 def test_compute_h_memory_does_not_grow_with_variable_numbers():
     """The h-table's lists hold a slot per free literal, not one per
     literal up to the largest variable number, so a formula naming a

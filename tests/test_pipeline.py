@@ -57,6 +57,19 @@ def test_config_rejects_conflict_budget_below_one(budget):
     assert pipeline.PipelineConfig(n=30, conflict_budget=1)
 
 
+@pytest.mark.parametrize("budget", [True, 2.5, "3"])
+def test_config_rejects_conflict_budget_of_another_type(budget):
+    with pytest.raises(ValueError, match="conflict budget must be an int"):
+        pipeline.PipelineConfig(n=30, conflict_budget=budget)
+
+
+def test_solve_one_cube_rejects_literal_zero():
+    formula = Formula([(1, 2), (-1, 2)])
+    config = pipeline.PipelineConfig(formula=formula)
+    with pytest.raises(ValueError, match="literal 0 is reserved"):
+        pipeline.solve_one_cube(formula, (0,), config)
+
+
 @pytest.mark.parametrize("preselect", [0.0, -0.5, 1.01, float("nan"),
                                        float("inf")])
 def test_config_rejects_preselect_outside_unit_interval(preselect):
