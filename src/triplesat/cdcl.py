@@ -493,6 +493,10 @@ class Solver:
         is global; with assumptions it only refutes the cube.
         """
         assumptions = list(assumptions)
+        for lit in assumptions:
+            if isinstance(lit, bool) or not isinstance(lit, int):
+                raise ValueError("assumption literal must be an int, got %r"
+                                 % (lit,))
         if 0 in assumptions:
             raise ValueError("literal 0 is reserved")
         self._grow(max(map(abs, assumptions), default=0))

@@ -12,11 +12,12 @@ import os
 import sys
 
 from . import cdcl, cubecodec, drat, pipeline
-from .cnf import parse_dimacs, write_dimacs
+from .cnf import SATISFIED, Formula, evaluate, parse_dimacs, write_dimacs
 from .encoder import encode
 from .lookahead import (MODES, cubes, parse_cutoff, parse_inccnf, split,
                         write_inccnf)
-from .transform import bce, emit_transform_proof, symmetry_break, write_stack
+from .transform import (bce, emit_transform_proof, parse_stack, reconstruct,
+                        symmetry_break, write_stack)
 
 EXIT_SAT = 0
 EXIT_UNSAT = 20
@@ -136,11 +137,26 @@ def cmd_solve(args):
     # before it; solving stops at a SAT cube, so the last result decides
     result = cdcl.solve_incremental(formula, [*cube_list, ()], proof=proof,
                                     conflict_budget=args.conflict_budget)[-1]
+    model = result.model
+    if args.stack and result.verdict == cdcl.SAT:
+        model = _repair(model, formula, parse_stack(_read(args.stack)))
     _print_counters(result)
-    code = _print_verdict(result.verdict, result.model)
+    code = _print_verdict(result.verdict, model)
     if args.proof:
         _write(args.proof, drat.write_drat(proof))
     return code
+
+
+def _repair(model, formula, stack):
+    """A model of `formula` made a model of the formula `transform` reduced
+    to it, by the elimination stack; ValueError unless it satisfies every
+    clause of `formula` and of the stack."""
+    repaired = reconstruct(model, stack)
+    clauses = [*formula.clauses, *(record.clause for record in stack)]
+    if evaluate(Formula(clauses), repaired) != SATISFIED:
+        raise ValueError("the repaired model falsifies a clause of the "
+                         "formula or of the stack")
+    return repaired
 
 
 def cmd_check(args):
@@ -257,6 +273,8 @@ def build_parser():
     source.add_argument("--in")
     source.add_argument("--cubes")
     p.add_argument("--proof")
+    p.add_argument("--stack", help="repair a model with transform's "
+                                   "elimination stack")
     p.add_argument("--conflict-budget", type=pipeline.integer)
     p.set_defaults(func=cmd_solve)
 

@@ -7,10 +7,14 @@ declared variable bound (clauses may repeat).  Partial assignments are
 dicts mapping a variable to True/False.
 
 `Propagator` is the package's one occurrence-list unit propagator: the
-fixpoint of every split node and every look-ahead run through it.  The
-CDCL solver and the DRAT checker each keep a watched-literal propagator
-of their own, so the checker shares no propagation code with the solver
-whose proofs it checks.
+fixpoint of every split node, and of every look-ahead that can propagate
+more than its own literal, runs through it (see
+`lookahead.LookaheadEngine.look_ahead` for those that cannot).  Only a
+split's root is built from the formula's clauses; every node's
+propagator is derived from its parent's by `Propagator.of_residual`.
+The CDCL solver and the DRAT checker each keep a watched-literal
+propagator of their own, so the checker shares no propagation code with
+the solver whose proofs it checks.
 """
 
 from __future__ import annotations
@@ -86,8 +90,10 @@ def evaluate(formula, assignment):
 class Propagator:
     """Unit propagation over a fixed clause list.
 
-    Built once per clause list: literal -> clause-index occurrence lists,
-    plus the unit clauses, which every fixpoint asserts after its seeds.
+    Built once per clause list, or derived from a parent's
+    (`of_residual`): literal -> clause-index occurrence lists, plus the
+    unit clauses (those of one distinct literal), which every fixpoint
+    asserts after its seeds.
     Each `fixpoint` call propagates on a trail of its own, so nothing is
     undone or rebuilt between calls.
     """
@@ -98,14 +104,81 @@ class Propagator:
         self.has_empty = False
         occ = defaultdict(list)
         for idx, clause in enumerate(clauses):
-            if len(clause) < 2:
-                if clause:
+            lits = set(clause)
+            if len(lits) < 2:   # (a, a) is the unit a
+                if lits:
                     self.units.append(clause[0])
                 else:
                     self.has_empty = True
-            for lit in set(clause):
+            for lit in lits:
                 occ[lit].append(idx)
         self.occ = occ
+
+    @classmethod
+    def of_residual(cls, parent, true):
+        """The propagator of `parent`'s clauses reduced under `true`, the
+        literals of a fixpoint of `parent` without conflict: satisfied
+        clauses dropped, false literals stripped, clause and literal order
+        kept.  It holds the clauses, units and occurrence lists that
+        `Propagator(residual)` would, but for empty lists of literals that
+        no longer occur.
+
+        Only the clauses in the occurrence lists of `true` and of its
+        complements are read.  Every other clause is kept as the same
+        tuple, and the occurrence lists are `parent`'s, renumbered.  Such
+        a clause has no assigned literal, so it is no unit: every unit of
+        `parent` is true at its fixpoint.
+        """
+        clauses, occ = parent.clauses, parent.occ
+        touched = set()
+        for lit in true:
+            touched.update(occ.get(lit, ()))
+            touched.update(occ.get(-lit, ()))
+        residual = []
+        index = []          # `parent` clause index -> residual index, or -1
+        dropped = set()     # literals of clauses that `true` satisfies
+        units = []
+        has_empty = False
+        start = 0
+        for idx in sorted(touched):
+            base = len(residual)
+            residual += clauses[start:idx]
+            index += range(base, len(residual))
+            start = idx + 1
+            clause = clauses[idx]
+            reduced = []
+            for lit in clause:
+                if lit in true:
+                    index.append(-1)
+                    dropped.update(clause)
+                    break
+                if -lit not in true:
+                    reduced.append(lit)
+            else:
+                index.append(len(residual))
+                residual.append(tuple(reduced))
+                if not reduced:
+                    has_empty = True
+                elif reduced.count(reduced[0]) == len(reduced):
+                    units.append(reduced[0])
+        base = len(residual)
+        residual += clauses[start:]
+        index += range(base, len(residual))
+        renumber = index.__getitem__
+        reduced_occ = {}
+        for lit, idxs in occ.items():
+            if lit in true or -lit in true:
+                continue
+            if lit in dropped:
+                reduced_occ[lit] = [i for i in map(renumber, idxs) if i >= 0]
+            else:
+                reduced_occ[lit] = list(map(renumber, idxs))
+        self = cls.__new__(cls)
+        self.clauses = residual
+        self.units = units
+        self.has_empty = has_empty
+        self.occ = reduced_occ
+        return self
 
     def fixpoint(self, seeds, reduced=None):
         """(true literals, conflict) after asserting `seeds` and the unit

@@ -12,16 +12,27 @@ rounds: each round scales by the current mean and clamps into
 [alpha, beta], with gamma weighting binary-clause contributions.
 
 Each split node derives its residual, its set of free variables, its
-binary-clause count and its h-table once.  All of its look-aheads go
-through one `LookaheadEngine`, the `cnf.Propagator` of the residual,
-and take the h-table as an argument.  The engine propagates each
-literal on a trail of its own, and the fixpoint hands over the ternary
-clauses it left with two unassigned literals: only those are weighed, in
-clause order, with no second walk of the occurrence lists, so weights,
+binary-clause count and its h-table once.  Its residual and its
+`LookaheadEngine`, the `cnf.Propagator` of the residual, come from the
+propagator it settled on (`Propagator.of_residual`): only the clauses
+holding a literal that the node's fixpoint assigned are reduced or
+dropped, the others stay as the same tuples in clause order, and the
+occurrence lists are the parent's, renumbered.  So the root's
+`Propagator(formula.clauses)` is the only walk over the whole formula.
+A child node settles on its parent's engine, and a pending child keeps
+only its parent's residual and occurrence lists.
+
+All look-aheads of a node go through its engine and take the h-table as
+an argument.  When the residual has no unit or empty clause and the
+complement of the look-ahead literal occurs only in ternary clauses whose
+two other literals differ from each other and from the literal and its
+complement, the literal alone is assigned: those clauses become
+binary and are weighed straight from the occurrence list, with no
+fixpoint.  Any other look-ahead propagates on a trail of its own, and
+the fixpoint hands over the ternary clauses it left with two unassigned
+literals: only those are weighed, in clause order.  Either way weights,
 scores and trees are exactly those of propagating and rescanning the
-whole residual per look-ahead.  A child node settles on its parent's
-engine: only the root's fixpoint runs over the whole formula, and a
-pending child keeps only its parent's residual and occurrence lists.
+whole residual per look-ahead.
 
 The h-table's rounds run on flat lists indexed by each free variable's
 position, with the same float operations in the same order as on a
@@ -153,7 +164,9 @@ class LookaheadError(ValueError):
 
 def residual_clauses(clauses, true):
     """Reduce clauses under a set of true literals: drop satisfied clauses,
-    strip false literals, keep clause and literal order."""
+    strip false literals, keep clause and literal order.  `split` derives
+    its residuals with `Propagator.of_residual` instead; bench/spans.py
+    still wraps this name, so it stays here."""
     residual = []
     for clause in clauses:
         reduced = []
@@ -226,7 +239,8 @@ class LookaheadEngine(Propagator):
     """The look-aheads of one split node: the propagator of the node's
     residual.
 
-    Built once per node, so the occurrence lists and the residual's unit
+    Derived once per node from the propagator the node settled on
+    (`of_residual`), so the occurrence lists and the residual's unit
     clauses (which a non-fixpoint assignment can leave, and every
     look-ahead must assert too) are shared by all of its look-aheads.
     The node's h-table is passed to each look-ahead, so a child that
@@ -238,13 +252,41 @@ class LookaheadEngine(Propagator):
 
         The weight sums h(~y) * h(~z) over the newly created binaries
         (y | z); refuted means propagation conflicts, forcing the
-        complement.  The fixpoint hands over the ternary clauses it left
-        with two unassigned literals.  Such a clause has one false literal
-        or, satisfied since, a true one: two false ones would have made it
+        complement.
+
+        With no unit or empty clause in the residual, and every clause
+        holding ~lit a ternary whose two other literals are distinct and
+        neither lit nor ~lit, `lit` propagates nothing: those clauses are
+        the new binaries, weighed in the ascending order of `occ[~lit]`.
+        (A pair (a, ~a) is such a binary on both paths.)
+        Otherwise the fixpoint hands over the ternary clauses it left with
+        two unassigned literals.  Such a clause has one false literal or,
+        satisfied since, a true one: two false ones would have made it
         unit.  They are weighed in ascending index, which the fixpoint's
-        list already is when only `lit` holds, so the weight is the same
-        float sum a scan of the whole residual in clause order would give.
+        list already is when only `lit` holds.  Either way the weight is
+        the same float sum a scan of the whole residual in clause order
+        would give.
         """
+        if not (self.units or self.has_empty):
+            neg = -lit
+            clauses = self.clauses
+            occurrences = self.occ.get(neg, ())
+            weight = 0.0
+            for idx in occurrences:
+                clause = clauses[idx]
+                if len(clause) != 3:
+                    break
+                x, y, z = clause
+                # (x, y) becomes the pair beside neg; float products commute
+                if x == neg:
+                    x = z
+                elif y == neg:
+                    y = z
+                if x == y or x == lit or x == neg or y == lit or y == neg:
+                    break
+                weight += h[-x] * h[-y]
+            else:
+                return weight, 1, len(occurrences), False
         reduced = []
         true, conflict = self.fixpoint([lit], reduced)
         if conflict:
@@ -324,7 +366,8 @@ def split(formula, cutoff, mode=MODE_PTN, params=None, preselect=1.0):
     Only the root propagates over the whole formula.  A child's decision,
     or a round of forced complements, propagates on the look-ahead engine
     of the residual before it, which has no unit or empty clause left, so
-    fixpoints and residuals are those over the whole formula.
+    fixpoints and residuals are those over the whole formula.  Each
+    node's engine is derived from that propagator, not rebuilt.
     Nodes are settled in preorder, yes-branch first, from an explicit
     stack, so the tree depth is bounded by the cutoff, not by the
     interpreter's recursion limit.
@@ -333,42 +376,41 @@ def split(formula, cutoff, mode=MODE_PTN, params=None, preselect=1.0):
     check_preselect(preselect)
     params = params or params_for_mode(mode)
 
-    def settle(propagator, seeds, depth):
-        """A Leaf, or (branch variable, the node's look-ahead engine)."""
+    # (propagator, seed literals, depth) of nodes still to settle
+    pending = [(Propagator(formula.clauses), [], 0)]
+
+    def next_node():
+        """Settle the node on top of `pending`: a Leaf, or a Node whose
+        children are pushed, on its look-ahead engine."""
+        propagator, seeds, depth = pending.pop()
         while True:
             true, conflict = propagator.fixpoint(seeds)
             if conflict:
                 return Leaf(REFUTED)
             if depth >= cutoff.depth_limit:
                 return Leaf(CUTOFF)
-            residual = residual_clauses(propagator.clauses, true)
+            # the propagator settled on is freed here, unless a pending
+            # sibling holds it, so it is not alive beside the h-table rounds
+            propagator = LookaheadEngine.of_residual(propagator, true)
+            residual = propagator.clauses
             if not residual:
                 return Leaf(CUTOFF)
-            n_bin = sum(1 for c in residual if len(c) == 2)
+            n_bin = list(map(len, residual)).count(2)
             free = {abs(l) for c in residual for l in c}
             if cutoff.triggers(n_bin, len(free)):
                 return Leaf(CUTOFF)
             h = _compute_h(residual, free, params)
-            engine = LookaheadEngine(residual)
-            best, failed, _ = _measure(engine, h,
+            best, failed, _ = _measure(propagator, h,
                                        _candidates(free, h, preselect), mode)
             if any(-lit in failed for lit in failed):
                 return Leaf(REFUTED)
             if not failed:
-                return Leaf(CUTOFF) if best is None else (best, engine)
-            propagator, seeds = engine, [-lit for lit in failed]
-
-    # (propagator, seed literals, depth) of nodes still to settle
-    pending = [(Propagator(formula.clauses), [], 0)]
-
-    def next_node():
-        propagator, seeds, depth = pending.pop()
-        settled = settle(propagator, seeds, depth)
-        if isinstance(settled, Leaf):
-            return settled
-        best, engine = settled
-        pending.append((engine, [-best], depth + 1))
-        pending.append((engine, [best], depth + 1))
+                break
+            seeds = [-lit for lit in failed]
+        if best is None:
+            return Leaf(CUTOFF)
+        pending.append((propagator, [-best], depth + 1))
+        pending.append((propagator, [best], depth + 1))
         return Node(best, None, None)
 
     return build_preorder(next_node)

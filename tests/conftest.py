@@ -253,7 +253,9 @@ def reference_bce(formula):
 def reference_propagate(clauses, assumptions=(), order_rng=None):
     """Unit propagation by rescanning every clause until nothing is unit,
     setting one pending unit per scan (a random one when `order_rng` is
-    given).  Returns (assignment, conflict) like cnf.propagate_clauses."""
+    given).  A literal repeated in a clause counts once, so (a, a, b) is
+    the unit a once b is false.  Returns (assignment, conflict) like
+    cnf.propagate_clauses."""
     assign = {}
     for lit in assumptions:
         if assign.get(abs(lit), lit > 0) != (lit > 0):
@@ -262,7 +264,8 @@ def reference_propagate(clauses, assumptions=(), order_rng=None):
     while True:
         pending = []
         for clause in clauses:
-            unassigned = [l for l in clause if assign.get(abs(l)) is None]
+            unassigned = list(dict.fromkeys(
+                l for l in clause if assign.get(abs(l)) is None))
             satisfied = any(assign.get(abs(l)) == (l > 0) for l in clause)
             if satisfied:
                 continue

@@ -134,6 +134,18 @@ def test_literal_zero_rejected():
         Solver(Formula([(1, 0)]))
 
 
+@pytest.mark.parametrize("lit", [True, False, 1.0, "1", None])
+def test_assumption_of_another_type_rejected(lit):
+    # True used to be solved as literal 1, and 1.0 raised a bare TypeError
+    formula = Formula([(1, 2), (-1, 2)])
+    with pytest.raises(ValueError, match="assumption literal must be an int"):
+        solve_incremental(formula, [(lit,)])
+    solver = Solver(formula)
+    with pytest.raises(ValueError, match="assumption literal must be an int"):
+        solver.solve([2, lit])
+    assert solver.cap == 2 and solver.trail == []
+
+
 def test_literal_zero_in_a_cube_rejected():
     # vals[0] is vals[-0]: a 0 assumption used to be solved as a variable
     formula = Formula([(1, 2), (-1, 2)])

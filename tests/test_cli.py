@@ -4,7 +4,8 @@ import pytest
 
 from triplesat import cdcl, pipeline
 from triplesat.cli import build_parser, main
-from triplesat.cnf import Formula, SATISFIED, evaluate, parse_dimacs, write_dimacs
+from triplesat.cnf import (FALSIFIED, SATISFIED, Formula, evaluate,
+                           parse_dimacs, write_dimacs)
 from triplesat.cubecodec import decode_tree, encode_tree
 from triplesat.encoder import encode
 from triplesat.lookahead import (CUTOFF, PTN_PARAMS, REFUTED, RND_PARAMS, Leaf,
@@ -181,6 +182,42 @@ def test_solve_cubes_without_cubes_solves_the_formula(tmp_path, capsys):
     assert main(["check", "--formula", str(cnf), "--proof", str(proof),
                  "--refutation"]) == 0
     assert "s VERIFIED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [[], ["--break-symmetry"]])
+def test_solve_stack_repairs_the_model_of_the_original(tmp_path, capsys,
+                                                       flags):
+    """`solve --stack` prints a model of the formula before `transform`:
+    without the stack, unassigned eliminated variables read as false and
+    the model falsifies clauses of f.cnf."""
+    cnf, t_cnf, stack = (tmp_path / name
+                         for name in ("f.cnf", "f.t.cnf", "f.stack"))
+    assert main(["encode", "--n", "300", "--out", str(cnf)]) == 0
+    assert main(["transform", "--in", str(cnf), "--out", str(t_cnf),
+                 "--stack", str(stack), *flags]) == 0
+    original = parse_dimacs(cnf.read_text())
+    models = []
+    for argv in ([], ["--stack", str(stack)]):
+        capsys.readouterr()
+        assert main(["solve", "--in", str(t_cnf), *argv]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2] == "s SATISFIABLE"
+        models.append({abs(lit): lit > 0
+                       for lit in map(int, out[-1].split()[1:-1])})
+    unrepaired, repaired = models
+    unrepaired = {**dict.fromkeys(range(1, original.num_vars + 1), False),
+                  **unrepaired}
+    assert evaluate(original, unrepaired) == FALSIFIED
+    assert evaluate(original, repaired) == SATISFIED
+
+
+def test_solve_stack_rejects_a_model_it_cannot_repair(tmp_path, capsys):
+    # the record's blocking literal 1 falsifies the solved formula's (-1)
+    cnf, stack = tmp_path / "f.cnf", tmp_path / "f.stack"
+    cnf.write_text("p cnf 2 2\n-1 0\n-1 2 0\n")
+    stack.write_text("1 1 0\n")
+    assert main(["solve", "--in", str(cnf), "--stack", str(stack)]) == 1
+    assert "falsifies a clause" in capsys.readouterr().err
 
 
 def test_non_ascii_input_is_an_error_with_its_line(tmp_path, capsys):

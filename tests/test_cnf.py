@@ -8,7 +8,7 @@ from triplesat.cnf import (DimacsError, FALSIFIED, Formula, Propagator,
                            propagate_clauses, write_dimacs)
 
 from conftest import (FIG1_CLAUSES, brute_sat, is_tautology, random_formula,
-                      reference_propagate, resolve)
+                      reference_propagate, reference_residual, resolve)
 
 
 FIG1_TEXT = """p cnf 4 8
@@ -145,6 +145,8 @@ def test_unit_propagate_repeated_literal_is_one_literal():
     assert propagate_clauses([(2, 2, 1)], [-1]) == ({1: False, 2: True}, False)
     assert propagate_clauses([(2, 2, 1)], [-1, -2])[1]
     assert propagate_clauses([(2, -2, 1)], [-1]) == ({1: False}, False)
+    # a clause of one distinct literal is a unit clause
+    assert propagate_clauses([(2, 2), (-2, 1)]) == ({1: True, 2: True}, False)
 
 
 def test_unit_propagate_fixpoint_order_independent(rng):
@@ -193,6 +195,37 @@ def test_fixpoint_records_the_clauses_it_leaves_binary(rng):
         for idx in recorded:
             assert any(-lit in true for lit in clauses[idx]), (clauses, seeds)
     assert checked > 300
+
+
+def test_of_residual_matches_a_fresh_propagator(rng):
+    """A propagator derived from its parent's under a fixpoint holds the
+    clauses, units and occurrence lists of one built from the residual,
+    over two generations.  Literals are drawn with replacement, so clauses
+    repeat literals and hold both polarities of a variable."""
+    derived = 0
+    for _ in range(600):
+        num_vars = rng.randint(2, 7)
+        parent = Propagator(
+            tuple(tuple(rng.choice((1, -1)) * rng.randint(1, num_vars)
+                        for _ in range(rng.choice((1, 2, 3, 3, 3, 4))))
+                  for _ in range(rng.randint(1, 3 * num_vars))))
+        for _ in range(2):
+            seeds = [rng.choice((1, -1)) * rng.randint(1, num_vars)
+                     for _ in range(rng.randint(0, 2))]
+            true, conflict = parent.fixpoint(seeds)
+            if conflict:
+                break
+            child = Propagator.of_residual(parent, true)
+            fresh = Propagator(reference_residual(
+                parent.clauses, {abs(lit): lit > 0 for lit in true}))
+            assert child.clauses == fresh.clauses
+            assert (child.units, child.has_empty) == ([], False) == \
+                (fresh.units, fresh.has_empty)
+            assert {lit: idxs for lit, idxs in child.occ.items() if idxs} == \
+                fresh.occ
+            derived += 1
+            parent = child
+    assert derived > 400
 
 
 def test_propagation_conflict_implies_unsat(rng):

@@ -280,23 +280,38 @@ def _with_tautologies(rng, formula):
     return Formula(clauses, formula.num_vars)
 
 
+def _with_repeats(rng, formula):
+    """Ternary clauses that repeat a literal, such as (a, a, b) or
+    (a, -b, -b), which an in-memory Formula keeps."""
+    clauses = list(formula.clauses)
+    for _ in range(rng.randint(0, 2)):
+        a, b = (v if rng.random() < 0.5 else -v
+                for v in rng.sample(range(1, formula.num_vars + 1), 2))
+        clause = [a, b, b]
+        rng.shuffle(clause)
+        clauses.insert(rng.randint(0, len(clauses)), tuple(clause))
+    return Formula(clauses, formula.num_vars)
+
+
 def test_engine_matches_reference_look_ahead(rng):
     """Differential check of the per-node engine against the full-rescan
     look-ahead, under partial assignments that need not be fixpoints, so
-    residuals keep unit and empty clauses.  The reference's values cover
-    a literal that propagates nothing and one that propagates, each with
-    and without weight."""
-    seen_units = seen_empty = seen_weights = 0
+    residuals keep unit and empty clauses, and with ternary clauses that
+    repeat a literal.  The reference's values cover a literal that
+    propagates nothing and one that propagates, each with and without
+    weight."""
+    seen_units = seen_empty = seen_weights = seen_repeats = 0
     seen_kinds = Counter()
     for case in range(400):
-        formula = _with_tautologies(rng, random_formula(
-            rng, max_vars=12, allow_units=case % 4 == 0))
+        formula = _with_repeats(rng, _with_tautologies(rng, random_formula(
+            rng, max_vars=12, allow_units=case % 4 == 0)))
         assignment = {var: rng.random() < 0.5
                       for var in range(1, formula.num_vars + 1)
                       if rng.random() < 0.25}
         residual = residual_clauses(formula.clauses, true_literals(assignment))
         seen_units += any(len(c) == 1 for c in residual)
         seen_empty += any(not c for c in residual)
+        seen_repeats += any(len(c) == 3 and len(set(c)) < 3 for c in residual)
         if rng.random() < 0.5:
             table = h_table(residual, rng.choice([PTN_PARAMS, RND_PARAMS]))
         else:
@@ -315,8 +330,42 @@ def test_engine_matches_reference_look_ahead(rng):
                 assert got[1] == want[1]
                 seen_kinds[want[1] == 1, want[0] > 0] += 1
             seen_weights += got[0] > 0
-    assert seen_units and seen_empty and seen_weights
+    assert seen_units and seen_empty and seen_weights and seen_repeats
     assert len(seen_kinds) == 4, seen_kinds
+
+
+def test_look_ahead_skips_the_fixpoint_when_nothing_propagates(monkeypatch):
+    """A look-ahead on a literal whose complement sits only in ternary
+    clauses over three variables assigns that literal alone, and weighs
+    those clauses without a fixpoint.  Every clause of encode(300) is
+    such a clause.  A literal whose complement is in a binary clause, as
+    in the engine of a child node, propagates."""
+    root = Propagator(encode(300).clauses)
+    engine = LookaheadEngine.of_residual(root, root.fixpoint([])[0])
+    child = LookaheadEngine.of_residual(engine, engine.fixpoint([60])[0])
+    calls = []
+    original = Propagator.fixpoint
+
+    def spying(self, seeds, reduced=None):
+        calls.append(seeds)
+        return original(self, seeds, reduced)
+
+    monkeypatch.setattr(Propagator, "fixpoint", spying)
+    kinds = []
+    for node in (engine, child):
+        table = h_table(node.clauses, PTN_PARAMS)
+        kind = Counter()
+        for lit in table:
+            in_binary = any(len(node.clauses[idx]) == 2
+                            for idx in node.occ.get(-lit, ()))
+            calls.clear()
+            got = node.look_ahead(lit, table)
+            assert got == reference_look_ahead(node.clauses, lit, table)
+            assert calls == ([[lit]] if in_binary else [])
+            kind[in_binary] += 1
+        kinds.append(kind)
+    assert kinds[0][False] > 100 and not kinds[0][True]
+    assert kinds[1][False] > 100 and kinds[1][True] > 10
 
 
 def _best(residual, mode):
@@ -350,12 +399,13 @@ def test_split_depth_zero():
 def test_split_depth_limit_builds_no_residual(monkeypatch):
     """A node at the depth limit is a cutoff leaf once its fixpoint holds."""
     built = []
+    original = Propagator.of_residual.__func__
 
-    def counting(clauses, assign, original=residual_clauses):
-        built.append(len(assign))
-        return original(clauses, assign)
+    def counting(cls, parent, true):
+        built.append(len(true))
+        return original(cls, parent, true)
 
-    monkeypatch.setattr(lookahead, "residual_clauses", counting)
+    monkeypatch.setattr(Propagator, "of_residual", classmethod(counting))
     tree = split(encode(60), parse_cutoff("depth:1"))
     assert isinstance(tree, Node)
     assert tree.yes == tree.no == Leaf(CUTOFF)
@@ -423,26 +473,33 @@ def test_vars_cutoff_matches_reference_split(rng):
 
 
 def test_split_propagates_the_whole_formula_once(monkeypatch):
-    """Only the root's fixpoint runs over the whole formula; every other
-    propagator is a node's look-ahead engine over its residual."""
+    """Only the root's propagator walks the whole formula; every other
+    propagator is a node's look-ahead engine, derived from its parent's."""
     formula = encode(300)
     over_formula = []
+    derived = []
     original = Propagator.__init__
+    original_derive = Propagator.of_residual.__func__
 
     def counting(self, clauses):
         over_formula.append(clauses is formula.clauses)
         original(self, clauses)
 
+    def deriving(cls, parent, true):
+        derived.append(cls)
+        return original_derive(cls, parent, true)
+
     def forbidden(*args, **kwargs):
         raise AssertionError("split called propagate_clauses")
 
     monkeypatch.setattr(Propagator, "__init__", counting)
+    monkeypatch.setattr(Propagator, "of_residual", classmethod(deriving))
     monkeypatch.setattr(lookahead, "propagate_clauses", forbidden)
     monkeypatch.setattr(cnf, "propagate_clauses", forbidden)
     tree = split(formula, parse_cutoff("depth:3"))
     assert len(cubes(tree)) == 8
-    assert over_formula.count(True) == 1
-    assert len(over_formula) == 1 + 7   # the root, then one engine per node
+    assert over_formula == [True]   # one walk over formula.clauses
+    assert derived == [LookaheadEngine] * 7   # one engine per node
 
 
 def test_split_policy_postcondition_encode100():

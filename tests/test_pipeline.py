@@ -70,6 +70,14 @@ def test_solve_one_cube_rejects_literal_zero():
         pipeline.solve_one_cube(formula, (0,), config)
 
 
+@pytest.mark.parametrize("lit", [True, 1.0])
+def test_solve_one_cube_rejects_a_literal_of_another_type(lit):
+    formula = Formula([(1, 2), (-1, 2)])
+    config = pipeline.PipelineConfig(formula=formula)
+    with pytest.raises(ValueError, match="assumption literal must be an int"):
+        pipeline.solve_one_cube(formula, (lit,), config)
+
+
 @pytest.mark.parametrize("preselect", [0.0, -0.5, 1.01, float("nan"),
                                        float("inf")])
 def test_config_rejects_preselect_outside_unit_interval(preselect):
