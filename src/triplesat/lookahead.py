@@ -9,7 +9,10 @@ tree's closing DRAT lines.
 A look-ahead assigns a literal, propagates, and weighs the freshly
 created binary clauses.  Literal weights h(l) are refined over a few
 rounds: each round scales by the current mean and clamps into
-[alpha, beta], with gamma weighting binary-clause contributions.
+[alpha, beta], with gamma weighting binary-clause contributions.  The
+root's table runs `iterations` rounds from 1.0; every other node's
+starts from the table its parent branched on and runs one round, since
+a child's residual is its parent's with a few more literals assigned.
 
 Each split node derives its residual, its set of free variables, its
 binary-clause count and its h-table once.  Its residual and its
@@ -36,7 +39,9 @@ whole residual per look-ahead.
 
 The h-table's rounds run on flat lists indexed by each free variable's
 position, with the same float operations in the same order as on a
-dict, so tables match bit for bit and trees do not change.
+dict, so each table matches a dict-based round bit for bit.  The warm
+start below the root changes the tables, and with them the trees of
+depth 2 and more: a depth:1 tree has only the root's table.
 """
 
 from __future__ import annotations
@@ -67,7 +72,7 @@ class HeuristicParams:
     alpha: float = 8.0
     beta: float = 550.0
     gamma: float = 25.0
-    iterations: int = 4
+    iterations: int = 4      # the root's rounds; every other node runs one
 
     def __post_init__(self):
         if not (0 < self.alpha <= self.beta):
@@ -180,9 +185,14 @@ def residual_clauses(clauses, true):
     return residual
 
 
-def _compute_h(residual, free, params):
+def _compute_h(residual, free, params, start=None):
     """The node's h-table {literal: weight}, over the variables `free`,
     the set of those occurring in `residual`.
+
+    Without `start`, `params.iterations` rounds run from weights of 1.0.
+    With `start`, the table of the node's parent, each literal's weight
+    starts at `start[lit]` and one round runs: a child's free variables
+    are among its parent's, so every literal has its key there.
 
     Each round's mean sums over `free` in its iteration order, and each
     literal's raw weight adds its clauses' terms in clause order, so the
@@ -192,8 +202,9 @@ def _compute_h(residual, free, params):
     large the variable numbers are, and the residual is renamed once.
     The table returned has keys var, -var per variable of `free`.
     """
+    order = list(free)
     position = {}
-    for i, var in enumerate(free, 1):
+    for i, var in enumerate(order, 1):
         position[var] = i
         position[-var] = -i
     clauses = []
@@ -203,12 +214,19 @@ def _compute_h(residual, free, params):
                                  % (clause,))
         if len(clause) > 1:
             clauses.append(tuple([position[lit] for lit in clause]))
-    n = len(free)
+    n = len(order)
     size = 2 * n + 1
-    h = [1.0] * size
+    if start is None:
+        h = [1.0] * size
+        rounds = params.iterations
+    else:
+        # slot i holds var i, slot size - i (that is, -i) its complement
+        h = [1.0, *[start[var] for var in order],
+             *[start[-var] for var in reversed(order)]]
+        rounds = 1
     alpha, gamma = params.alpha, params.gamma
     ceiling = max(alpha, params.beta)
-    for _ in range(params.iterations):
+    for _ in range(rounds):
         # summed left to right: float sum() is compensated from Python 3.12
         total = reduce(add, [h[i] + h[-i] for i in range(1, n + 1)], 0.0)
         mu = total / (2 * n) if n else 1.0
@@ -229,7 +247,7 @@ def _compute_h(residual, free, params):
         h = [(weight if weight > alpha else alpha) if weight < ceiling
              else ceiling for weight in raw]
     table = {}
-    for i, var in enumerate(free, 1):
+    for i, var in enumerate(order, 1):
         table[var] = h[i]
         table[-var] = h[-i]
     return table
@@ -243,8 +261,8 @@ class LookaheadEngine(Propagator):
     (`of_residual`), so the occurrence lists and the residual's unit
     clauses (which a non-fixpoint assignment can leave, and every
     look-ahead must assert too) are shared by all of its look-aheads.
-    The node's h-table is passed to each look-ahead, so a child that
-    settles on its parent's engine keeps no h-table alive.
+    The node's h-table is passed to each look-ahead, not kept: a pending
+    child holds its parent's table only as the start of its own.
     """
 
     def look_ahead(self, lit, h):
@@ -351,8 +369,11 @@ def _measure(engine, h, candidates, mode):
 
 
 def check_preselect(preselect):
-    """Raise ValueError unless `preselect` is a share in (0, 1]; NaN and
-    infinities fail the comparison."""
+    """Raise ValueError unless `preselect` is a share in (0, 1]: an int or
+    a float, not a bool.  NaN and infinities fail the comparison."""
+    if isinstance(preselect, bool) or not isinstance(preselect, (int, float)):
+        raise ValueError("preselect must be an int or a float, got %r"
+                         % (preselect,))
     if not 0 < preselect <= 1:
         raise ValueError("preselect must be in (0, 1], got %r" % (preselect,))
 
@@ -376,13 +397,14 @@ def split(formula, cutoff, mode=MODE_PTN, params=None, preselect=1.0):
     check_preselect(preselect)
     params = params or params_for_mode(mode)
 
-    # (propagator, seed literals, depth) of nodes still to settle
-    pending = [(Propagator(formula.clauses), [], 0)]
+    # (propagator, seed literals, depth, parent's h-table) of nodes still
+    # to settle; the root's rounds start from 1.0
+    pending = [(Propagator(formula.clauses), [], 0, None)]
 
     def next_node():
         """Settle the node on top of `pending`: a Leaf, or a Node whose
         children are pushed, on its look-ahead engine."""
-        propagator, seeds, depth = pending.pop()
+        propagator, seeds, depth, start = pending.pop()
         while True:
             true, conflict = propagator.fixpoint(seeds)
             if conflict:
@@ -399,7 +421,7 @@ def split(formula, cutoff, mode=MODE_PTN, params=None, preselect=1.0):
             free = {abs(l) for c in residual for l in c}
             if cutoff.triggers(n_bin, len(free)):
                 return Leaf(CUTOFF)
-            h = _compute_h(residual, free, params)
+            h = _compute_h(residual, free, params, start)
             best, failed, _ = _measure(propagator, h,
                                        _candidates(free, h, preselect), mode)
             if any(-lit in failed for lit in failed):
@@ -409,8 +431,8 @@ def split(formula, cutoff, mode=MODE_PTN, params=None, preselect=1.0):
             seeds = [-lit for lit in failed]
         if best is None:
             return Leaf(CUTOFF)
-        pending.append((propagator, [-best], depth + 1))
-        pending.append((propagator, [best], depth + 1))
+        pending.append((propagator, [-best], depth + 1, h))
+        pending.append((propagator, [best], depth + 1, h))
         return Node(best, None, None)
 
     return build_preorder(next_node)

@@ -150,6 +150,9 @@ class PipelineConfig:
         sources = [s is not None for s in (self.n, self.formula_path, self.formula)]
         if sum(sources) != 1:
             raise ValueError("exactly one of n / formula_path / formula must be set")
+        if isinstance(self.workers, bool) or not isinstance(self.workers, int):
+            raise ValueError("worker count must be an int, got %r"
+                             % (self.workers,))
         if self.workers < 1:
             raise ValueError("worker count must be >= 1")
         cdcl.check_budget(self.conflict_budget)

@@ -23,6 +23,7 @@ from triplesat.cdcl import INDETERMINATE, SAT, UNSAT, SolveResult, luby
 from triplesat.cnf import (Formula, Propagator, is_flip_symmetric, lit_value,
                            propagate_clauses)
 from triplesat.drat import CheckResult, _Checker
+from triplesat.encoder import encode
 from triplesat.lookahead import (CUTOFF, MODE_BIN, MODE_PTN, MODE_RND,
                                  MODE_VAR, REFUTED, Leaf, LookaheadError, Node,
                                  build_preorder, check_mode, cubes,
@@ -140,6 +141,16 @@ def random_tree(rng, max_depth=8, max_var=50):
                 random_tree(rng, max_depth - 1, max_var))
 
 
+def random_3sat(num_vars, num_clauses, seed):
+    """Uniform random 3-SAT: three distinct variables, fair random signs."""
+    rng = random.Random(seed)
+    clauses = []
+    for _ in range(num_clauses):
+        chosen = rng.sample(range(1, num_vars + 1), 3)
+        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
+    return Formula(clauses, num_vars)
+
+
 def ap3_formula(n):
     """2-coloring of 1..n with no monochromatic 3-term arithmetic progression."""
     clauses = []
@@ -149,6 +160,23 @@ def ap3_formula(n):
             clauses.append(progression)
             clauses.append(tuple(-x for x in progression))
     return Formula(clauses, n)
+
+
+# A subtree of the paper's instance that refutes at desk scale.  Made once
+# on symmetry_break(bce(encode(7825))) plus the prefix so far: split at
+# depth:1 with preselect 0.1, then the branch literal at odd depths and its
+# complement at even ones.  Pinned as data, so a change to the tree does
+# not move the instance.
+PREFIX = [3900, -1200, 720, -900, 2340, -1260, 1680, -2400, 1440, -1800,
+          2925, -5075, 3315, -2000, 960, -585, 780, -5040, 2080, -1872]
+
+
+def paper_subtree_formula(prefix=PREFIX):
+    """encode(7825), the symmetry unit (2520,) and a unit per `prefix`
+    literal: with all of PREFIX, UNSAT under a depth:2 split."""
+    formula = encode(7825)
+    units = [(2520,)] + [(lit,) for lit in prefix]
+    return Formula(list(formula.clauses) + units, formula.num_vars)
 
 
 def is_tautology(clause):
@@ -283,8 +311,9 @@ def reference_propagate(clauses, assumptions=(), order_rng=None):
 
 # The h-table and the per-node engine as split used them before each node
 # derived its free variables and h-table once, verbatim except for the
-# `reference_`/`Reference` names: the oracle of the h-table and split
-# differential tests, so the live code is compared with a fixed copy.
+# `reference_`/`Reference` names and the h-table's `start`, the parent's
+# table below the root: the oracle of the h-table and split differential
+# tests, so the live code is compared with a fixed copy.
 
 
 @dataclass
@@ -302,16 +331,18 @@ def reference_check_3cnf(residual):
             raise LookaheadError("residual clause %r longer than 3" % (clause,))
 
 
-def reference_compute_h(residual, params):
+def reference_compute_h(residual, params, start=None):
+    """`params.iterations` rounds from 1.0, or with `start`, a parent's
+    table {literal: weight}, one round from its weights."""
     reference_check_3cnf(residual)
     occurring = {abs(l) for c in residual for l in c}
     h = {}
     for var in occurring:
-        h[var] = 1.0
-        h[-var] = 1.0
+        h[var] = 1.0 if start is None else start[var]
+        h[-var] = 1.0 if start is None else start[-var]
     n = len(occurring)
     means = []
-    for _ in range(params.iterations):
+    for _ in range(params.iterations if start is None else 1):
         total = 0.0
         for v in occurring:    # left to right, as sum() was before 3.12
             total += h[v] + h[-v]
@@ -490,13 +521,16 @@ def reference_split(formula, cutoff, mode="ptn3sat", params=None, preselect=1.0,
     """`lookahead.split` before children settled on their parent's engine:
     every node and every failed-literal round propagates its full
     assumption list over the whole formula and reduces the whole formula
-    again.  `stats`, a Counter if given, counts failed-literal rounds."""
+    again.  Every measurement below the root, failed-literal rounds
+    included, starts its h-table from the one the parent branched on.
+    `stats`, a Counter if given, counts failed-literal rounds."""
     check_mode(mode)
     params = params or params_for_mode(mode)
     clauses = formula.clauses
 
-    def settle(assumed, depth):
-        """A Leaf, or (branch variable, assumptions after failed literals)."""
+    def settle(assumed, depth, start):
+        """A Leaf, or (branch variable, assumptions after failed literals,
+        the h-table branched on)."""
         assign, conflict = propagate_clauses(clauses, assumed)
         if conflict:
             return Leaf(REFUTED)
@@ -510,13 +544,15 @@ def reference_split(formula, cutoff, mode="ptn3sat", params=None, preselect=1.0,
             n_free = len({abs(l) for c in residual for l in c})
             if cutoff.triggers(n_bin, n_free):
                 return Leaf(CUTOFF)
-            table = reference_compute_h(residual, params)
+            table = reference_compute_h(residual, params, start)
             best, failed, _ = reference_measure(
                 ReferenceLookaheadEngine(residual, table), mode, preselect)
             if any(-lit in failed for lit in failed):
                 return Leaf(REFUTED)
             if not failed:
-                return Leaf(CUTOFF) if best is None else (best, assumed)
+                if best is None:
+                    return Leaf(CUTOFF)
+                return best, assumed, table.values
             if stats is not None:
                 stats["failed_rounds"] += 1
             assumed = assumed + [-lit for lit in failed]
@@ -525,16 +561,17 @@ def reference_split(formula, cutoff, mode="ptn3sat", params=None, preselect=1.0,
                 return Leaf(REFUTED)
             residual = reference_residual(clauses, assign)
 
-    pending = [([], 0)]   # (assumptions, depth) of nodes still to settle
+    # (assumptions, depth, parent's h-table) of nodes still to settle
+    pending = [([], 0, None)]
 
     def next_node():
-        assumed, depth = pending.pop()
-        settled = settle(assumed, depth)
+        assumed, depth, start = pending.pop()
+        settled = settle(assumed, depth, start)
         if isinstance(settled, Leaf):
             return settled
-        best, assumed = settled
-        pending.append((assumed + [-best], depth + 1))
-        pending.append((assumed + [best], depth + 1))
+        best, assumed, table = settled
+        pending.append((assumed + [-best], depth + 1, table))
+        pending.append((assumed + [best], depth + 1, table))
         return Node(best, None, None)
 
     return build_preorder(next_node)

@@ -6,30 +6,19 @@ assumptions by `cdcl.solve_incremental`.  Each pin holds a
 call's (verdict, conflicts, decisions, propagations) and the first 16 hex
 digits of the sha256 of `write_drat` of its proof, so any change to the
 watch order, the decision order, conflict analysis or the emitted lemmas
-shows up here.
+shows up here.  `test_solve_incremental_rnd_depth3` solves the cubes of a
+depth:3 split, so it was pinned again when split's trees changed.
 """
 
 import hashlib
-import random
 
 from triplesat import cdcl, pipeline
-from triplesat.cnf import Formula
 from triplesat.drat import write_drat
 from triplesat.encoder import encode
 from triplesat.lookahead import cubes, parse_cutoff, split
 from triplesat.transform import bce, symmetry_break
 
-from conftest import ap3_formula
-
-
-def random_3sat(num_vars, num_clauses, seed):
-    """Uniform random 3-SAT: three distinct variables, fair random signs."""
-    rng = random.Random(seed)
-    clauses = []
-    for _ in range(num_clauses):
-        chosen = rng.sample(range(1, num_vars + 1), 3)
-        clauses.append(tuple(v if rng.random() < 0.5 else -v for v in chosen))
-    return Formula(clauses, num_vars)
+from conftest import ap3_formula, random_3sat
 
 
 def proof_digest(proof):
@@ -101,11 +90,11 @@ def test_solve_incremental_rnd_depth3():
     results = cdcl.solve_incremental(
         formula, cubes(split(formula, parse_cutoff("depth:3"))), proof=proof)
     assert [counters(r) for r in results] == [
-        ("UNSAT", 145, 181, 4106), ("UNSAT", 195, 237, 5500),
-        ("UNSAT", 215, 262, 6022), ("UNSAT", 404, 498, 11214),
-        ("UNSAT", 492, 596, 13259), ("UNSAT", 559, 670, 15076),
-        ("UNSAT", 737, 875, 19439), ("UNSAT", 824, 973, 21650)]
-    assert proof_digest(proof) == "f7b10d230a1cca9c"
+        ("UNSAT", 184, 222, 4480), ("UNSAT", 300, 359, 7630),
+        ("UNSAT", 372, 434, 9679), ("UNSAT", 430, 500, 11447),
+        ("UNSAT", 612, 725, 16183), ("UNSAT", 697, 817, 18400),
+        ("UNSAT", 761, 899, 20014), ("UNSAT", 831, 974, 21998)]
+    assert proof_digest(proof) == "4af49dcc50a6afec"
 
 
 def test_backbone_search(monkeypatch):

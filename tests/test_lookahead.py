@@ -22,8 +22,9 @@ from triplesat.lookahead import (CUTOFF, CutoffPolicy, HeuristicParams, Leaf,
 from triplesat.transform import bce, symmetry_break
 
 from conftest import (FIG3_CUBES, brute_sat, cubes_cover_all, negate_cubes,
-                      random_formula, random_tree, reference_compute_h,
-                      reference_look_ahead, reference_split, true_literals)
+                      random_3sat, random_formula, random_tree,
+                      reference_compute_h, reference_look_ahead,
+                      reference_split, true_literals)
 
 
 def test_params_validation():
@@ -170,6 +171,28 @@ def test_compute_h_matches_reference(rng):
         assert _hex_items(_compute_h(residual, free, params)) == \
             _hex_items(reference_compute_h(residual, params).values)
     assert collided >= 100
+
+
+def test_compute_h_from_a_start_table_matches_reference(rng):
+    """One round from a parent's table is bit for bit, and in key order,
+    the reference's, with start weights at the clamp bounds and between,
+    and with keys for variables the residual no longer has."""
+    at_bounds = 0
+    for case in range(300):
+        residual = _spread_residual(rng)
+        free = free_vars(residual)
+        params = [PTN_PARAMS, RND_PARAMS,
+                  HeuristicParams(alpha=0.5, beta=80.0, gamma=7.0,
+                                  iterations=6)][case % 3]
+        parent = free | set(rng.sample(range(1, 1 << 17), rng.randint(0, 5)))
+        start = {lit: rng.choice([params.alpha, params.beta,
+                                  rng.uniform(params.alpha, params.beta)])
+                 for var in parent for lit in (var, -var)}
+        at_bounds += params.alpha in start.values() and \
+            params.beta in start.values()
+        assert _hex_items(_compute_h(residual, free, params, start)) == \
+            _hex_items(reference_compute_h(residual, params, start).values)
+    assert at_bounds >= 200
 
 
 def test_compute_h_matches_reference_at_paper_size():
@@ -500,6 +523,49 @@ def test_split_propagates_the_whole_formula_once(monkeypatch):
     assert len(cubes(tree)) == 8
     assert over_formula == [True]   # one walk over formula.clauses
     assert derived == [LookaheadEngine] * 7   # one engine per node
+
+
+@pytest.mark.parametrize("formula, nodes, most_rounds", [
+    (encode(300), 7, 1),
+    # a node below the root is measured three times here
+    (random_3sat(60, 260, 3), 4, 3)], ids=["encode300", "random60"])
+def test_split_children_start_from_their_parents_table(formula, nodes,
+                                                       most_rounds,
+                                                       monkeypatch):
+    """Only the root's h-tables start from 1.0; every other measurement,
+    failed-literal rounds included, starts from the very table its parent
+    branched on."""
+    groups = []    # the (start, table) of each _compute_h call, per node
+    original_h = lookahead._compute_h
+    original_build = lookahead.build_preorder
+
+    def spying_h(residual, free, params, start=None):
+        table = original_h(residual, free, params, start)
+        groups[-1].append((start, table))
+        return table
+
+    def spying_build(read_node):
+        def read():
+            groups.append([])
+            return read_node()
+        return original_build(read)
+
+    monkeypatch.setattr(lookahead, "_compute_h", spying_h)
+    monkeypatch.setattr(lookahead, "build_preorder", spying_build)
+    tree = split(formula, parse_cutoff("depth:3"))
+    settled = list(preorder(tree))
+    assert len(settled) == len(groups)
+    branched = {}   # path -> the table its node branched on
+    for (node, path), calls in zip(settled, groups):
+        if isinstance(node, Node):
+            branched[path] = calls[-1][1]
+        if not path:
+            assert calls and all(start is None for start, _ in calls)
+        else:
+            parent = branched[path[:-1]]
+            assert all(start is parent for start, _ in calls)
+    assert len(branched) == nodes
+    assert max(len(calls) for calls in groups[1:]) == most_rounds
 
 
 def test_split_policy_postcondition_encode100():

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import multiprocessing
 import random
@@ -14,8 +15,8 @@ from triplesat.lookahead import MODES, cubes, parse_cutoff, split
 from triplesat.transform import bce, reconstruct, symmetry_break
 
 from conftest import (FIG1_CLAUSES, FIG3_CUBES, ap3_formula, brute_sat,
-                      negate_cubes, random_formula, reference_check_proof,
-                      reference_solve_one_cube)
+                      negate_cubes, paper_subtree_formula, random_formula,
+                      reference_check_proof, reference_solve_one_cube)
 
 
 def test_config_requires_one_source():
@@ -83,6 +84,20 @@ def test_solve_one_cube_rejects_a_literal_of_another_type(lit):
 def test_config_rejects_preselect_outside_unit_interval(preselect):
     with pytest.raises(ValueError, match=r"preselect must be in \(0, 1\]"):
         pipeline.PipelineConfig(n=30, preselect=preselect)
+
+
+@pytest.mark.parametrize("workers", [2.5, "2", True])
+def test_config_rejects_workers_of_another_type(workers):
+    # a float used to fail inside run, after split; True ran as 1 worker
+    with pytest.raises(ValueError, match="worker count must be an int"):
+        pipeline.PipelineConfig(n=30, workers=workers)
+
+
+@pytest.mark.parametrize("preselect", [True, "0.5"])
+def test_config_rejects_preselect_of_another_type(preselect):
+    with pytest.raises(ValueError, match="preselect must be an int or a float"):
+        pipeline.PipelineConfig(n=30, preselect=preselect)
+    assert pipeline.PipelineConfig(n=30, preselect=1, workers=2)
 
 
 def test_load_config_checks_numbers_on_their_line(tmp_path):
@@ -548,3 +563,26 @@ def test_a_cube_left_unsolved_fails_the_gate(monkeypatch):
                         lambda tree: [c for c in cubes(tree) if c != skipped])
     with pytest.raises(RuntimeError, match="merged proof rejected"):
         pipeline.run(config)
+
+
+def test_paper_subtree_refuted(monkeypatch):
+    """A subtree of the paper's n=7825 instance, refuted end to end: the
+    merged proof holds the 4272 BCE deletions, and its check runs against
+    the whole original formula with hints renumbered over its clauses."""
+    seen = []
+
+    def capture(tree, original=pipeline.cubes):
+        seen.append(original(tree))
+        return seen[-1]
+
+    monkeypatch.setattr(pipeline, "cubes", capture)
+    result = pipeline.run(pipeline.PipelineConfig(
+        formula=paper_subtree_formula(), cutoff="depth:2", preselect=0.1))
+    assert result.verdict == cdcl.UNSAT
+    assert result.check.accepted
+    assert seen == [[(2125, 700), (2125, -700), (-2125, 1700), (-2125, -1700)]]
+    assert [row["conflicts"] for row in result.report.cube_stats] == \
+        [528, 62, 305, 180]
+    text = drat.write_drat(result.proof).encode()
+    assert (len(result.proof), len(text)) == (5354, 180577)
+    assert hashlib.sha256(text).hexdigest()[:12] == "b8a35da106f0"

@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from triplesat.cnf import DimacsError, Formula, SATISFIED, evaluate
+from triplesat.drat import check_proof
 from triplesat.transform import (bce, emit_transform_proof, parse_stack,
                                  reconstruct, symmetry_break, write_stack)
 from triplesat.encoder import encode, occurrence_stats
@@ -221,6 +222,18 @@ def test_transform_proof_counts_full_scale():
     deletions = [line for line in proof if line[0] == "d"]
     assert len(deletions) == 18944 - 14672 == 4272
     assert proof[-1] == ("a", (pivot,))
+
+
+def test_transform_proof_checked_at_paper_size():
+    """The pivot path at paper size: a `formula=` pipeline input is never
+    symmetry-broken, so only here does the checker take the 4272 BCE
+    deletions of encode(7825) and then the unit 2520 by flip symmetry."""
+    formula = encode(7825)
+    proof = emit_transform_proof(bce(formula)[1], 2520)
+    check = check_proof(formula, proof, symmetry_pivots=(2520,))
+    assert check.accepted
+    assert sum(kind == "d" for kind, _ in proof) == 4272
+    assert check.warnings == [(4272, "unit 2520 accepted by flip-symmetry")]
 
 
 def test_stack_round_trip():
