@@ -42,15 +42,19 @@ class SolveResult:
     propagations: int = 0
 
 
+def check_count(name, value):
+    """Raise ValueError, naming `name`, unless `value` is an int, not a
+    bool, of at least 1."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError("%s must be an int, got %r" % (name, value))
+    if value < 1:
+        raise ValueError("%s must be >= 1, got %r" % (name, value))
+
+
 def check_budget(budget):
-    """Raise ValueError unless `budget` is None or a conflict count: an
-    int, not a bool, of at least 1."""
-    if budget is None:
-        return
-    if isinstance(budget, bool) or not isinstance(budget, int):
-        raise ValueError("conflict budget must be an int, got %r" % (budget,))
-    if budget < 1:
-        raise ValueError("conflict budget must be >= 1, got %r" % (budget,))
+    """Raise ValueError unless `budget` is None or a conflict count."""
+    if budget is not None:
+        check_count("conflict budget", budget)
 
 
 def luby(i):

@@ -2,7 +2,8 @@
 
 Exit codes follow solver convention: 0 for SAT (and for plumbing
 commands that succeed), 20 for UNSAT, 30 for an indeterminate verdict,
-1 for any error.
+1 for any error.  `pipeline` runs the two-level conquer when a second
+cutoff is set, by `--second-cutoff` or by the config file.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import os
 import sys
 
 from . import cdcl, cubecodec, drat, pipeline
-from .cnf import SATISFIED, Formula, evaluate, parse_dimacs, write_dimacs
+from .cnf import parse_dimacs, write_dimacs
 from .encoder import encode
 from .lookahead import (MODES, cubes, parse_cutoff, parse_inccnf, split,
                         write_inccnf)
@@ -139,24 +140,13 @@ def cmd_solve(args):
                                     conflict_budget=args.conflict_budget)[-1]
     model = result.model
     if args.stack and result.verdict == cdcl.SAT:
-        model = _repair(model, formula, parse_stack(_read(args.stack)))
+        model = reconstruct(model, parse_stack(_read(args.stack)),
+                            formula=formula)
     _print_counters(result)
     code = _print_verdict(result.verdict, model)
     if args.proof:
         _write(args.proof, drat.write_drat(proof))
     return code
-
-
-def _repair(model, formula, stack):
-    """A model of `formula` made a model of the formula `transform` reduced
-    to it, by the elimination stack; ValueError unless it satisfies every
-    clause of `formula` and of the stack."""
-    repaired = reconstruct(model, stack)
-    clauses = [*formula.clauses, *(record.clause for record in stack)]
-    if evaluate(Formula(clauses), repaired) != SATISFIED:
-        raise ValueError("the repaired model falsifies a clause of the "
-                         "formula or of the stack")
-    return repaired
 
 
 def cmd_check(args):
@@ -196,8 +186,7 @@ def cmd_pipeline(args):
         formula_path=getattr(args, "in"),
         mode=values["mode"],
         cutoff=values["cutoff"],
-        second_cutoff=values["second_cutoff"],
-        two_level=args.two_level,
+        second_cutoff=values.get("second_cutoff"),
         workers=values["workers"],
         conflict_budget=args.conflict_budget,
         params=pipeline.config_params(values),
@@ -273,8 +262,8 @@ def build_parser():
     source.add_argument("--in")
     source.add_argument("--cubes")
     p.add_argument("--proof")
-    p.add_argument("--stack", help="repair a model with transform's "
-                                   "elimination stack")
+    p.add_argument("--stack", help="repair and check a model with "
+                                   "transform's elimination stack")
     p.add_argument("--conflict-budget", type=pipeline.integer)
     p.set_defaults(func=cmd_solve)
 
@@ -299,8 +288,8 @@ def build_parser():
     source.add_argument("--in")
     p.add_argument("--mode", help=_MODE_HELP)
     p.add_argument("--cutoff")
-    p.add_argument("--second-cutoff")
-    p.add_argument("--two-level", action="store_true")
+    p.add_argument("--second-cutoff", help="re-split each cube with this "
+                                           "cutoff (two-level conquer)")
     p.add_argument("--workers", type=pipeline.SETTING_TYPES["workers"])
     p.add_argument("--conflict-budget", type=pipeline.integer)
     p.add_argument("--output-dir")

@@ -136,6 +136,8 @@ def parse_cutoff(spec):
     """Parse 'bin:3000', 'vars:3450', 'depth:20', or comma-joined
     combinations; no part may be empty, no kind repeated and no value
     negative."""
+    if not isinstance(spec, str):
+        raise ValueError("cutoff spec must be a str, got %r" % (spec,))
     policy = CutoffPolicy()
     seen = set()
     for part in spec.split(","):
@@ -169,20 +171,10 @@ class LookaheadError(ValueError):
 
 def residual_clauses(clauses, true):
     """Reduce clauses under a set of true literals: drop satisfied clauses,
-    strip false literals, keep clause and literal order.  `split` derives
-    its residuals with `Propagator.of_residual` instead; bench/spans.py
-    still wraps this name, so it stays here."""
-    residual = []
-    for clause in clauses:
-        reduced = []
-        for lit in clause:
-            if lit in true:
-                break
-            if -lit not in true:
-                reduced.append(lit)
-        else:
-            residual.append(tuple(reduced))
-    return residual
+    strip false literals, keep clause and literal order.  This is the
+    reduction `split` derives its residuals with; bench/spans.py wraps
+    this name."""
+    return Propagator.of_residual(Propagator(clauses), true).clauses
 
 
 def _compute_h(residual, free, params, start=None):

@@ -7,14 +7,15 @@ without symmetry pivots.
 
 UNSAT runs produce a merged proof (transformation proof, cube proofs in
 index order, tautology proof) that is checked once, against the original
-formula; SAT runs produce a repaired model validated against the
+formula; SAT runs produce a repaired model, checked once against the
 original problem.  The tautology proof comes from the split tree alone
 (`lookahead.tautology_proof`), so the check decides whether the refuted
 cubes close the tree.  Every cube goes through one primitive,
 `solve_one_cube`, either in this process or over share-nothing worker
 processes.  It solves the cube under assumptions with
-`cdcl.solve_incremental`; in two-level mode it first re-splits the cube
-and hands the sub-cubes, then the cube, to the same solver.
+`cdcl.solve_incremental`; with a `second_cutoff` it first re-splits the
+cube and hands the sub-cubes, then the cube, to the same solver (the
+paper's two-level conquer).
 
 Cubes are solved in index order until the first SAT one, whose model
 decides the formula; the cubes after it are left unsolved, and the
@@ -33,6 +34,7 @@ import dataclasses
 import functools
 import importlib.resources
 import math
+import os
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -46,9 +48,12 @@ from .lookahead import (HeuristicParams, check_mode, check_preselect, cubes,
 from .transform import bce, emit_transform_proof, reconstruct, symmetry_break
 
 
-def _config_lines(text):
-    """(line number, key, value) of every `key = value` line of `text`, the
-    value cast on its line to its `SETTING_TYPES` type."""
+def _parse_settings(text):
+    """{key: value} of the `key = value` lines of `text`.  A key must be one
+    of `SETTING_TYPES`, so a misspelt key is an error instead of a silently
+    kept default, and may appear once; its value is cast on its line to the
+    key's type."""
+    values = {}
     for lineno, line in numbered_lines(text):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -57,41 +62,31 @@ def _config_lines(text):
         if not sep:
             raise ValueError("line %d: expected key=value, got %r"
                              % (lineno, stripped))
-        cast = SETTING_TYPES.get(key, str)
+        if key not in SETTING_TYPES:
+            raise ValueError("line %d: unknown key %r; expected one of %s"
+                             % (lineno, key, ", ".join(sorted(SETTING_TYPES))))
+        if key in values:
+            raise ValueError("line %d: key %r given twice" % (lineno, key))
+        cast = SETTING_TYPES[key]
         try:
-            typed = cast(value)
+            values[key] = cast(value)
         except ValueError:
             raise ValueError("line %d: %s %r is not a valid %s"
                              % (lineno, key, value, cast.__name__)) from None
-        yield lineno, key, typed
+    return values
 
 
 def load_config(path):
-    """Parse a simple `key=value` config file into a dict of settings.
-
-    A key must be one of defaults.cfg or a heuristic parameter, so a
-    misspelt key is an error instead of a silently kept default, and a key
-    may appear once.  A numeric value is typed on its line.  The file is
-    ASCII, like every input (see `cnf.numbered_lines`).
-    """
-    known = _shipped_defaults().keys() | _HEURISTIC_KEYS.keys()
-    values = {}
+    """The settings of a `key = value` config file (see `_parse_settings`).
+    The file is ASCII, like every input (see `cnf.numbered_lines`)."""
     with open(path, "rb") as handle:
-        text = handle.read()
-    for lineno, key, value in _config_lines(text):
-        if key not in known:
-            raise ValueError("line %d: unknown key %r; expected one of %s"
-                             % (lineno, key, ", ".join(sorted(known))))
-        if key in values:
-            raise ValueError("line %d: key %r given twice" % (lineno, key))
-        values[key] = value
-    return values
+        return _parse_settings(handle.read())
 
 
 @functools.cache
 def _shipped_defaults():
     text = importlib.resources.files("triplesat").joinpath("defaults.cfg").read_text()
-    return {key: value for _, key, value in _config_lines(text)}
+    return _parse_settings(text)
 
 
 def default_config():
@@ -119,16 +114,17 @@ def real(text):
     return float(text)
 
 
-_HEURISTIC_KEYS = {"alpha": real, "beta": real, "gamma": real,
-                   "iterations": integer}
-# the type of each numeric setting, from a config file or a flag alike
-SETTING_TYPES = {"workers": integer, "preselect": real, **_HEURISTIC_KEYS}
+# every key a config file may set, and its type, from a file or a flag alike
+SETTING_TYPES = {"mode": str, "cutoff": str, "second_cutoff": str,
+                 "workers": integer, "preselect": real, "alpha": real,
+                 "beta": real, "gamma": real, "iterations": integer}
 
 
 def config_params(values):
     """The heuristic parameters of values["mode"]; any of alpha, beta,
     gamma and iterations present in `values` overrides its own field."""
-    overrides = {key: values[key] for key in _HEURISTIC_KEYS if key in values}
+    overrides = {f.name: values[f.name]
+                 for f in dataclasses.fields(HeuristicParams) if f.name in values}
     return dataclasses.replace(params_for_mode(values["mode"]), **overrides)
 
 
@@ -139,8 +135,7 @@ class PipelineConfig:
     formula: Optional[Formula] = None
     mode: str = _default("mode")
     cutoff: str = _default("cutoff")
-    second_cutoff: str = _default("second_cutoff")
-    two_level: bool = False
+    second_cutoff: Optional[str] = None  # None: each cube is solved as it is
     workers: int = _default("workers")
     conflict_budget: Optional[int] = None
     params: Optional[HeuristicParams] = None  # None: the mode's parameters
@@ -150,17 +145,24 @@ class PipelineConfig:
         sources = [s is not None for s in (self.n, self.formula_path, self.formula)]
         if sum(sources) != 1:
             raise ValueError("exactly one of n / formula_path / formula must be set")
-        if isinstance(self.workers, bool) or not isinstance(self.workers, int):
-            raise ValueError("worker count must be an int, got %r"
-                             % (self.workers,))
-        if self.workers < 1:
-            raise ValueError("worker count must be >= 1")
+        if self.n is not None:
+            cdcl.check_count("n", self.n)
+        if not isinstance(self.formula_path, (str, os.PathLike, type(None))):
+            raise ValueError("formula_path must be a str or an os.PathLike, "
+                             "got %r" % (self.formula_path,))
+        if not isinstance(self.formula, (Formula, type(None))):
+            raise ValueError("formula must be a cnf.Formula, got %r"
+                             % (self.formula,))
+        cdcl.check_count("worker count", self.workers)
         cdcl.check_budget(self.conflict_budget)
         check_mode(self.mode)
         check_preselect(self.preselect)
-        for name in ("cutoff", "second_cutoff"):
+        cutoffs = [("cutoff", self.cutoff)]
+        if self.second_cutoff is not None:
+            cutoffs.append(("second_cutoff", self.second_cutoff))
+        for name, spec in cutoffs:
             try:
-                parse_cutoff(getattr(self, name))
+                parse_cutoff(spec)
             except ValueError as exc:
                 raise ValueError("%s: %s" % (name, exc)) from None
 
@@ -194,7 +196,7 @@ class PipelineResult:
 def solve_one_cube(formula, cube, config):
     """Solve formula AND cube with `cdcl.solve_incremental` on `[cube]`.
 
-    Two-level mode first re-splits the cube under `config.second_cutoff`
+    With a `config.second_cutoff` it first re-splits the cube under it
     and puts each non-empty sub-cube, prefixed with the cube, before it, so
     the last entry closes the cube.  Returns (SolveResult of the last call,
     proof, split seconds, solve seconds, hints); the result's counters
@@ -203,7 +205,7 @@ def solve_one_cube(formula, cube, config):
     """
     start = time.perf_counter()
     cube_list = [cube]
-    if config.two_level:
+    if config.second_cutoff is not None:
         restricted = Formula(list(formula.clauses) + [(l,) for l in cube],
                              formula.num_vars)
         subcubes = cubes(split(restricted, parse_cutoff(config.second_cutoff),
@@ -303,7 +305,7 @@ def run(config):
     start = time.perf_counter()
     if cdcl.SAT in verdicts:
         index = verdicts.index(cdcl.SAT)
-        model = reconstruct(outcomes[index][0].model, stack, formula=work)
+        model = reconstruct(outcomes[index][0].model, stack)
         result.verdict = cdcl.SAT
         result.model = model
         if is_ptn:

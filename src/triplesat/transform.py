@@ -19,8 +19,9 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
-from .cnf import (DimacsError, Formula, clause_line, clause_status, evaluate,
+from .cnf import (DimacsError, Formula, clause_line, clause_status,
                   is_flip_symmetric, numbered_lines, parse_clause_line, SATISFIED)
 from .encoder import occurrence_stats
 
@@ -134,10 +135,9 @@ def reconstruct(assignment, stack, formula=None):
     is not satisfied, its blocking literal is set to true.  Variables of
     eliminated clauses that are still unassigned are defaulted to false
     first, which cannot unsatisfy the reduced formula.  If `formula` (the
-    reduced formula) is given, the input model is validated against it.
+    reduced formula) is given, the repaired model is checked against it
+    and every eliminated clause: ValueError unless it satisfies them all.
     """
-    if formula is not None and evaluate(formula, assignment) != SATISFIED:
-        raise ValueError("assignment does not satisfy the reduced formula")
     repaired = dict(assignment)
     for record in stack:
         for lit in record.clause:
@@ -146,6 +146,11 @@ def reconstruct(assignment, stack, formula=None):
         if clause_status(record.clause, repaired) != SATISFIED:
             lit = record.blocking_literal
             repaired[abs(lit)] = lit > 0
+    if formula is not None:
+        clauses = chain(formula.clauses, (record.clause for record in stack))
+        if any(clause_status(c, repaired) != SATISFIED for c in clauses):
+            raise ValueError("the repaired model falsifies a clause of the "
+                             "formula or of the stack")
     return repaired
 
 

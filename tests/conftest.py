@@ -1143,12 +1143,12 @@ def reference_solve_one_cube(formula, cube, config):
 
     The body is the earlier function's, verbatim except that it runs on
     `ReferenceSolver`.  The cube goes in as unit clauses, every lemma is
-    extended with the cube's negation (`proof_extension`), and two-level
-    mode stops at the first sub-cube that is not refuted.
+    extended with the cube's negation (`proof_extension`), and with a
+    second cutoff it stops at the first sub-cube that is not refuted.
     """
     start = time.perf_counter()
     subcubes = []
-    if config.two_level:
+    if config.second_cutoff is not None:
         restricted = Formula(list(formula.clauses) + [(l,) for l in cube],
                              formula.num_vars)
         subcubes = cubes(split(restricted, parse_cutoff(config.second_cutoff),

@@ -2,7 +2,7 @@ import dataclasses
 
 import pytest
 
-from triplesat import cdcl, pipeline
+from triplesat import cdcl, drat, pipeline
 from triplesat.cli import build_parser, main
 from triplesat.cnf import (FALSIFIED, SATISFIED, Formula, evaluate,
                            parse_dimacs, write_dimacs)
@@ -13,7 +13,7 @@ from triplesat.lookahead import (CUTOFF, PTN_PARAMS, REFUTED, RND_PARAMS, Leaf,
                                  write_inccnf)
 from triplesat.transform import parse_stack
 
-from conftest import REPO, ap3_formula, run_python
+from conftest import REPO, ap3_formula, random_3sat, run_python
 
 
 FIG1_TEXT = """p cnf 4 8
@@ -403,6 +403,38 @@ def test_readme_staged_walk_through_verifies(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "s VERIFIED"
 
 
+def cube_rows_without_times(text):
+    """The rows of a cubes.csv, without split_time and solve_time."""
+    return [row[:2] + row[4:] for row in
+            (line.split(",") for line in text.splitlines())]
+
+
+def test_pipeline_cli_two_level(tmp_path, capsys):
+    """`--second-cutoff`, or a config file's second_cutoff, runs the
+    two-level conquer `pipeline.run` runs with that cutoff: the same merged
+    proof, and the same cube rows but for their times."""
+    formula = random_3sat(60, 288, 11)
+    cnf, cfg = tmp_path / "r.cnf", tmp_path / "two.cfg"
+    cnf.write_text(write_dimacs(formula))
+    cfg.write_text("mode = rnd3sat\ncutoff = depth:1\nsecond_cutoff = depth:2\n")
+    runs = {second_cutoff: pipeline.run(pipeline.PipelineConfig(
+        formula=formula, mode="rnd3sat", cutoff="depth:1",
+        second_cutoff=second_cutoff)) for second_cutoff in (None, "depth:2")}
+    # the re-split changes the cubes' searches, so the outputs tell the
+    # two modes apart
+    assert runs[None].proof != runs["depth:2"].proof
+    want = runs["depth:2"]
+    want_rows = cube_rows_without_times(pipeline.per_cube_csv(want.report))
+    for flags in (["--mode", "rnd3sat", "--cutoff", "depth:1",
+                   "--second-cutoff", "depth:2"], ["--config", str(cfg)]):
+        outdir = tmp_path / flags[0].strip("-")
+        assert main(["pipeline", "--in", str(cnf), *flags,
+                     "--output-dir", str(outdir)]) == 20
+        assert (outdir / "merged.drat").read_text() == drat.write_drat(want.proof)
+        assert cube_rows_without_times((outdir / "cubes.csv").read_text()) \
+            == want_rows
+
+
 def test_pipeline_cli_prints_the_symmetry_pivot(tmp_path, capsys):
     # the pivot transform prints for encode(300); a DIMACS input is not
     # symmetry-broken, so its run prints none
@@ -612,12 +644,15 @@ def test_cli_real_flags_take_decimal_notation():
                                    ["solve", "--in", "f.cnf", "--cubes", "f.icnf"],
                                    ["pipeline", "--n", "30", "--bce"],
                                    ["pipeline"],
-                                   ["pipeline", "--n", "30", "--in", "f.cnf"]],
+                                   ["pipeline", "--n", "30", "--in", "f.cnf"],
+                                   ["pipeline", "--n", "30", "--two-level"]],
                          ids=["solve-no-input", "solve-two-inputs", "pipeline-bce",
-                              "pipeline-no-input", "pipeline-two-inputs"])
+                              "pipeline-no-input", "pipeline-two-inputs",
+                              "pipeline-two-level"])
 def test_cli_usage_errors_exit_2(flags, captured_config, capsys):
     """solve reads exactly one of --in and --cubes, pipeline exactly one of
-    --n and --in; BCE takes no switch."""
+    --n and --in; BCE takes no switch, and neither does two-level conquer,
+    which a second cutoff turns on."""
     with pytest.raises(SystemExit) as exc:
         main(flags)
     assert exc.value.code == 2

@@ -684,8 +684,9 @@ def test_merged_hints_through_deletions_and_pivot(monkeypatch, rng, two_level,
     deletions, its pivot unit and duplicate clauses."""
     original = ap3_with_blocked_and_duplicates(9)
     monkeypatch.setattr(pipeline, "encode", lambda n: original)
-    config = pipeline.PipelineConfig(n=9, cutoff="depth:3", second_cutoff="depth:2",
-                                     two_level=two_level, workers=workers)
+    config = pipeline.PipelineConfig(n=9, cutoff="depth:3",
+                                     second_cutoff="depth:2" if two_level else None,
+                                     workers=workers)
     result, hints = checked_pipeline_run(monkeypatch, config)
     proof = result.proof
     assert result.verdict == cdcl.UNSAT and result.pivot is not None

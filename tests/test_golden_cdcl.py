@@ -58,12 +58,12 @@ def test_solve_one_cube_two_level():
     # ap3(9)'s cubes re-split to the one empty sub-cube, which is dropped,
     # so each cube is solved once, as in plain mode at depth:3; the rnd
     # cubes re-split to four sub-cubes each
-    assert solve_cubes(ap3_formula(9), "depth:2", two_level=True,
+    assert solve_cubes(ap3_formula(9), "depth:2",
                        second_cutoff="depth:4") == [
         (("UNSAT", 4, 3, 21), "00593d5f0fd20f64"),
         (("UNSAT", 4, 4, 23), "db6745b59c814194")]
     assert solve_cubes(random_3sat(130, 624, 11), "depth:1", mode="rnd3sat",
-                       two_level=True, second_cutoff="depth:2") == [
+                       second_cutoff="depth:2") == [
         (("UNSAT", 262, 318, 6736), "71ce71c3af1db404"),
         (("UNSAT", 541, 644, 14831), "198c548578351ae1")]
 

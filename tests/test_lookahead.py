@@ -5,6 +5,8 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from triplesat import cnf, lookahead
 from triplesat.cnf import (DimacsError, Formula, Propagator, parse_dimacs,
@@ -24,7 +26,7 @@ from triplesat.transform import bce, symmetry_break
 from conftest import (FIG3_CUBES, brute_sat, cubes_cover_all, negate_cubes,
                       random_3sat, random_formula, random_tree,
                       reference_compute_h, reference_look_ahead,
-                      reference_split, true_literals)
+                      reference_residual, reference_split, true_literals)
 
 
 def test_params_validation():
@@ -69,6 +71,10 @@ def test_parse_cutoff():
     # a repeated kind does not silently keep its last value
     for spec, kind in (("depth:3,depth:5", "depth"), ("bin:1,vars:2,bin:1", "bin")):
         with pytest.raises(ValueError, match="cutoff kind '%s' given twice" % kind):
+            parse_cutoff(spec)
+    # a spec that is not a str used to fail on `.split`
+    for spec in (3, None, b"depth:1"):
+        with pytest.raises(ValueError, match="cutoff spec must be a str, got "):
             parse_cutoff(spec)
     # an empty spec or part is not the default policy
     for spec in ("", ",,", " ", "depth:3,", "depth:3,,bin:4"):
@@ -411,6 +417,20 @@ def test_residual_clauses():
     assert residual_clauses(clauses, {1}) == [(2, 5)] or \
         residual_clauses(clauses, {1}) == [(4,), (2, 5)]
     assert residual_clauses(clauses, {-1, -2}) == [(3,), (5,)]
+
+
+# literals over six variables, so that clauses repeat literals and hold
+# both polarities of a variable
+CLAUSE_LISTS = st.lists(st.lists(st.integers(-6, 6).filter(bool),
+                                 max_size=4).map(tuple), max_size=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(CLAUSE_LISTS, st.dictionaries(st.integers(1, 6), st.booleans()))
+@example([(), (1, 1, -2), (2, -2, 3), (-3, -3)], {2: False, 3: True})
+def test_residual_clauses_matches_reference(clauses, assignment):
+    assert residual_clauses(clauses, true_literals(assignment)) == \
+        reference_residual(clauses, assignment)
 
 
 def test_split_depth_zero():

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import multiprocessing
+import os
 import random
 import re
 from collections import Counter
@@ -9,7 +10,8 @@ from collections import Counter
 import pytest
 
 from triplesat import cdcl, drat, pipeline
-from triplesat.cnf import Formula, SATISFIED, evaluate, propagate_clauses
+from triplesat.cnf import (Formula, SATISFIED, evaluate, propagate_clauses,
+                           write_dimacs)
 from triplesat.encoder import check_partition, encode
 from triplesat.lookahead import MODES, cubes, parse_cutoff, split
 from triplesat.transform import bce, reconstruct, symmetry_break
@@ -28,6 +30,44 @@ def test_config_requires_one_source():
         pipeline.PipelineConfig(n=5, workers=0)
 
 
+@pytest.mark.parametrize("n, message", [
+    (True, "n must be an int, got True"),    # ran as n=1 and returned SAT
+    ("5", "n must be an int, got '5'"),      # a TypeError inside encode
+    (0, "n must be >= 1, got 0")],           # failed only in run
+    ids=["bool", "str", "zero"])
+def test_config_rejects_a_bad_n(n, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        pipeline.PipelineConfig(n=n)
+
+
+def test_config_rejects_a_file_descriptor_as_formula_path(tmp_path):
+    # an int was opened as a file descriptor, which run then closed
+    path = tmp_path / "f.cnf"
+    path.write_text(write_dimacs(ap3_formula(9)))
+    with open(path, "rb") as handle:
+        with pytest.raises(ValueError, match="formula_path must be a str or "
+                                             "an os.PathLike, got %d"
+                                             % handle.fileno()):
+            pipeline.PipelineConfig(formula_path=handle.fileno())
+        os.fstat(handle.fileno())
+    config = pipeline.PipelineConfig(formula_path=path, cutoff="depth:1")
+    assert pipeline.run(config).verdict == cdcl.UNSAT
+
+
+def test_config_rejects_a_formula_of_another_type():
+    with pytest.raises(ValueError, match=re.escape(
+            "formula must be a cnf.Formula, got [(1, 2)]")):
+        pipeline.PipelineConfig(formula=[(1, 2)])
+
+
+@pytest.mark.parametrize("name", ["cutoff", "second_cutoff"])
+def test_config_rejects_a_cutoff_that_is_not_a_str(name):
+    # parse_cutoff raised a bare AttributeError on `.split`
+    with pytest.raises(ValueError,
+                       match="^%s: cutoff spec must be a str, got 3$" % name):
+        pipeline.PipelineConfig(n=30, **{name: 3})
+
+
 def test_config_rejects_unknown_mode():
     with pytest.raises(ValueError, match="unknown mode 'nosuchmode'"):
         pipeline.PipelineConfig(n=30, mode="nosuchmode")
@@ -36,7 +76,7 @@ def test_config_rejects_unknown_mode():
 def test_config_rejects_bad_cutoffs():
     with pytest.raises(ValueError, match="cutoff: malformed cutoff 'nonsense'"):
         pipeline.PipelineConfig(n=60, cutoff="nonsense")
-    # checked even when two-level mode, the only reader, is off
+    # checked at construction, before any cube is re-split
     with pytest.raises(ValueError,
                        match="second_cutoff: malformed cutoff 'garbage'"):
         pipeline.PipelineConfig(n=60, second_cutoff="garbage")
@@ -155,7 +195,8 @@ def test_default_config_carries_reference_parameters():
     assert (params.alpha, params.beta, params.gamma) == (8.0, 550.0, 25.0)
     assert params.iterations == 4
     assert values["cutoff"] == "bin:3000"
-    assert values["second_cutoff"] == "vars:3450"
+    # a second cutoff turns two-level conquer on, so it has no default
+    assert "second_cutoff" not in values
     assert (values["workers"], values["preselect"]) == (1, 1.0)
 
 
@@ -233,13 +274,12 @@ def test_verdict_matches_plain_solver(rng):
 
 def test_two_level_mode():
     config = pipeline.PipelineConfig(formula=ap3_formula(9), cutoff="depth:2",
-                                     second_cutoff="depth:4", two_level=True)
+                                     second_cutoff="depth:4")
     result = pipeline.run(config)
     assert result.verdict == cdcl.UNSAT
     assert drat.check_proof(ap3_formula(9), result.proof, refutation=True)
     sat = pipeline.run(pipeline.PipelineConfig(
-        formula=ap3_formula(8), cutoff="depth:2", second_cutoff="depth:4",
-        two_level=True))
+        formula=ap3_formula(8), cutoff="depth:2", second_cutoff="depth:4"))
     assert sat.verdict == cdcl.SAT
 
 
@@ -248,12 +288,33 @@ def test_workers_do_not_change_outcome(two_level):
     for formula, verdict in ((ap3_formula(9), cdcl.UNSAT),
                              (ap3_formula(8), cdcl.SAT)):
         runs = [pipeline.run(pipeline.PipelineConfig(
-            formula=formula, cutoff="depth:3", second_cutoff="depth:2",
-            two_level=two_level, workers=workers)) for workers in (1, 2)]
+            formula=formula, cutoff="depth:3",
+            second_cutoff="depth:2" if two_level else None,
+            workers=workers)) for workers in (1, 2)]
         assert [r.verdict for r in runs] == [verdict, verdict]
         assert runs[0].cube_results == runs[1].cube_results
         assert runs[0].proof == runs[1].proof  # deterministic per-cube solvers
         assert runs[0].model == runs[1].model
+
+
+@pytest.mark.parametrize("config, message", [
+    (pipeline.PipelineConfig(n=300, cutoff="depth:1"),
+     "model validation failed on triple"),
+    (pipeline.PipelineConfig(formula=ap3_formula(8), cutoff="depth:1"),
+     "model does not satisfy the original formula")],
+    ids=["encode", "formula"])
+def test_a_sat_model_is_checked_against_the_original(config, message,
+                                                     monkeypatch):
+    """The one check of a SAT verdict: a cube's model that falsifies the
+    original problem (all false: a monochromatic triple, or a falsified
+    clause) fails the run."""
+    def all_false(formula, cube, config):
+        model = dict.fromkeys(range(1, formula.num_vars + 1), False)
+        return cdcl.SolveResult(cdcl.SAT, model), [], 0.0, 0.0, []
+
+    monkeypatch.setattr(pipeline, "solve_one_cube", all_false)
+    with pytest.raises(RuntimeError, match=message):
+        pipeline.run(config)
 
 
 def test_deterministic_repeat_runs():
@@ -348,7 +409,7 @@ def test_solve_one_cube_matches_reference(two_level, budget):
                           num_vars)
         cube_list = random_partition(rng, list(range(1, num_vars + 1)), 3)
         config = pipeline.PipelineConfig(
-            formula=formula, second_cutoff="depth:2", two_level=two_level,
+            formula=formula, second_cutoff="depth:2" if two_level else None,
             conflict_budget=budget)
         new = [pipeline.solve_one_cube(formula, cube, config)
                for cube in cube_list]
@@ -377,8 +438,7 @@ def test_two_level_sat_subcube_decides_its_cube(monkeypatch):
     formula = Formula([(1, -5, 3), (4, -3, 2), (2, -4, -1), (-1, 5, 3),
                        (-1, -4, 3), (-2, 5, 6), (-6, -3, -2), (-5, -4, 6),
                        (-5, 6, -3), (-5, -3, -2), (-4, 3, 2), (5, -6, 1)], 6)
-    config = pipeline.PipelineConfig(formula=formula, second_cutoff="depth:1",
-                                     two_level=True)
+    config = pipeline.PipelineConfig(formula=formula, second_cutoff="depth:1")
     calls = []
     solve_incremental = cdcl.solve_incremental
 
@@ -401,8 +461,7 @@ def test_two_level_drops_the_empty_subcube():
     # solved once, as in plain mode, not a second time as (5,) + ()
     formula = ap3_formula(9)
     plain = pipeline.PipelineConfig(formula=formula)
-    two_level = pipeline.PipelineConfig(formula=formula, two_level=True,
-                                        second_cutoff="depth:4")
+    two_level = pipeline.PipelineConfig(formula=formula, second_cutoff="depth:4")
     assert cubes(split(Formula(list(formula.clauses) + [(5,)]),
                        parse_cutoff("depth:4"))) == [()]
     got = pipeline.solve_one_cube(formula, (5,), two_level)
@@ -451,10 +510,13 @@ def sat_formulas(rng, count):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sat_run_stops_at_the_first_sat_cube(workers, two_level, monkeypatch):
     rng = random.Random("first-sat-%d-%s" % (workers, two_level))
+    second_cutoff = "depth:2" if two_level else None
     configs = [pipeline.PipelineConfig(n=300, cutoff="depth:3",
-                                       second_cutoff="depth:2")]
+                                       second_cutoff=second_cutoff,
+                                       workers=workers)]
     configs += [pipeline.PipelineConfig(formula=formula, cutoff="depth:3",
-                                        second_cutoff="depth:2")
+                                        second_cutoff=second_cutoff,
+                                        workers=workers)
                 for formula in [ap3_formula(8)] + sat_formulas(rng, 12)]
     solve_one_cube = pipeline.solve_one_cube
     calls = []
@@ -465,8 +527,6 @@ def test_sat_run_stops_at_the_first_sat_cube(workers, two_level, monkeypatch):
 
     unsolved = later_sat = 0
     for config in configs:
-        config.two_level = two_level
-        config.workers = workers
         cube_list, prefix, model = every_cube_until_sat(config)
         calls.clear()
         if workers == 1:
@@ -537,7 +597,7 @@ def test_random_runs_match_brute_force(mode, workers, two_level):
     for formula, sat in differential_formulas(mode):
         result = pipeline.run(pipeline.PipelineConfig(
             formula=formula, mode=mode, cutoff="depth:4",
-            second_cutoff="depth:2", two_level=two_level, workers=workers))
+            second_cutoff="depth:2" if two_level else None, workers=workers))
         assert (result.verdict == cdcl.SAT) == sat
         if not sat:
             assert result.check

@@ -7,8 +7,9 @@ import pytest
 
 from triplesat.cnf import DimacsError, Formula, SATISFIED, evaluate
 from triplesat.drat import check_proof
-from triplesat.transform import (bce, emit_transform_proof, parse_stack,
-                                 reconstruct, symmetry_break, write_stack)
+from triplesat.transform import (EliminationRecord, bce, emit_transform_proof,
+                                 parse_stack, reconstruct, symmetry_break,
+                                 write_stack)
 from triplesat.encoder import encode, occurrence_stats
 
 from conftest import (brute_force, brute_sat, is_tautology, random_formula,
@@ -184,6 +185,15 @@ def test_reconstruct_single_step():
 def test_reconstruct_rejects_bad_model():
     with pytest.raises(ValueError):
         reconstruct({1: False}, [], formula=Formula([(1,)]))
+
+
+def test_reconstruct_checks_the_model_it_returns():
+    # the repair sets the blocking literal 1, which falsifies the reduced
+    # formula's (-1,): the model given satisfies it, the one returned not
+    stack = [EliminationRecord((1,), 1)]
+    assert reconstruct({1: False}, stack) == {1: True}
+    with pytest.raises(ValueError, match="falsifies a clause"):
+        reconstruct({1: False}, stack, formula=Formula([(-1,)]))
 
 
 def test_symmetry_break_pivot_small():
