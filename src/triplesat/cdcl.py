@@ -592,9 +592,11 @@ def backbone(formula, **kwargs):
     """
     solver = Solver(formula, **kwargs)
     first = solver.solve()
-    if first.verdict != SAT:
+    if first.verdict == UNSAT:
         raise ValueError("backbone undefined: formula is not satisfiable (%s)"
                          % first.verdict)
+    if first.verdict != SAT:
+        raise RuntimeError("conflict budget exhausted during backbone search")
     candidates = {(v if val else -v) for v, val in first.model.items()}
     confirmed = set()
     while True:

@@ -72,8 +72,8 @@ def _heuristic_args(parser):
 
 
 def _settings(args, keys):
-    """defaults.cfg, then the --config file if one is given, then every
-    flag among `keys` that is given; unset flags are None."""
+    """`pipeline.default_config()`, then the --config file if one is given,
+    then every flag among `keys` that is given; unset flags are None."""
     values = pipeline.default_config()
     if args.config:
         values.update(pipeline.load_config(args.config))
@@ -155,7 +155,7 @@ def cmd_check(args):
     proof = drat.parse_drat(_read(args.proof), linenos=linenos)
     pivots = tuple(args.symmetry_pivot or ())
     result = drat.check_proof(formula, proof, refutation=args.refutation,
-                              symmetry_pivots=pivots, any_pivot=args.any_pivot)
+                              symmetry_pivots=pivots)
     for index, message in result.warnings:
         print("c warning line %d: %s" % (linenos[index], message))
     _print_check_stats(result)
@@ -233,7 +233,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     # split and pipeline read the same settings, so they share --config
     settings = argparse.ArgumentParser(add_help=False)
-    settings.add_argument("--config", help="key = value file over defaults.cfg")
+    settings.add_argument("--config", help="key = value file over the defaults")
 
     p = sub.add_parser("encode", help="emit the DIMACS encoding for {1..n}")
     p.add_argument("--n", type=pipeline.integer, required=True)
@@ -271,7 +271,6 @@ def build_parser():
     p.add_argument("--formula", required=True)
     p.add_argument("--proof", required=True)
     p.add_argument("--refutation", action="store_true")
-    p.add_argument("--any-pivot", action="store_true")
     p.add_argument("--symmetry-pivot", type=pipeline.integer, action="append")
     p.set_defaults(func=cmd_check)
 

@@ -52,6 +52,7 @@ from functools import reduce
 from operator import add
 from typing import Optional
 
+from .cdcl import check_count
 # `propagate_clauses` is not called here: bench/spans.py wraps it where
 # `lookahead` looks it up, so the name must stay importable from here.
 from .cnf import (DimacsError, Formula, Propagator, clause_line,
@@ -67,7 +68,7 @@ MODE_BIN = "count_bin"
 MODE_VAR = "count_var"
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeuristicParams:
     alpha: float = 8.0
     beta: float = 550.0
@@ -75,10 +76,15 @@ class HeuristicParams:
     iterations: int = 4      # the root's rounds; every other node runs one
 
     def __post_init__(self):
-        if not (0 < self.alpha <= self.beta):
-            raise ValueError("need 0 < alpha <= beta")
-        if self.gamma <= 0 or self.iterations < 1:
-            raise ValueError("need gamma > 0 and iterations >= 1")
+        for name in ("alpha", "beta", "gamma"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not -math.inf < value < math.inf):
+                raise ValueError("%s must be a finite int or float, got %r"
+                                 % (name, value))
+        check_count("iterations", self.iterations)
+        if not (0 < self.alpha <= self.beta and self.gamma > 0):
+            raise ValueError("need 0 < alpha <= beta and gamma > 0")
 
 
 # Tuned for Pythagorean-triple style formulas vs. plain random 3-SAT.

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import importlib.resources
 import math
 import os
 import time
@@ -43,8 +42,9 @@ from typing import Optional
 from . import cdcl, cnf, drat
 from .cnf import Formula, evaluate, numbered_lines, parse_dimacs, SATISFIED
 from .encoder import check_partition, encode
-from .lookahead import (HeuristicParams, check_mode, check_preselect, cubes,
-                        params_for_mode, parse_cutoff, split, tautology_proof)
+from .lookahead import (MODE_PTN, HeuristicParams, check_mode, check_preselect,
+                        cubes, params_for_mode, parse_cutoff, split,
+                        tautology_proof)
 from .transform import bce, emit_transform_proof, reconstruct, symmetry_break
 
 
@@ -83,23 +83,6 @@ def load_config(path):
         return _parse_settings(handle.read())
 
 
-@functools.cache
-def _shipped_defaults():
-    text = importlib.resources.files("triplesat").joinpath("defaults.cfg").read_text()
-    return _parse_settings(text)
-
-
-def default_config():
-    """The shipped `defaults.cfg`, the one source of every default setting."""
-    return dict(_shipped_defaults())
-
-
-def _default(key):
-    """A PipelineConfig field defaulting to `key` of defaults.cfg, read on
-    first use rather than at import."""
-    return field(default_factory=lambda: _shipped_defaults()[key])
-
-
 def integer(text):
     """`int`, for a DIMACS integer (`cnf.is_dimacs_integer`) only."""
     if not cnf.is_dimacs_integer(text):
@@ -128,18 +111,20 @@ def config_params(values):
     return dataclasses.replace(params_for_mode(values["mode"]), **overrides)
 
 
-@dataclass
+# the only defaults: the paper's reference run, whose first cutoff at n = 7825
+# is bin:3000; its two-level conquer adds second_cutoff = "vars:3450"
+@dataclass(frozen=True)
 class PipelineConfig:
     n: Optional[int] = None
     formula_path: Optional[str] = None
     formula: Optional[Formula] = None
-    mode: str = _default("mode")
-    cutoff: str = _default("cutoff")
+    mode: str = MODE_PTN
+    cutoff: str = "bin:3000"
     second_cutoff: Optional[str] = None  # None: each cube is solved as it is
-    workers: int = _default("workers")
+    workers: int = 1
     conflict_budget: Optional[int] = None
     params: Optional[HeuristicParams] = None  # None: the mode's parameters
-    preselect: float = _default("preselect")
+    preselect: float = 1.0
 
     def __post_init__(self):
         sources = [s is not None for s in (self.n, self.formula_path, self.formula)]
@@ -165,6 +150,12 @@ class PipelineConfig:
                 parse_cutoff(spec)
             except ValueError as exc:
                 raise ValueError("%s: %s" % (name, exc)) from None
+
+
+def default_config():
+    """The `SETTING_TYPES` keys' `PipelineConfig` defaults other than None."""
+    return {f.name: f.default for f in dataclasses.fields(PipelineConfig)
+            if f.name in SETTING_TYPES and f.default is not None}
 
 
 @dataclass

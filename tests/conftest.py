@@ -682,16 +682,15 @@ class ReferenceChecker:
         return True
 
 
-def reference_check_proof(formula, proof, refutation=False, symmetry_pivots=(),
-                          any_pivot=False):
+def reference_check_proof(formula, proof, refutation=False, symmetry_pivots=()):
     """`drat.check_proof` over `ReferenceChecker`: the oracle of the
     differential checker tests.
 
     Forward-check a DRAT proof against a formula.
 
-    Additions must have RAT on the first literal (all pivots are tried
-    when any_pivot is set); the empty clause needs a propagation
-    conflict.  Deleting an absent clause is a warning, not a rejection.
+    Additions must have RAT on the first literal, as in DRAT; the empty
+    clause needs a propagation conflict.  Deleting an absent clause is a
+    warning, not a rejection.
     A unit on a literal in `symmetry_pivots` that fails the RAT check is
     accepted iff the current formula is flip-symmetric at that point.
     With refutation=True the proof must add the empty clause.
@@ -713,8 +712,7 @@ def reference_check_proof(formula, proof, refutation=False, symmetry_pivots=(),
                                    warnings)
             empty_added = True
         else:
-            pivots = clause if any_pivot else clause[:1]
-            ok = any(state.is_rat(clause, pivot) for pivot in pivots)
+            ok = state.is_rat(clause, clause[0])
             if not ok and len(clause) == 1 and clause[0] in symmetry_pivots:
                 if is_flip_symmetric(state.current_formula()):
                     warnings.append(

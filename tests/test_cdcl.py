@@ -6,7 +6,8 @@ from triplesat.cdcl import (INDETERMINATE, SAT, UNSAT, Solver, backbone, luby,
 from triplesat.cnf import Formula, SATISFIED, evaluate, propagate_clauses
 from triplesat.encoder import arithmetic_witness_check, is_pythagorean
 
-from conftest import ap3_formula, brute_force, brute_sat, random_formula
+from conftest import (ap3_formula, brute_force, brute_sat, random_3sat,
+                      random_formula)
 
 
 def all_models(formula):
@@ -313,6 +314,19 @@ def test_backbone_records_one_hint_per_line():
 def test_backbone_unsat_rejected(fig1_formula):
     with pytest.raises(ValueError):
         backbone(fig1_formula)
+
+
+@pytest.mark.parametrize("seed, first", [(0, INDETERMINATE), (15, SAT)],
+                         ids=["first-model", "candidate"])
+def test_backbone_reports_a_spent_budget(seed, first):
+    # satisfiable formulas: the budget runs out on the first model or on a
+    # later candidate, and either way the formula is not called unsatisfiable
+    formula = random_3sat(60, 246, seed)
+    assert solve(formula).verdict == SAT
+    assert Solver(formula, conflict_budget=3).solve().verdict == first
+    with pytest.raises(RuntimeError, match="^conflict budget exhausted "
+                                           "during backbone search$"):
+        backbone(formula, conflict_budget=3)
 
 
 def test_backbone_matches_enumeration(rng):

@@ -645,14 +645,16 @@ def test_cli_real_flags_take_decimal_notation():
                                    ["pipeline", "--n", "30", "--bce"],
                                    ["pipeline"],
                                    ["pipeline", "--n", "30", "--in", "f.cnf"],
-                                   ["pipeline", "--n", "30", "--two-level"]],
+                                   ["pipeline", "--n", "30", "--two-level"],
+                                   ["check", "--formula", "f.cnf", "--proof",
+                                    "f.drat", "--any-pivot"]],
                          ids=["solve-no-input", "solve-two-inputs", "pipeline-bce",
                               "pipeline-no-input", "pipeline-two-inputs",
-                              "pipeline-two-level"])
+                              "pipeline-two-level", "check-any-pivot"])
 def test_cli_usage_errors_exit_2(flags, captured_config, capsys):
     """solve reads exactly one of --in and --cubes, pipeline exactly one of
     --n and --in; BCE takes no switch, and neither does two-level conquer,
-    which a second cutoff turns on."""
+    which a second cutoff turns on; a RAT pivot is the first literal."""
     with pytest.raises(SystemExit) as exc:
         main(flags)
     assert exc.value.code == 2
@@ -673,6 +675,14 @@ def test_backbone_cli(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1" in out.splitlines()[0]
     assert "backbone size 1" in out
+
+
+def test_backbone_cli_reports_a_spent_budget(tmp_path, capsys):
+    cnf = tmp_path / "b.cnf"
+    cnf.write_text(write_dimacs(random_3sat(60, 246, 0)))
+    assert main(["backbone", "--in", str(cnf), "--conflict-budget", "3"]) == 1
+    assert capsys.readouterr().err == \
+        "error: conflict budget exhausted during backbone search\n"
 
 
 def test_encode_cli_rejects_n_below_one(capsys):

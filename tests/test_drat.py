@@ -150,7 +150,6 @@ def test_any_pivot_switch():
     # (2 1) is RAT on 1 but not on 2 here; first-literal convention rejects
     formula = Formula([(1, 3), (-1, 3), (-2, -3)])
     assert not check_proof(formula, [("a", (2, 1))])
-    assert check_proof(formula, [("a", (2, 1))], any_pivot=True)
 
 
 def test_symmetry_pivot_unit():
@@ -348,7 +347,7 @@ def test_checker_matches_reference_on_random_proofs(rng):
             else:
                 proof.append(("a", clause))
                 present.append(clause)
-        for kwargs in ({}, {"any_pivot": True}, {"refutation": True}):
+        for kwargs in ({}, {"refutation": True}):
             result = assert_same_as_reference(formula, proof, **kwargs)
             seen.add((result.accepted, bool(result.warnings)))
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
@@ -372,10 +371,8 @@ def test_checker_matches_reference_on_merged_pipeline_proof(rng):
     ([(1, 2), (-1, -2), (2, 3)], [("a", (1,))], {"symmetry_pivots": (1,)}),
     ([(1, 2), (-1, -2)], [("a", (2,)), ("a", (1,))], {"symmetry_pivots": (1,)}),
     ([(1, 3), (-1, 3), (-2, -3)], [("a", (2, 1))], {}),
-    ([(1, 3), (-1, 3), (-2, -3)], [("a", (2, 1))], {"any_pivot": True}),
-    ([(1, 3), (-1, 3), (-2, -3)], [("a", (2, -1))], {"any_pivot": True}),
 ], ids=["sym-no-policy", "sym-pivot", "sym-asymmetric", "sym-after-lemma",
-        "first-pivot", "any-pivot", "any-pivot-fails"])
+        "first-pivot"])
 def test_checker_matches_reference_on_pivot_policies(clauses, proof, kwargs):
     assert_same_as_reference(Formula(clauses), proof, **kwargs)
 
@@ -647,7 +644,7 @@ def test_hints_change_no_outcome_on_random_proofs(rng):
         limit = len(formula.clauses) + len(proof) + 2
         hints = [[rng.randrange(-2, limit) for _ in range(rng.randint(0, 5))]
                  for _ in proof]
-        for kwargs in ({}, {"any_pivot": True}, {"refutation": True}):
+        for kwargs in ({}, {"refutation": True}):
             assert_hints_change_nothing(formula, proof, hints, **kwargs)
 
 

@@ -38,6 +38,16 @@ def test_params_validation():
         HeuristicParams(iterations=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("iterations", 2.5), ("iterations", True), ("alpha", "8"),
+    ("gamma", float("nan")), ("beta", float("inf")), ("alpha", True)])
+def test_params_check_their_types(field, value):
+    # iterations is an int >= 1, alpha, beta and gamma finite numbers;
+    # a bool is neither
+    with pytest.raises(ValueError, match="^%s must be " % field):
+        HeuristicParams(**{field: value})
+
+
 def test_params_presets():
     p = params_for_mode(MODE_PTN)
     assert (p.alpha, p.beta, p.gamma) == (8.0, 550.0, 25.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -13,7 +14,8 @@ from triplesat import cdcl, drat, pipeline
 from triplesat.cnf import (Formula, SATISFIED, evaluate, propagate_clauses,
                            write_dimacs)
 from triplesat.encoder import check_partition, encode
-from triplesat.lookahead import MODES, cubes, parse_cutoff, split
+from triplesat.lookahead import (MODE_PTN, MODES, HeuristicParams, cubes,
+                                 params_for_mode, parse_cutoff, split)
 from triplesat.transform import bce, reconstruct, symmetry_break
 
 from conftest import (FIG1_CLAUSES, FIG3_CUBES, ap3_formula, brute_sat,
@@ -198,6 +200,15 @@ def test_default_config_carries_reference_parameters():
     # a second cutoff turns two-level conquer on, so it has no default
     assert "second_cutoff" not in values
     assert (values["workers"], values["preselect"]) == (1, 1.0)
+
+
+def test_settings_are_frozen():
+    config = pipeline.PipelineConfig(n=30, cutoff="depth:1")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.n = True
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        params_for_mode("count_bin").alpha = 0.001
+    assert params_for_mode(MODE_PTN) == HeuristicParams()
 
 
 def test_run_n5_sat():
